@@ -120,11 +120,11 @@ def _observability(args) -> "tuple":
 def _emit_trace(path, outcome, root_attributes, backend=None) -> None:
     """Assemble per-cell traces (spec order) and write the JSONL file.
 
-    Backend-driven sweeps group cells under per-shard spans
-    (root -> shard -> cell); the classic path adopts cells directly
-    under the sweep root.
+    Sweeps with an explicit ``--backend`` group cells under per-shard
+    spans (root -> shard -> cell); otherwise cells hang directly under
+    the sweep root.
     """
-    if backend is not None and outcome.shard_of is not None:
+    if backend is not None:
         from repro.perf.backends import assemble_backend_trace
 
         spans = assemble_backend_trace(
@@ -711,7 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--backend", default=None, metavar="NAME[:OPTS]",
         help="distributed sweep backend: inprocess | pool[:workers=N] | "
-        "remote[:workers=N] (default: the classic supervised runtime)",
+        "remote[:workers=N] (default: inprocess at one worker without "
+        "watchdog/chaos, else pool)",
     )
     resilience(sweep_p, journal=True)
     observability(sweep_p)

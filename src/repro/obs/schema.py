@@ -87,9 +87,7 @@ M_ADAPT_DOWNSHIFTS = "colorbars.adapt.downshifts"
 M_ADAPT_RUNG = "colorbars.adapt.rung"
 M_ADAPT_MARGIN = "colorbars.adapt.margin_delta_e"
 M_ADAPT_QUARANTINES_AVERTED = "colorbars.adapt.quarantines_averted"
-M_BACKEND_SHARDS = "colorbars.backend.shards"
 M_BACKEND_CELLS = "colorbars.backend.cells"
-M_BACKEND_LANES = "colorbars.backend.lanes"
 M_BACKEND_WORKER_RESTARTS = "colorbars.backend.worker_restarts"
 M_BACKEND_MERGED_CELLS = "colorbars.backend.merged_cells"
 
@@ -270,26 +268,27 @@ METRICS: Tuple[MetricEntry, ...] = (
         "PlanCache lookups that rebuilt the plan and waveform.",
     ),
     MetricEntry(
-        M_CELLS_COMPLETED, KIND_COUNTER, "cells", "repro.perf.runtime",
+        M_CELLS_COMPLETED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Sweep cells that produced a result (including resumed cells).",
     ),
     MetricEntry(
-        M_CELLS_FAILED, KIND_COUNTER, "cells", "repro.perf.runtime",
+        M_CELLS_FAILED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Sweep cells recorded as CellFailure after all attempts.",
     ),
     MetricEntry(
-        M_CELLS_RETRIED, KIND_COUNTER, "attempts", "repro.perf.runtime",
+        M_CELLS_RETRIED, KIND_COUNTER, "attempts", "repro.perf.backends.driver",
         "Retry attempts consumed across all cells (excludes innocent "
         "pool-mate resubmissions).",
     ),
     MetricEntry(
-        M_CELLS_RESUMED, KIND_COUNTER, "cells", "repro.perf.runtime",
+        M_CELLS_RESUMED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Cells satisfied from the resume journal without re-execution.",
     ),
     MetricEntry(
-        M_SWEEP_WORKERS, KIND_GAUGE, "processes", "repro.perf.runtime",
-        "Resolved worker count of the sweep that recorded into this "
-        "registry (last sweep wins).",
+        M_SWEEP_WORKERS, KIND_GAUGE, "processes", "repro.perf.backends.driver",
+        "Effective worker count (backend lanes, clamped to the cell "
+        "count) of the sweep that recorded into this registry (last "
+        "sweep wins).",
     ),
     MetricEntry(
         M_RUN_WALL_SECONDS, KIND_HISTOGRAM, "seconds", "repro.link.simulator",
@@ -369,19 +368,9 @@ METRICS: Tuple[MetricEntry, ...] = (
         "quarantine (quarantine is the ladder's last rung).",
     ),
     MetricEntry(
-        M_BACKEND_SHARDS, KIND_COUNTER, "shards", "repro.perf.backends.driver",
-        "Shards submitted to the sweep backend (one per parallel lane "
-        "with work).",
-    ),
-    MetricEntry(
         M_BACKEND_CELLS, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Cells executed through the sweep backend (excludes cells spliced "
         "from a resume journal).",
-    ),
-    MetricEntry(
-        M_BACKEND_LANES, KIND_GAUGE, "lanes", "repro.perf.backends.driver",
-        "Parallel lanes of the backend that ran the sweep (1 for "
-        "inprocess; the worker count for pool/remote).",
     ),
     MetricEntry(
         M_BACKEND_WORKER_RESTARTS, KIND_COUNTER, "workers",

@@ -1,18 +1,21 @@
 """Performance subsystem: parallel execution, resilience, caching, bench.
 
-Four pieces (DESIGN.md §5d-§5e):
+Four pieces (DESIGN.md §5d-§5e, §5k):
 
-* :mod:`repro.perf.executor` — runs any list of independent
-  :class:`~repro.link.simulator.RunSpec` cells over a process pool,
-  bit-identical to the serial path by construction (each cell derives all
-  randomness from its own seed).  ``COLORBARS_WORKERS`` / ``--workers``
-  select the pool size; 1 is serial.
-* :mod:`repro.perf.runtime` — the resilient execution layer over the
-  executor: per-cell watchdog timeouts (``COLORBARS_CELL_TIMEOUT`` /
-  ``--cell-timeout``), crash containment into structured
-  :class:`~repro.exceptions.CellFailure` records, bounded seed-stable
-  retry, and a JSONL checkpoint journal with ``--resume`` — plus the
-  process-level chaos injectors of :mod:`repro.faults.chaos` to prove it.
+* :mod:`repro.perf.runtime` — :func:`run_specs_resilient`, the one entry
+  point for running a list of independent
+  :class:`~repro.link.simulator.RunSpec` cells: per-cell watchdog
+  timeouts (``COLORBARS_CELL_TIMEOUT`` / ``--cell-timeout``), crash
+  containment into structured :class:`~repro.exceptions.CellFailure`
+  records, bounded seed-stable retry, and a JSONL checkpoint journal with
+  ``--resume``.  It resolves the policy and a backend, then hands the
+  sweep to the driver in :mod:`repro.perf.backends`, whose ``inprocess``
+  and ``pool`` backends execute the cells — bit-identically, since each
+  cell derives all randomness from its own seed.
+* :mod:`repro.perf.executor` — worker-count resolution
+  (``COLORBARS_WORKERS`` / ``--workers``; 1 is serial) and
+  :func:`run_specs` / :func:`make_runner`, thin wrappers that give the
+  runtime the plain ``Runner`` contract.
 * :mod:`repro.perf.cache` — memoizes the transmitter plan + optical
   waveform per ``(config, payload)`` so fleet/resilience sweeps stop
   rebuilding the identical broadcast per cell.
@@ -39,8 +42,6 @@ from repro.perf.executor import (
     WORKERS_ENV,
     default_workers,
     make_runner,
-    parallel_fleet,
-    parallel_sweep,
     resolve_workers,
     run_specs,
     validate_workers,
@@ -52,7 +53,6 @@ from repro.perf.runtime import (
     RuntimeResult,
     default_cell_timeout,
     resilient_fleet,
-    resilient_runner,
     run_specs_resilient,
     spec_fingerprint,
 )
@@ -71,8 +71,6 @@ __all__ = [
     "WORKERS_ENV",
     "default_workers",
     "make_runner",
-    "parallel_fleet",
-    "parallel_sweep",
     "resolve_workers",
     "run_specs",
     "validate_workers",
@@ -82,7 +80,6 @@ __all__ = [
     "RuntimeResult",
     "default_cell_timeout",
     "resilient_fleet",
-    "resilient_runner",
     "run_specs_resilient",
     "spec_fingerprint",
 ]

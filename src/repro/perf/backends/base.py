@@ -9,8 +9,8 @@ journal.  Three implementations ship with the repo —
 * ``inprocess`` (:mod:`repro.perf.backends.inprocess`) — serial, in the
   caller's process: the *reference* every other backend must match
   byte-for-byte;
-* ``pool`` (:mod:`repro.perf.backends.pool`) — the PR 3/4 supervised
-  ``ProcessPoolExecutor`` path behind the interface;
+* ``pool`` (:mod:`repro.perf.backends.pool`) — a supervised process
+  pool on one host (watchdog, crash containment, retry);
 * ``remote`` (:mod:`repro.perf.backends.remote`) — subprocess workers
   spoken to over a length-prefixed stdio protocol, the stand-in for
   workers on other hosts (tests and CI run them on localhost).

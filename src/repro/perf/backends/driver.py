@@ -7,15 +7,15 @@ line, so every backend gets the same semantics for free:
   is computed here and rides the :class:`~repro.perf.backends.base.ShardCell`;
 * **resume** — leftover shard journals from a killed run are merged into
   the sweep journal first, then journaled cells are spliced into the
-  results unrun, exactly like the single-journal runtime path;
+  results unrun;
 * **sharding** — pending cells round-robin across the backend's lanes
   (cell *i* of the pending list lands in shard ``i % lanes``), a pure
   function of the spec list and lane count, so two runs shard alike;
 * **merge** — after ``drain``, :func:`merge_journals` splices the shard
   journals back into one sweep journal (byte-splicing records, never
   re-pickling) and the shard files are removed;
-* **observability** — ``colorbars.backend.*`` metrics and the
-  root -> shard -> cell trace via
+* **observability** — the ``colorbars.sweep.*`` and
+  ``colorbars.backend.*`` metrics, and the root -> shard -> cell trace via
   :func:`repro.obs.trace.assemble_sharded_trace`.
 
 Backends only execute cells; the driver guarantees that whatever they
@@ -24,9 +24,6 @@ are, the sweep's results, journal, and failure records look the same.
 
 from __future__ import annotations
 
-import base64
-import json
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,20 +32,17 @@ from repro.exceptions import BackendError, CellFailure, JournalError
 from repro.link.simulator import LinkResult, RunSpec
 from repro.obs.schema import (
     M_BACKEND_CELLS,
-    M_BACKEND_LANES,
     M_BACKEND_MERGED_CELLS,
-    M_BACKEND_SHARDS,
     M_BACKEND_WORKER_RESTARTS,
+    M_CELLS_COMPLETED,
+    M_CELLS_FAILED,
+    M_CELLS_RESUMED,
+    M_CELLS_RETRIED,
+    M_SWEEP_WORKERS,
 )
 from repro.obs.trace import Span, assemble_sharded_trace
 from repro.perf.backends.base import Shard, ShardCell, SweepBackend
-from repro.perf.runtime import (
-    JOURNAL_SCHEMA_VERSION,
-    RunJournal,
-    RuntimeResult,
-    record_sweep_metrics,
-    spec_fingerprint,
-)
+from repro.perf.runtime import RunJournal, RuntimeResult, spec_fingerprint
 
 # -- shard journals --------------------------------------------------------
 
@@ -77,67 +71,6 @@ def _discard_file(path: Path) -> None:
     except OSError as exc:
         raise JournalError(
             f"cannot remove shard journal {path}: {exc}"
-        ) from exc
-
-
-def _load_raw_records(path: Path) -> List[Tuple[str, str, LinkResult]]:
-    """(fingerprint, base64 payload, decoded result) per readable record.
-
-    File order is preserved (so last-write-wins within a file behaves like
-    :meth:`RunJournal.load`); unparseable or truncated records are skipped
-    — the affected cell simply reruns — while a schema mismatch is a hard
-    error, both matching the journal's own semantics.
-    """
-    records: List[Tuple[str, str, LinkResult]] = []
-    if not path.exists():
-        return records
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # truncated mid-write; the cell just reruns
-        if not isinstance(record, dict):
-            continue
-        schema = record.get("schema")
-        if schema != JOURNAL_SCHEMA_VERSION:
-            raise JournalError(
-                f"journal {path} has schema {schema!r}, "
-                f"expected {JOURNAL_SCHEMA_VERSION}"
-            )
-        fingerprint = record.get("fingerprint")
-        payload = record.get("result")
-        if not (isinstance(fingerprint, str) and isinstance(payload, str)):
-            continue
-        try:
-            result = pickle.loads(base64.b64decode(payload))
-        except Exception:  # corrupt payload: rerun that cell
-            continue
-        if isinstance(result, LinkResult):
-            records.append((fingerprint, payload, result))
-    return records
-
-
-def _append_raw(journal: RunJournal, fingerprint: str, payload: str) -> None:
-    """Splice one record byte-for-byte (no decode/re-pickle round trip)."""
-    record = {
-        "schema": JOURNAL_SCHEMA_VERSION,
-        "fingerprint": fingerprint,
-        "result": payload,
-    }
-    try:
-        with journal.path.open("a", encoding="ascii") as handle:
-            handle.write(json.dumps(record) + "\n")
-            handle.flush()
-    except OSError as exc:
-        raise JournalError(
-            f"cannot append to journal {journal.path}: {exc}"
         ) from exc
 
 
@@ -173,13 +106,13 @@ def merge_journals(shard_paths, target, on_conflict: str = "last") -> MergeRepor
         target = RunJournal(target)
     merged: Dict[str, str] = {}
     entries: Dict[str, LinkResult] = {}
-    for fingerprint, payload, result in _load_raw_records(target.path):
+    for fingerprint, payload, result in target.read_records():
         merged[fingerprint] = payload
         entries[fingerprint] = result
     appended = 0
     conflicts = 0
     for path in shard_paths:
-        for fingerprint, payload, result in _load_raw_records(Path(path)):
+        for fingerprint, payload, result in RunJournal(path).read_records():
             prior = merged.get(fingerprint)
             if prior == payload:
                 continue
@@ -190,7 +123,7 @@ def merge_journals(shard_paths, target, on_conflict: str = "last") -> MergeRepor
                         f"shard journal {path} disagrees with the merged "
                         f"sweep on cell {fingerprint[:12]}"
                     )
-            _append_raw(target, fingerprint, payload)
+            target.append_record(fingerprint, payload)
             merged[fingerprint] = payload
             entries[fingerprint] = result
             appended += 1
@@ -232,6 +165,31 @@ def make_shards(
 # -- the drive -------------------------------------------------------------
 
 
+def record_sweep_metrics(
+    metrics,
+    results: Sequence[Optional[LinkResult]],
+    failures: Sequence[CellFailure],
+    retried: int,
+    resumed: int,
+    workers: int,
+) -> None:
+    """Fold one sweep's runtime counters and per-cell exports into ``metrics``.
+
+    ``workers`` is the effective lane count: the backend's lanes, clamped
+    to the number of cells in the sweep.
+    """
+    metrics.gauge(M_SWEEP_WORKERS).set(workers)
+    completed = sum(1 for result in results if result is not None)
+    metrics.counter(M_CELLS_COMPLETED).inc(completed)
+    metrics.counter(M_CELLS_FAILED).inc(len(failures))
+    metrics.counter(M_CELLS_RETRIED).inc(retried)
+    metrics.counter(M_CELLS_RESUMED).inc(resumed)
+    for result in results:
+        exported = getattr(result, "obs_metrics", None)
+        if exported:
+            metrics.merge_export(exported)
+
+
 def run_specs_sharded(
     specs: Sequence[RunSpec],
     backend: SweepBackend,
@@ -242,12 +200,12 @@ def run_specs_sharded(
 ) -> RuntimeResult:
     """Execute ``specs`` through a :class:`SweepBackend`, shard by shard.
 
-    The contract mirrors :func:`repro.perf.runtime.run_specs_resilient`
-    (journal path-or-object, ``resume`` splicing, ``metrics`` implies
-    ``observe``) with the execution engine swapped for the backend; the
-    returned :class:`RuntimeResult` additionally carries ``shard_of``
-    (per spec, which shard ran it — ``None`` for resumed cells).  The
-    caller keeps ownership of the backend (close it when done).
+    The one sweep engine behind
+    :func:`repro.perf.runtime.run_specs_resilient` (journal
+    path-or-object, ``resume`` splicing, ``metrics`` implies ``observe``);
+    the returned :class:`RuntimeResult` carries ``shard_of`` (per spec,
+    which shard ran it — ``None`` for resumed cells).  The caller keeps
+    ownership of the backend (close it when done).
     """
     specs = list(specs)
     if metrics is not None:
@@ -286,7 +244,6 @@ def run_specs_sharded(
             )
 
     shard_of: List[Optional[int]] = [None] * len(specs)
-    shards: List[Shard] = []
     retried_before = backend.cells_retried
     restarts_before = backend.worker_restarts
     if pending:
@@ -335,10 +292,8 @@ def run_specs_sharded(
             failures,
             retried=backend.cells_retried - retried_before,
             resumed=resumed,
-            workers=backend.lanes,
+            workers=max(1, min(backend.lanes, len(specs))),
         )
-        metrics.gauge(M_BACKEND_LANES).set(backend.lanes)
-        metrics.counter(M_BACKEND_SHARDS).inc(len(shards))
         metrics.counter(M_BACKEND_CELLS).inc(len(pending))
         metrics.counter(M_BACKEND_WORKER_RESTARTS).inc(
             backend.worker_restarts - restarts_before
@@ -360,10 +315,9 @@ def assemble_backend_trace(
     carry no shard and group under a trailing ``shard: resumed`` span.
     """
     by_shard: Dict[Optional[int], List[Optional[Sequence[Span]]]] = {}
-    shard_of = outcome.shard_of or [None] * len(outcome.results)
-    for index, result in enumerate(outcome.results):
+    for shard_id, result in zip(outcome.shard_of, outcome.results):
         trace = getattr(result, "trace", None) if result is not None else None
-        by_shard.setdefault(shard_of[index], []).append(trace)
+        by_shard.setdefault(shard_id, []).append(trace)
     groups = []
     for shard_id in sorted(
         by_shard, key=lambda s: (s is None, s if s is not None else 0)

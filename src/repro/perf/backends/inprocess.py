@@ -10,7 +10,8 @@ Because there is no process boundary, this backend cannot enforce a
 watchdog deadline and must never host process chaos (a ``worker-crash``
 would take the caller down); policies that need isolation are rejected at
 construction.  Per-cell exceptions are still contained and retried per
-the policy, mirroring the runtime's inline path.
+the policy.  :func:`repro.perf.runtime.run_specs_resilient` runs every
+one-worker sweep without a watchdog or chaos on this backend.
 """
 
 from __future__ import annotations

@@ -1,49 +1,240 @@
-"""The process-pool backend: PR 3/4's supervised executor behind the interface.
+"""The process-pool backend: a supervised ``ProcessPoolExecutor`` engine.
 
-This is the same supervised ``ProcessPoolExecutor`` loop the resilient
-runtime has always used — watchdog deadlines, ``BrokenProcessPool``
-containment, innocent-pool-mate resubmission, seed-stable retry — reused
-verbatim (:func:`repro.perf.runtime._run_isolated` is the engine), with
-two backend-contract adaptations:
+The engine gives every cell watchdog deadlines, ``BrokenProcessPool``
+containment, innocent-pool-mate resubmission and seed-stable retry:
 
-* cells from *all* submitted shards feed one pool, so lanes stay busy
-  even when shards are unevenly sized;
-* journal appends are routed per cell back to the owning shard's journal
-  (the runtime engine sees one duck-typed journal; the router fans out).
+* cells from *all* submitted shards feed one pool, dispatched in spec
+  order, so lanes stay busy even when shards are unevenly sized;
+* each completed cell is appended to its own shard's journal as it
+  finishes.
+
+This is also the engine :func:`repro.perf.runtime.run_specs_resilient`
+picks whenever a sweep needs more than one worker, a watchdog, or chaos.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.exceptions import CellFailure, ConfigurationError
-from repro.link.simulator import LinkResult
+from repro.faults.chaos import ProcessChaos
+from repro.link.simulator import LinkResult, RunSpec
 from repro.perf.backends.base import (
     CellOutcome,
     Shard,
+    ShardCell,
     SweepBackend,
     register_backend,
 )
-from repro.perf.executor import resolve_workers, validate_workers
-from repro.perf.runtime import RunJournal, RuntimePolicy, _Cell, _run_isolated
+from repro.perf.executor import _process_cache, resolve_workers, validate_workers
+from repro.perf.runtime import (
+    RunJournal,
+    RuntimePolicy,
+    _annotate_trace,
+    backoff_delay_s,
+)
+
+#: Poll interval of the supervision loop, seconds.
+_TICK_S = 0.1
 
 
-class _ShardJournalRouter:
-    """Duck-typed journal fanning each append out to its cell's shard journal.
+@dataclass
+class _Cell:
+    """Mutable supervision state for one shard cell while the pool runs it."""
 
-    The runtime engine journals by calling ``journal.append(fingerprint,
-    result)``; shards each own a separate journal file, so this maps the
-    fingerprint back to the right one.  Cells of unjournaled shards are
-    simply not checkpointed.
+    shard_id: int
+    cell: ShardCell
+    journal: Optional[RunJournal]
+    attempt: int = 1
+    #: Dispatch time of the current attempt (watchdog reference), or None.
+    started_at: Optional[float] = None
+    #: Earliest monotonic time the next attempt may be submitted (backoff).
+    ready_at: float = 0.0
+
+    def outcome(self, result=None, failure=None) -> CellOutcome:
+        return CellOutcome(
+            shard_id=self.shard_id,
+            index=self.cell.index,
+            fingerprint=self.cell.fingerprint,
+            result=result,
+            failure=failure,
+        )
+
+
+def _execute_cell(
+    index: int,
+    spec: RunSpec,
+    attempt: int,
+    chaos: Tuple[ProcessChaos, ...],
+    observe: bool = False,
+) -> LinkResult:
+    """Worker-side cell entry point: chaos first, then the real run."""
+    for injector in chaos:
+        injector.before_cell(cell_index=index, attempt=attempt)
+    result = spec.execute(planner=_process_cache(), observe=observe)
+    return _annotate_trace(result, index, attempt)
+
+
+def _teardown_pool(pool: ProcessPoolExecutor) -> None:
+    """Kill a pool hard: terminate every worker, then release the executor.
+
+    ``shutdown`` alone cannot clear a hung worker — the hang *is* the
+    running task — so the watchdog terminates the processes first; the
+    executor's management thread then observes the deaths and unblocks.
     """
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.terminate()
+        except OSError:
+            pass
+    pool.shutdown(wait=True, cancel_futures=True)
 
-    def __init__(self, routes: Dict[str, RunJournal]) -> None:
-        self._routes = routes
 
-    def append(self, fingerprint: str, result: LinkResult) -> None:
-        journal = self._routes.get(fingerprint)
-        if journal is not None:
-            journal.append(fingerprint, result)
+def _run_isolated(
+    shards: List[Shard],
+    workers: int,
+    policy: RuntimePolicy,
+    observe: bool = False,
+) -> Tuple[List[CellOutcome], int]:
+    """The supervised pool engine: ``(outcomes, retry attempts consumed)``.
+
+    In-flight submissions are capped at the pool width, so (a) a broken
+    pool takes down at most ``workers`` attempts, and (b) a cell's deadline
+    starts when a worker slot is actually dedicated to it.  Cells caught in
+    a teardown they did not cause (pool-mates of a hung cell observed
+    before their own deadline) are resubmitted at the *same* attempt
+    number — only a cell's own crash, timeout, or error consumes one of
+    its attempts.
+    """
+    cells: List[_Cell] = []
+    for shard in shards:
+        journal = shard.journal()
+        cells.extend(_Cell(shard.shard_id, cell, journal) for cell in shard.cells)
+    pending: Deque[_Cell] = deque(sorted(cells, key=lambda c: c.cell.index))
+    active: Dict[Future, _Cell] = {}
+    outcomes: List[CellOutcome] = []
+    retried = 0
+
+    def retry_or_fail(cell: _Cell, cause: str, error_type: str, message: str) -> None:
+        """Requeue the cell for its next attempt, or record its final failure.
+
+        Backoff counts from the current supervision tick's ``now``.
+        """
+        nonlocal retried
+        if cell.attempt < policy.max_attempts:
+            cell.ready_at = now + backoff_delay_s(
+                policy, cell.cell.spec.seed, cell.attempt + 1
+            )
+            cell.attempt += 1
+            cell.started_at = None
+            pending.append(cell)
+            retried += 1
+            return
+        outcomes.append(
+            cell.outcome(
+                failure=CellFailure(
+                    fingerprint=cell.cell.fingerprint,
+                    index=cell.cell.index,
+                    cause=cause,
+                    attempts=cell.attempt,
+                    error_type=error_type,
+                    message=message,
+                )
+            )
+        )
+
+    pool: Optional[ProcessPoolExecutor] = None
+    pool_width = 0
+    try:
+        while pending or active:
+            now = time.monotonic()
+            if pool is None and any(c.ready_at <= now for c in pending):
+                pool_width = max(1, min(workers, len(pending)))
+                pool = ProcessPoolExecutor(max_workers=pool_width)
+            while pool is not None and len(active) < pool_width:
+                cell = next((c for c in pending if c.ready_at <= now), None)
+                if cell is None:
+                    break
+                pending.remove(cell)
+                cell.started_at = time.monotonic()
+                future = pool.submit(
+                    _execute_cell, cell.cell.index, cell.cell.spec,
+                    cell.attempt, policy.chaos, observe,
+                )
+                active[future] = cell
+
+            if not active:
+                # Everything runnable is backing off; sleep to the gate.
+                wake = min(c.ready_at for c in pending)
+                time.sleep(max(0.0, min(wake - time.monotonic(), _TICK_S)))
+                continue
+
+            done, _ = futures_wait(
+                set(active), timeout=_TICK_S, return_when=FIRST_COMPLETED
+            )
+            now = time.monotonic()
+            pool_broke = False
+            for future in done:
+                cell = active.pop(future)
+                error = future.exception()
+                if error is None:
+                    result = future.result()
+                    if cell.journal is not None:
+                        cell.journal.append(cell.cell.fingerprint, result)
+                    outcomes.append(cell.outcome(result=result))
+                elif isinstance(error, BrokenProcessPool):
+                    pool_broke = True
+                    retry_or_fail(
+                        cell, "crash", type(error).__name__, "worker process died"
+                    )
+                else:
+                    retry_or_fail(cell, "error", type(error).__name__, str(error))
+
+            if pool_broke:
+                # Every other in-flight attempt died with the pool; each
+                # consumes an attempt (the crasher is indistinguishable
+                # from its pool-mates once the pool is broken).
+                for cell in active.values():
+                    retry_or_fail(
+                        cell, "crash", "BrokenProcessPool", "worker process died"
+                    )
+                active.clear()
+                _teardown_pool(pool)
+                pool = None
+                continue
+
+            if policy.cell_timeout_s is not None and active:
+                overdue = [
+                    (future, cell)
+                    for future, cell in active.items()
+                    if cell.started_at is not None
+                    and now - cell.started_at > policy.cell_timeout_s
+                ]
+                if overdue:
+                    for future, cell in overdue:
+                        active.pop(future)
+                        retry_or_fail(
+                            cell, "timeout", "TimeoutError",
+                            f"cell exceeded {policy.cell_timeout_s:g}s watchdog "
+                            f"deadline on attempt {cell.attempt}",
+                        )
+                    for cell in active.values():
+                        # Innocent pool-mates: rerun at the same attempt.
+                        cell.started_at = None
+                        pending.append(cell)
+                    active.clear()
+                    _teardown_pool(pool)
+                    pool = None
+    finally:
+        if pool is not None:
+            _teardown_pool(pool)
+    return outcomes, retried
 
 
 @register_backend
@@ -82,53 +273,8 @@ class PoolBackend(SweepBackend):
         return cls(policy=policy, workers=workers, observe=observe)
 
     def _drain(self, shards: List[Shard]) -> List[CellOutcome]:
-        cells: List[_Cell] = []
-        routes: Dict[str, RunJournal] = {}
-        for shard in shards:
-            journal = shard.journal()
-            for cell in shard.cells:
-                cells.append(
-                    _Cell(
-                        index=cell.index,
-                        spec=cell.spec,
-                        fingerprint=cell.fingerprint,
-                    )
-                )
-                if journal is not None:
-                    routes[cell.fingerprint] = journal
-
-        # The engine writes results keyed by cell index; a dict satisfies
-        # the same subscript contract as the runtime's dense list.
-        results: Dict[int, LinkResult] = {}
-        failures: List[CellFailure] = []
-        stats = {"retried": 0}
-        _run_isolated(
-            cells,
-            self.lanes,
-            self.policy,
-            _ShardJournalRouter(routes) if routes else None,
-            results,
-            failures,
-            observe=self.observe,
-            stats=stats,
+        outcomes, retried = _run_isolated(
+            shards, self.lanes, self.policy, observe=self.observe
         )
-        self.cells_retried += stats["retried"]
-
-        failure_by_index = {failure.index: failure for failure in failures}
-        outcomes: List[CellOutcome] = []
-        for shard in shards:
-            for cell in shard.cells:
-                result = results.get(cell.index)
-                failure = failure_by_index.get(cell.index)
-                if result is None and failure is None:
-                    continue  # a hole; the driver raises on it
-                outcomes.append(
-                    CellOutcome(
-                        shard_id=shard.shard_id,
-                        index=cell.index,
-                        fingerprint=cell.fingerprint,
-                        result=result,
-                        failure=None if result is not None else failure,
-                    )
-                )
+        self.cells_retried += retried
         return outcomes

@@ -1,4 +1,4 @@
-"""Parallel sweep executor: independent seeded cells over a process pool.
+"""Worker-count resolution and the plain ``Runner`` over the sweep runtime.
 
 Every artifact sweep in this reproduction — the Figs 9-11 grids, the fleet
 study, the resilience matrix — is a list of
@@ -9,22 +9,24 @@ serial loop by construction: the same spec runs the same code against the
 same seed either way, and result order is the spec order.
 
 ``workers=1`` (the default, also via the ``COLORBARS_WORKERS`` environment
-switch) keeps everything in-process and serial.  Both paths share one
-:class:`~repro.perf.cache.PlanCache` per process, so fleet/resilience runs
-stop rebuilding the identical RS-encoded broadcast for every device/fault
-cell.
+switch) keeps everything in-process and serial.  Every process keeps one
+:class:`~repro.perf.cache.PlanCache`, so fleet/resilience runs stop
+rebuilding the identical RS-encoded broadcast for every device/fault cell.
+
+:func:`run_specs` and :func:`make_runner` adapt
+:func:`repro.perf.runtime.run_specs_resilient` to the plain
+:data:`~repro.link.simulator.Runner` contract (a list of results, an
+exception on failure) that :func:`~repro.link.simulator.sweep` and
+:func:`~repro.link.multi.broadcast_to_fleet` take.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.camera.devices import DeviceProfile
-from repro.exceptions import ConfigurationError
-from repro.link.multi import FleetReport, broadcast_to_fleet
-from repro.link.simulator import LinkResult, RunSpec, Runner, sweep
+from repro.exceptions import ConfigurationError, LinkError
+from repro.link.simulator import LinkResult, RunSpec, Runner
 from repro.perf.cache import PlanCache
 
 #: Environment switch: ``COLORBARS_WORKERS=4`` parallelizes every sweep that
@@ -97,16 +99,6 @@ def _process_cache() -> PlanCache:
     return _WORKER_CACHE
 
 
-def _execute_spec(spec: RunSpec) -> LinkResult:
-    """Top-level (picklable) cell entry point for pool workers."""
-    return spec.execute(planner=_process_cache())
-
-
-def _execute_spec_observed(spec: RunSpec) -> LinkResult:
-    """Observed variant: the worker ships its trace back on the result."""
-    return spec.execute(planner=_process_cache(), observe=True)
-
-
 def run_specs(
     specs: Sequence[RunSpec],
     workers: Optional[int] = None,
@@ -114,22 +106,29 @@ def run_specs(
 ) -> List[LinkResult]:
     """Execute ``specs`` and return results in spec order.
 
-    ``workers=None`` consults :func:`default_workers`; ``1`` runs serially
-    in-process (with a shared plan cache); ``>= 2`` fans cells out to a
-    process pool.  Both paths produce byte-identical results.
+    A thin wrapper over :func:`repro.perf.runtime.run_specs_resilient`
+    with a plain :class:`~repro.perf.runtime.RuntimePolicy` (no watchdog,
+    no retry, no chaos).  ``workers=None`` consults
+    :func:`default_workers`; ``1`` runs serially in-process, ``>= 2`` on
+    the process-pool backend; both produce byte-identical results.
+
+    Every cell runs even if an earlier one fails; after the sweep, the
+    first failed cell raises :class:`~repro.exceptions.LinkError` carrying
+    its :meth:`~repro.exceptions.CellFailure.describe` line.
 
     ``observe=True`` records each cell into a cell-local tracer/registry
     (attached to the results as ``trace``/``obs_metrics``); observation is
     per-cell measurement metadata and cannot change any result.
     """
-    specs = list(specs)
-    workers = resolve_workers(workers, cell_count=len(specs))
-    if workers == 1 or len(specs) <= 1:
-        cache = _process_cache()
-        return [spec.execute(planner=cache, observe=observe) for spec in specs]
-    entry = _execute_spec_observed if observe else _execute_spec
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(entry, specs))
+    # Imported lazily: repro.perf.runtime imports this module.
+    from repro.perf.runtime import RuntimePolicy, run_specs_resilient
+
+    outcome = run_specs_resilient(
+        specs, workers=workers, policy=RuntimePolicy(), observe=observe
+    )
+    if outcome.failures:
+        raise LinkError(outcome.failures[0].describe())
+    return outcome.results
 
 
 def make_runner(workers: Optional[int] = None, observe: bool = False) -> Runner:
@@ -141,25 +140,11 @@ def make_runner(workers: Optional[int] = None, observe: bool = False) -> Runner:
     makes every executed cell carry its span trace and metrics export
     (``result.trace`` / ``result.obs_metrics``), ready for
     :func:`repro.obs.assemble_trace` / ``MetricsRegistry.merge_export``.
+    A failed cell raises :class:`~repro.exceptions.LinkError` after the
+    sweep, as in :func:`run_specs`.
     """
 
     def runner(specs: Sequence[RunSpec]) -> List[LinkResult]:
         return run_specs(specs, workers=workers, observe=observe)
 
     return runner
-
-
-def parallel_sweep(
-    device: DeviceProfile, workers: Optional[int] = None, **sweep_kwargs
-) -> Dict[Tuple[int, float], LinkResult]:
-    """The Figs 9-11 grid through the executor; see :func:`~repro.link.simulator.sweep`."""
-    return sweep(device, runner=make_runner(workers), **sweep_kwargs)
-
-
-def parallel_fleet(
-    devices: Sequence[DeviceProfile],
-    workers: Optional[int] = None,
-    **fleet_kwargs,
-) -> FleetReport:
-    """The §8 fleet broadcast through the executor; see :func:`~repro.link.multi.broadcast_to_fleet`."""
-    return broadcast_to_fleet(devices, runner=make_runner(workers), **fleet_kwargs)

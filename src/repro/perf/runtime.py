@@ -1,42 +1,36 @@
 """Resilient sweep runtime: watchdogs, crash containment, retry, journal.
 
-The PR 3 executor (:mod:`repro.perf.executor`) made sweeps *fast*; this
-module makes them *survivable*.  ``run_specs`` fans cells out through a
-bare ``pool.map``, so one hung cell stalls a sweep forever, one dead worker
-raises ``BrokenProcessPool`` and discards every finished result, and an
-interrupted two-hour grid restarts from zero.  :func:`run_specs_resilient`
-wraps the same seeded-cell model in four protections:
+:func:`run_specs_resilient` is the one entry point every sweep goes
+through.  It resolves the :class:`RuntimePolicy` and the execution backend
+and hands the sweep to the backend driver
+(:func:`repro.perf.backends.run_specs_sharded`), which owns
+fingerprinting, resume splicing and journal merging; the backends execute
+the cells.  This module defines what those layers share:
 
 * **Watchdog timeouts** — every cell runs under a deadline
   (``cell_timeout_s``, or the ``COLORBARS_CELL_TIMEOUT`` environment
-  switch).  An overdue cell is killed with its pool and recorded; the sweep
-  never hangs.  Deadlines are measured from dispatch-to-worker, a
-  conservative overestimate of pure compute time (in-flight submissions are
-  capped at the pool width, so queueing never inflates a deadline by more
-  than one cell).
-* **Crash containment** — a dead worker (``BrokenProcessPool``) or a cell
-  exception becomes a structured :class:`~repro.exceptions.CellFailure`
-  (spec fingerprint, attempt count, cause taxonomy crash/timeout/error),
-  the pool is rebuilt, and the remaining cells continue.  Sweeps return
-  degraded results instead of dying.
+  switch).  An overdue cell is killed with its worker and recorded; the
+  sweep never hangs.
+* **Crash containment** — a dead worker or a cell exception becomes a
+  structured :class:`~repro.exceptions.CellFailure` (spec fingerprint,
+  attempt count, cause taxonomy crash/timeout/error) and the remaining
+  cells continue.  Sweeps return degraded results instead of dying.
 * **Bounded retry with deterministic backoff** — failed cells retry up to
   ``max_attempts`` times.  The backoff schedule is seed-stable (a pure
   function of the cell's seed and the attempt number), and a retried cell
   re-derives *all* of its randomness from its own seed, so retries cannot
-  change any result — the executor's bit-identical-to-serial contract holds
-  by construction.
+  change any result.
 * **Journaled checkpoint/resume** — a JSONL :class:`RunJournal` keyed by
   :func:`spec_fingerprint` records each completed cell as it finishes;
   ``resume=True`` skips already-journaled cells, so a killed sweep resumes
   where it stopped and the resumed result set is byte-identical to an
   uninterrupted run.
 
-Process-level chaos (:mod:`repro.faults.chaos`) tests all of this the way
-PR 2's frame injectors tested the receiver: the runtime ships the chaos
-tuple to each worker, and — because a ``worker-crash`` in-process would
-take the caller down — forces process isolation whenever chaos, a timeout,
-or ``workers > 1`` is configured.  A plain ``workers=1`` run with neither
-stays fully in-process, exactly like the fast path.
+Process-level chaos (:mod:`repro.faults.chaos`) tests all of this: because
+a ``worker-crash`` in-process would take the caller down, a policy with
+chaos or a watchdog always runs on the ``pool`` backend, even at one
+worker.  A plain ``workers=1`` run with neither stays in-process on the
+``inprocess`` backend.
 """
 
 from __future__ import annotations
@@ -46,28 +40,16 @@ import hashlib
 import json
 import os
 import pickle
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.camera.devices import DeviceProfile
 from repro.exceptions import CellFailure, ConfigurationError, JournalError
 from repro.faults.chaos import ProcessChaos
 from repro.link.multi import FleetReport, fleet_report_from_results, fleet_specs
 from repro.link.simulator import LinkResult, RunSpec
-from repro.obs.schema import (
-    M_CELLS_COMPLETED,
-    M_CELLS_FAILED,
-    M_CELLS_RESUMED,
-    M_CELLS_RETRIED,
-    M_SWEEP_WORKERS,
-)
-from repro.perf.executor import _process_cache, resolve_workers
+from repro.perf.executor import resolve_workers
 from repro.util.rng import derive_rng, make_rng
 
 #: Environment switch: ``COLORBARS_CELL_TIMEOUT=120`` puts every sweep cell
@@ -79,9 +61,6 @@ JOURNAL_SCHEMA_VERSION = 1
 
 #: Pickle protocol pinned for stable fingerprints and journal payloads.
 _PICKLE_PROTOCOL = 4
-
-#: Poll interval of the supervision loop, seconds.
-_TICK_S = 0.1
 
 
 def default_cell_timeout() -> Optional[float]:
@@ -189,11 +168,17 @@ class RunJournal:
     def __init__(self, path) -> None:
         self.path = Path(path)
 
-    def load(self) -> Dict[str, LinkResult]:
-        """Fingerprint -> result for every readable journaled cell."""
-        entries: Dict[str, LinkResult] = {}
+    def read_records(self) -> List[Tuple[str, str, LinkResult]]:
+        """(fingerprint, base64 payload, decoded result) per readable record.
+
+        File order is preserved, so callers that fold records into a dict
+        get last-write-wins.  Unparseable or truncated records are skipped
+        (the affected cell simply reruns); a schema mismatch is a hard
+        error.
+        """
+        records: List[Tuple[str, str, LinkResult]] = []
         if not self.path.exists():
-            return entries
+            return records
         try:
             lines = self.path.read_text().splitlines()
         except OSError as exc:
@@ -214,23 +199,24 @@ class RunJournal:
                     f"journal {self.path} has schema {schema!r}, "
                     f"expected {JOURNAL_SCHEMA_VERSION}"
                 )
+            fingerprint = record.get("fingerprint")
+            payload = record.get("result")
+            if not (isinstance(fingerprint, str) and isinstance(payload, str)):
+                continue
             try:
-                fingerprint = record["fingerprint"]
-                result = pickle.loads(base64.b64decode(record["result"]))
+                result = pickle.loads(base64.b64decode(payload))
             except Exception:  # corrupt payload: rerun that cell
                 continue
-            if isinstance(fingerprint, str) and isinstance(result, LinkResult):
-                entries[fingerprint] = result
-        return entries
+            if isinstance(result, LinkResult):
+                records.append((fingerprint, payload, result))
+        return records
 
-    def append(self, fingerprint: str, result: LinkResult) -> None:
-        """Record one completed cell (flushed immediately)."""
+    def append_record(self, fingerprint: str, payload: str) -> None:
+        """Write one record with an already-encoded payload (flushed)."""
         record = {
             "schema": JOURNAL_SCHEMA_VERSION,
             "fingerprint": fingerprint,
-            "result": base64.b64encode(
-                pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-            ).decode("ascii"),
+            "result": payload,
         }
         try:
             with self.path.open("a", encoding="ascii") as handle:
@@ -238,6 +224,22 @@ class RunJournal:
                 handle.flush()
         except OSError as exc:
             raise JournalError(f"cannot append to journal {self.path}: {exc}") from exc
+
+    def load(self) -> Dict[str, LinkResult]:
+        """Fingerprint -> result for every readable journaled cell."""
+        return {
+            fingerprint: result
+            for fingerprint, _, result in self.read_records()
+        }
+
+    def append(self, fingerprint: str, result: LinkResult) -> None:
+        """Record one completed cell (flushed immediately)."""
+        self.append_record(
+            fingerprint,
+            base64.b64encode(
+                pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
+            ).decode("ascii"),
+        )
 
     def discard(self) -> None:
         """Delete the journal file (fresh non-resume runs start clean)."""
@@ -261,9 +263,8 @@ class RuntimeResult:
     results: List[Optional[LinkResult]]
     failures: List[CellFailure] = field(default_factory=list)
     resumed: int = 0
-    #: Backend-driven sweeps only: per spec, the shard that ran it (``None``
-    #: for resumed cells); ``None`` altogether on the classic runtime path.
-    shard_of: Optional[List[Optional[int]]] = None
+    #: Per spec, the backend shard that ran it (``None`` for resumed cells).
+    shard_of: List[Optional[int]] = field(default_factory=list)
 
     @property
     def degraded(self) -> bool:
@@ -289,20 +290,6 @@ class RuntimeResult:
         )
 
 
-@dataclass
-class _Cell:
-    """Mutable supervision state for one spec while the runtime runs it."""
-
-    index: int
-    spec: RunSpec
-    fingerprint: str
-    attempt: int = 1
-    #: Dispatch time of the current attempt (watchdog reference), or None.
-    started_at: Optional[float] = None
-    #: Earliest monotonic time the next attempt may be submitted (backoff).
-    ready_at: float = 0.0
-
-
 def _annotate_trace(result: LinkResult, index: int, attempt: int) -> LinkResult:
     """Stamp cell position/attempt onto an observed result's root span.
 
@@ -314,46 +301,6 @@ def _annotate_trace(result: LinkResult, index: int, attempt: int) -> LinkResult:
         trace[0].set("cell_index", index)
         trace[0].set("attempt", attempt)
     return result
-
-
-def _execute_cell(
-    index: int,
-    spec: RunSpec,
-    attempt: int,
-    chaos: Tuple[ProcessChaos, ...],
-    observe: bool = False,
-) -> LinkResult:
-    """Worker-side cell entry point: chaos first, then the real run."""
-    for injector in chaos:
-        injector.before_cell(cell_index=index, attempt=attempt)
-    result = spec.execute(planner=_process_cache(), observe=observe)
-    return _annotate_trace(result, index, attempt)
-
-
-def record_sweep_metrics(
-    metrics,
-    results: Sequence[Optional[LinkResult]],
-    failures: Sequence[CellFailure],
-    retried: int,
-    resumed: int,
-    workers: int,
-) -> None:
-    """Fold one sweep's runtime counters and per-cell exports into ``metrics``.
-
-    Shared by the classic runtime path and the backend driver
-    (:mod:`repro.perf.backends.driver`), so both report the same
-    ``colorbars.sweep.*`` vocabulary for the same sweep.
-    """
-    metrics.gauge(M_SWEEP_WORKERS).set(workers)
-    completed = sum(1 for result in results if result is not None)
-    metrics.counter(M_CELLS_COMPLETED).inc(completed)
-    metrics.counter(M_CELLS_FAILED).inc(len(failures))
-    metrics.counter(M_CELLS_RETRIED).inc(retried)
-    metrics.counter(M_CELLS_RESUMED).inc(resumed)
-    for result in results:
-        exported = getattr(result, "obs_metrics", None)
-        if exported:
-            metrics.merge_export(exported)
 
 
 def run_specs_resilient(
@@ -373,7 +320,7 @@ def run_specs_resilient(
     ``COLORBARS_CELL_TIMEOUT``.  ``journal`` is a path or :class:`RunJournal`;
     without ``resume`` an existing journal file is discarded first, with
     ``resume`` its cells are spliced into the results unrun.  Successful
-    cells are byte-identical to :func:`repro.perf.executor.run_specs` —
+    cells are byte-identical whatever the worker count or backend —
     resilience only changes what happens to the unsuccessful ones.
 
     ``observe=True`` records each executed cell into a cell-local tracer
@@ -384,303 +331,38 @@ def run_specs_resilient(
     it, plus the runtime's own counters (cells completed/failed/retried/
     resumed, worker gauge).
 
-    ``backend`` swaps the execution engine for a distributed sweep
-    backend (:mod:`repro.perf.backends`): a backend name spec
-    (``"pool:workers=4"``, constructed and closed here) or a live
-    :class:`~repro.perf.backends.base.SweepBackend` (caller keeps
-    ownership).  ``backend=None`` is the classic supervised path,
-    byte-identical to every release since PR 4.
+    Execution always goes through the sweep driver
+    (:func:`repro.perf.backends.run_specs_sharded`).  ``backend`` is a
+    backend name spec (``"pool:workers=4"``, constructed and closed here)
+    or a live :class:`~repro.perf.backends.base.SweepBackend` (caller
+    keeps ownership).  ``backend=None`` picks ``inprocess`` when the
+    resolved worker count is 1 and the policy needs no isolation (no
+    watchdog, no chaos), and ``pool`` otherwise.
     """
     specs = list(specs)
     if metrics is not None:
         observe = True
     if policy is None:
         policy = RuntimePolicy(cell_timeout_s=default_cell_timeout())
-    if backend is not None:
-        # Imported lazily: repro.perf.backends imports this module.
-        from repro.perf.backends import make_backend, run_specs_sharded
+    # Imported lazily: repro.perf.backends imports this module.
+    from repro.perf.backends import make_backend, run_specs_sharded
 
-        if isinstance(backend, str):
-            with make_backend(
-                backend, policy=policy, workers=workers, observe=observe
-            ) as owned:
-                return run_specs_sharded(
-                    specs, owned, journal=journal, resume=resume,
-                    observe=observe, metrics=metrics,
-                )
-        return run_specs_sharded(
-            specs, backend, journal=journal, resume=resume,
-            observe=observe, metrics=metrics,
-        )
-    workers = resolve_workers(workers, cell_count=len(specs))
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = RunJournal(journal)
-
-    results: List[Optional[LinkResult]] = [None] * len(specs)
-    failures: List[CellFailure] = []
-    journaled: Dict[str, LinkResult] = {}
-    if journal is not None:
-        if resume:
-            journaled = journal.load()
-        else:
-            journal.discard()
-
-    resumed = 0
-    cells: List[_Cell] = []
-    for index, spec in enumerate(specs):
-        fingerprint = spec_fingerprint(spec)
-        prior = journaled.get(fingerprint)
-        if prior is not None:
-            results[index] = prior
-            resumed += 1
-        else:
-            cells.append(_Cell(index=index, spec=spec, fingerprint=fingerprint))
-
-    stats = {"retried": 0}
-    if cells:
-        if workers > 1 or policy.needs_isolation():
-            _run_isolated(
-                cells, workers, policy, journal, results, failures,
-                observe=observe, stats=stats,
+    if backend is None:
+        workers = resolve_workers(workers, cell_count=len(specs))
+        serial = workers == 1 and not policy.needs_isolation()
+        backend = "inprocess" if serial else "pool"
+    if isinstance(backend, str):
+        with make_backend(
+            backend, policy=policy, workers=workers, observe=observe
+        ) as owned:
+            return run_specs_sharded(
+                specs, owned, journal=journal, resume=resume,
+                observe=observe, metrics=metrics,
             )
-        else:
-            _run_inline(
-                cells, policy, journal, results, failures,
-                observe=observe, stats=stats,
-            )
-
-    if metrics is not None:
-        record_sweep_metrics(
-            metrics, results, failures,
-            retried=stats["retried"], resumed=resumed, workers=workers,
-        )
-    return RuntimeResult(results=results, failures=failures, resumed=resumed)
-
-
-def _record_success(
-    cell: _Cell,
-    result: LinkResult,
-    journal: Optional[RunJournal],
-    results: List[Optional[LinkResult]],
-) -> None:
-    results[cell.index] = result
-    if journal is not None:
-        journal.append(cell.fingerprint, result)
-
-
-def _failure(cell: _Cell, cause: str, error_type: str, message: str) -> CellFailure:
-    return CellFailure(
-        fingerprint=cell.fingerprint,
-        index=cell.index,
-        cause=cause,
-        attempts=cell.attempt,
-        error_type=error_type,
-        message=message,
+    return run_specs_sharded(
+        specs, backend, journal=journal, resume=resume,
+        observe=observe, metrics=metrics,
     )
-
-
-def _retry_or_fail(
-    cell: _Cell,
-    cause: str,
-    error_type: str,
-    message: str,
-    pending: Deque[_Cell],
-    failures: List[CellFailure],
-    policy: RuntimePolicy,
-    now: float,
-    stats: Optional[Dict[str, int]] = None,
-) -> None:
-    """Requeue the cell for its next attempt, or record its final failure."""
-    if cell.attempt < policy.max_attempts:
-        cell.ready_at = now + backoff_delay_s(policy, cell.spec.seed, cell.attempt + 1)
-        cell.attempt += 1
-        cell.started_at = None
-        pending.append(cell)
-        if stats is not None:
-            stats["retried"] = stats.get("retried", 0) + 1
-    else:
-        failures.append(_failure(cell, cause, error_type, message))
-
-
-def _run_inline(
-    cells: List[_Cell],
-    policy: RuntimePolicy,
-    journal: Optional[RunJournal],
-    results: List[Optional[LinkResult]],
-    failures: List[CellFailure],
-    observe: bool = False,
-    stats: Optional[Dict[str, int]] = None,
-) -> None:
-    """The fully in-process path: no pool, no watchdog, still contained."""
-    cache = _process_cache()
-    for cell in cells:
-        while True:
-            try:
-                result = _annotate_trace(
-                    cell.spec.execute(planner=cache, observe=observe),
-                    cell.index,
-                    cell.attempt,
-                )
-            except Exception as exc:
-                if cell.attempt < policy.max_attempts:
-                    time.sleep(
-                        backoff_delay_s(policy, cell.spec.seed, cell.attempt + 1)
-                    )
-                    cell.attempt += 1
-                    if stats is not None:
-                        stats["retried"] = stats.get("retried", 0) + 1
-                    continue
-                failures.append(
-                    _failure(cell, "error", type(exc).__name__, str(exc))
-                )
-                break
-            _record_success(cell, result, journal, results)
-            break
-
-
-def _teardown_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill a pool hard: terminate every worker, then release the executor.
-
-    ``shutdown`` alone cannot clear a hung worker — the hang *is* the
-    running task — so the watchdog terminates the processes first; the
-    executor's management thread then observes the deaths and unblocks.
-    """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.terminate()
-        except OSError:
-            pass
-    pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _run_isolated(
-    cells: List[_Cell],
-    workers: int,
-    policy: RuntimePolicy,
-    journal: Optional[RunJournal],
-    results: List[Optional[LinkResult]],
-    failures: List[CellFailure],
-    observe: bool = False,
-    stats: Optional[Dict[str, int]] = None,
-) -> None:
-    """The supervised pool path: watchdog, crash containment, retry.
-
-    In-flight submissions are capped at the pool width, so (a) a broken
-    pool takes down at most ``workers`` attempts, and (b) a cell's deadline
-    starts when a worker slot is actually dedicated to it.  Cells caught in
-    a teardown they did not cause (pool-mates of a crasher or a hung cell
-    observed before their own deadline) are resubmitted at the *same*
-    attempt number — only a cell's own crash, timeout, or error consumes
-    one of its attempts.
-    """
-    pending: Deque[_Cell] = deque(cells)
-    active: Dict[Future, _Cell] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    pool_width = 0
-    try:
-        while pending or active:
-            now = time.monotonic()
-            if pool is None and any(c.ready_at <= now for c in pending):
-                pool_width = max(1, min(workers, len(pending)))
-                pool = ProcessPoolExecutor(max_workers=pool_width)
-            while pool is not None and len(active) < pool_width:
-                cell = next((c for c in pending if c.ready_at <= now), None)
-                if cell is None:
-                    break
-                pending.remove(cell)
-                cell.started_at = time.monotonic()
-                future = pool.submit(
-                    _execute_cell, cell.index, cell.spec, cell.attempt,
-                    policy.chaos, observe,
-                )
-                active[future] = cell
-
-            if not active:
-                # Everything runnable is backing off; sleep to the gate.
-                wake = min(c.ready_at for c in pending)
-                time.sleep(max(0.0, min(wake - time.monotonic(), _TICK_S)))
-                continue
-
-            done, _ = futures_wait(
-                set(active), timeout=_TICK_S, return_when=FIRST_COMPLETED
-            )
-            now = time.monotonic()
-            pool_broke = False
-            for future in done:
-                cell = active.pop(future)
-                error = future.exception()
-                if error is None:
-                    _record_success(cell, future.result(), journal, results)
-                elif isinstance(error, BrokenProcessPool):
-                    pool_broke = True
-                    _retry_or_fail(
-                        cell, "crash", type(error).__name__,
-                        "worker process died", pending, failures, policy, now,
-                        stats,
-                    )
-                else:
-                    _retry_or_fail(
-                        cell, "error", type(error).__name__, str(error),
-                        pending, failures, policy, now, stats,
-                    )
-
-            if pool_broke:
-                # Every other in-flight attempt died with the pool; each
-                # consumes an attempt (the crasher is indistinguishable
-                # from its pool-mates once the pool is broken).
-                for future, cell in list(active.items()):
-                    _retry_or_fail(
-                        cell, "crash", "BrokenProcessPool",
-                        "worker process died", pending, failures, policy, now,
-                        stats,
-                    )
-                active.clear()
-                _teardown_pool(pool)
-                pool = None
-                continue
-
-            if policy.cell_timeout_s is not None and active:
-                overdue = [
-                    (future, cell)
-                    for future, cell in active.items()
-                    if cell.started_at is not None
-                    and now - cell.started_at > policy.cell_timeout_s
-                ]
-                if overdue:
-                    for future, cell in overdue:
-                        active.pop(future)
-                        _retry_or_fail(
-                            cell, "timeout", "TimeoutError",
-                            f"cell exceeded {policy.cell_timeout_s:g}s watchdog "
-                            f"deadline on attempt {cell.attempt}",
-                            pending, failures, policy, now, stats,
-                        )
-                    for future, cell in list(active.items()):
-                        # Innocent pool-mates: rerun at the same attempt.
-                        cell.started_at = None
-                        pending.append(cell)
-                    active.clear()
-                    _teardown_pool(pool)
-                    pool = None
-    finally:
-        if pool is not None:
-            _teardown_pool(pool)
-
-
-def resilient_runner(
-    workers: Optional[int] = None, policy: Optional[RuntimePolicy] = None
-):
-    """A :data:`~repro.link.simulator.Runner`-shaped resilient executor.
-
-    Unlike :func:`repro.perf.executor.make_runner`, the returned callable
-    yields ``RuntimeResult`` (results may contain ``None``); callers that
-    need the plain ``Runner`` contract should keep using the fast path.
-    """
-
-    def runner(specs: Sequence[RunSpec]) -> RuntimeResult:
-        return run_specs_resilient(specs, workers=workers, policy=policy)
-
-    return runner
 
 
 def resilient_fleet(

@@ -4,7 +4,7 @@ The byte-identity contract is over *deterministic content* — metrics,
 decoded payloads, the symbol plan, the fault schedule — not whole-result
 pickles: ``LinkResult.timings`` is wall-clock, and pickle memoization of
 shared references inside ``config`` differs across process round trips
-even between the repo's own inline and isolated legacy paths.
+even between the ``inprocess`` and ``pool`` backends.
 """
 
 import base64

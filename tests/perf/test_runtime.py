@@ -5,11 +5,13 @@ import json
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.exceptions import ConfigurationError, JournalError
+from repro.exceptions import ConfigurationError, JournalError, LinkError
 from repro.faults import make_injector
 from repro.faults.chaos import CellHangChaos, SlowCellChaos, WorkerCrashChaos
 from repro.link.simulator import RunSpec
-from repro.perf.executor import run_specs
+from repro.obs import MetricsRegistry
+from repro.obs.schema import M_SWEEP_WORKERS
+from repro.perf.executor import make_runner, run_specs
 from repro.perf.runtime import (
     CELL_TIMEOUT_ENV,
     RunJournal,
@@ -349,3 +351,95 @@ class TestResilientFleet:
         assert member.failure.cause == "crash"
         assert member.shared_metrics is None
         assert any("FAILED" in line for line in report.summary_lines())
+
+
+def _infeasible_spec(tiny_device):
+    # 4 kHz on the tiny sensor leaves 4 rows/symbol — below the 10-row
+    # demodulation minimum, so the cell raises during execution.
+    config = SystemConfig(
+        csk_order=4,
+        symbol_rate=4000.0,
+        design_loss_ratio=tiny_device.timing.gap_fraction,
+        frame_rate=tiny_device.timing.frame_rate,
+    )
+    return RunSpec(
+        config=config,
+        device=tiny_device,
+        simulated_columns=32,
+        seed=1,
+        duration_s=0.5,
+    )
+
+
+class TestBackendResolution:
+    @pytest.fixture
+    def pool_drains(self, monkeypatch):
+        from repro.perf.backends import pool
+
+        calls = []
+        engine = pool._run_isolated
+
+        def spy(shards, *args, **kwargs):
+            calls.append(len(shards))
+            return engine(shards, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "_run_isolated", spy)
+        return calls
+
+    def test_one_worker_runs_inprocess(self, tiny_device, pool_drains):
+        specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
+        outcome = run_specs_resilient(specs, workers=1)
+        assert outcome.shard_of == [0, 0, 0]
+        assert pool_drains == []
+
+    def test_two_workers_run_on_pool(self, tiny_device, pool_drains):
+        specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
+        outcome = run_specs_resilient(specs, workers=2)
+        assert outcome.shard_of == [0, 1, 0]
+        assert pool_drains == [2]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            RuntimePolicy(cell_timeout_s=120.0),
+            RuntimePolicy(chaos=(WorkerCrashChaos(0.0),)),
+        ],
+        ids=["watchdog", "chaos"],
+    )
+    def test_isolation_policy_at_one_worker_runs_on_pool(
+        self, tiny_device, pool_drains, policy
+    ):
+        outcome = run_specs_resilient(
+            [_spec(tiny_device, seed=1)], workers=1, policy=policy
+        )
+        assert not outcome.degraded
+        assert outcome.shard_of == [0]
+        assert pool_drains == [1]
+
+    def test_explicit_backend_wins_over_workers(self, tiny_device, pool_drains):
+        specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
+        inprocess = run_specs_resilient(specs, workers=2, backend="inprocess")
+        assert inprocess.shard_of == [0, 0, 0]
+        assert pool_drains == []
+        pooled = run_specs_resilient(specs, workers=1, backend="pool:workers=2")
+        assert pooled.shard_of == [0, 1, 0]
+        assert pool_drains == [2]
+
+    def test_sweep_workers_gauge_is_effective_lane_count(self, tiny_device):
+        registry = MetricsRegistry()
+        specs = [_spec(tiny_device, seed=s) for s in (1, 2)]
+        run_specs_resilient(specs, backend="pool:workers=4", metrics=registry)
+        assert registry.export()["gauges"][M_SWEEP_WORKERS] == 2.0
+
+
+class TestRunnerFailures:
+    def test_run_specs_raises_link_error_naming_the_cell(self, tiny_device):
+        specs = [_spec(tiny_device, seed=2), _infeasible_spec(tiny_device)]
+        with pytest.raises(LinkError, match=r"^cell 1 \[") as caught:
+            run_specs(specs, workers=1)
+        assert spec_fingerprint(specs[1])[:12] in str(caught.value)
+
+    def test_make_runner_raises_link_error(self, tiny_device):
+        runner = make_runner(workers=2)
+        with pytest.raises(LinkError, match=r"^cell 0 \[.*error"):
+            runner([_infeasible_spec(tiny_device), _spec(tiny_device, seed=2)])
