@@ -38,7 +38,7 @@ The vectorized-capture contract (DESIGN.md §5i):
   guarantee.
 
 Plans are memoized process-wide keyed on the *exact RNG state* plus the
-draw-plan spec: sweep cells sharing a seed (the bench, resilience sweeps)
+draw-plan spec: sweep cells sharing a seed (paper grids, resilience sweeps)
 draw their noise once, and a cache hit restores the generator to the same
 end state a miss would have left, so cache state can never change results.
 """
@@ -65,8 +65,8 @@ AWB_ROW_LUMINANCE_FLOOR = 0.05
 #: Frames are developed in chunks of at most this many float32 elements:
 #: bounds peak RSS on phone-resolution recordings and keeps each chunk's
 #: working set cache-resident (measured ~30% faster than one whole-recording
-#: block on the bench geometry).  Chunking cannot change results — every
-#: kernel is per-frame independent.
+#: block on an 800-row, 64-column recording).  Chunking cannot change
+#: results — every kernel is per-frame independent.
 _CHUNK_ELEMENTS = 480_000
 
 

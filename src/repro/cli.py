@@ -19,7 +19,6 @@ from typing import List, Optional
 from repro.camera.devices import DeviceProfile, generic_device, iphone_5s, nexus_5
 from repro.core.config import SystemConfig
 from repro.exceptions import (
-    BenchError,
     ConfigurationError,
     FaultInjectionError,
     ToolingError,
@@ -45,7 +44,6 @@ from repro.obs import (
     summarize_spans,
     write_trace,
 )
-from repro.perf.bench import BENCH_FILENAME, format_breakdown, run_bench, write_report
 from repro.perf.executor import resolve_workers
 from repro.perf.runtime import (
     RuntimePolicy,
@@ -66,7 +64,7 @@ from repro.tooling import (
 from repro.tooling.reports import updated_baseline
 
 #: Exit status for a run that completed degraded (contained cell failures)
-#: without ``--allow-degraded``.  Distinct from lint's 1 and bench's 2.
+#: without ``--allow-degraded``.
 EXIT_DEGRADED = 3
 
 _DEVICES = {
@@ -313,36 +311,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if outcome.failures:
         print(outcome.failure_summary())
         return 0 if args.allow_degraded else EXIT_DEGRADED
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    registry = MetricsRegistry() if args.metrics else None
-    profile_path = f"{args.output}.profile.txt" if args.profile else None
-    try:
-        report = run_bench(
-            workers=args.workers,
-            quick=args.quick,
-            metrics=registry,
-            cells=args.cells,
-            profile_path=profile_path,
-            backend=args.backend,
-        )
-    except BenchError as exc:
-        print(f"colorbars bench: error: {exc}", file=sys.stderr)
-        return 2
-    if profile_path:
-        print(f"wrote serial-leg profile to {profile_path}")
-    for line in format_breakdown(report):
-        print(line)
-    if registry is not None:
-        _emit_metrics(registry, args.metrics)
-    try:
-        write_report(report, args.output)
-    except BenchError as exc:
-        print(f"colorbars bench: error: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {args.output}")
     return 0
 
 
@@ -717,41 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     resilience(sweep_p, journal=True)
     observability(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the pinned perf micro-sweep and write BENCH_colorbars.json",
-    )
-    bench_p.add_argument(
-        "--workers", type=int, default=4,
-        help="pool size for the parallel leg of the bench (default 4)",
-    )
-    bench_p.add_argument(
-        "--backend", default="pool", metavar="NAME[:OPTS]",
-        help="backend for the parallel leg: inprocess | pool[:workers=N] | "
-        "remote[:workers=N] (default pool; recorded in the report)",
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="half-size grid and shorter recordings (CI smoke)",
-    )
-    bench_p.add_argument(
-        "--output", default=BENCH_FILENAME,
-        help=f"report path (default ./{BENCH_FILENAME})",
-    )
-    bench_p.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="dump pipeline metrics across both legs ('-' prints lines)",
-    )
-    bench_p.add_argument(
-        "--cells", type=int, default=None, metavar="N",
-        help="run N cells by cycling the pinned grid (default: the full grid)",
-    )
-    bench_p.add_argument(
-        "--profile", action="store_true",
-        help="profile the serial leg with cProfile; writes <output>.profile.txt",
-    )
-    bench_p.set_defaults(func=cmd_bench)
 
     serve_p = sub.add_parser(
         "serve",

@@ -219,10 +219,6 @@ class ToolingError(ColorBarsError):
     """A development tool (e.g. ``reprolint``) was misconfigured or misused."""
 
 
-class BenchError(ToolingError):
-    """A benchmark report is malformed or violates the recorded schema."""
-
-
 class LayeringError(ToolingError):
     """The declared import-layering graph is malformed (cycle, unknown layer)."""
 

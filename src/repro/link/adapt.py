@@ -33,8 +33,8 @@ point that works at 30 cm fails at 2 m.  This module closes the loop:
   (batch or streaming decode per segment; the PR 7 byte-identity contract
   makes the decision trace identical across shapes), and
   :func:`adaptive_vs_fixed` produces the reproducible adaptive-vs-fixed
-  goodput comparison tracked by the bench.  The serve-side wiring (packet
-  boundaries, downshift-before-quarantine) lives in
+  goodput comparison ``colorbars adapt`` prints.  The serve-side wiring
+  (packet boundaries, downshift-before-quarantine) lives in
   :class:`repro.serve.manager.SessionManager`.
 
 Everything here is deterministic: no clocks, no entropy — segment seeds

@@ -117,12 +117,12 @@ class ChannelTrajectory:
     def drift_demo(cls, segment_s: float = 0.8) -> "ChannelTrajectory":
         """The pinned clean -> degraded -> recovered schedule.
 
-        Used by the ``colorbars adapt`` CLI, the adaptation-smoke CI job and
-        the bench's ``adaptive_vs_fixed`` entry: two clean segments at the
-        paper's operating point (3 cm), a long degraded phase — a distance
-        step to 4 cm plus in-segment ``drift`` fading, deep enough to
-        collapse a fixed 32-CSK link's ΔE margins (the FEC cliff) while
-        16-CSK still decodes — then a clean recovery tail.  The degraded
+        Used by the ``colorbars adapt`` CLI and the adaptation-smoke CI
+        job: two clean segments at the paper's operating point (3 cm), a
+        long degraded phase — a distance step to 4 cm plus in-segment
+        ``drift`` fading, deep enough to collapse a fixed 32-CSK link's ΔE
+        margins (the FEC cliff) while 16-CSK still decodes — then a clean
+        recovery tail.  The degraded
         phase is the majority of the schedule on purpose: a fixed fast
         link must lose more there than hysteresis costs the adaptive link
         on the clean flanks.

@@ -10,9 +10,9 @@ Sweeps are embarrassingly parallel: every cell derives all of its
 randomness from its own ``(seed, cell)`` tuple, so cells share no state.
 :class:`RunSpec` makes one cell a picklable value object, and :func:`sweep`
 accepts a ``runner`` — any callable mapping a spec list to the matching
-result list — so the process-pool executor in :mod:`repro.perf.executor`
-can run the grid concurrently while staying bit-identical to this serial
-code path.
+result list — so :func:`repro.perf.runtime.run_specs_resilient` can hand
+the grid to a sweep backend (``inprocess``, ``pool``, ``remote``) while
+staying bit-identical to this serial code path.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ from repro.obs.schema import (
     SPAN_TX_PLAN,
     SPAN_WAVEFORM,
 )
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.link.workloads import text_payload
 from repro.phy.waveform import EXTEND_CYCLE, OpticalWaveform
 from repro.rx.receiver import ReceiverReport
 from repro.util.rng import derive_rng, make_rng
-from repro.util.stopwatch import StageTimings
 from repro.util.validation import require_positive
 
 #: A planner maps ``(config, payload)`` to a ready transmission plan and its
@@ -73,12 +72,9 @@ class LinkResult:
     plan: TransmissionPlan
     matches: List[GroundTruthMatch] = field(default_factory=list)
     fault_schedule: FaultSchedule = field(default_factory=FaultSchedule)
-    #: Wall-clock per pipeline stage; measurement metadata, excluded from
-    #: equality so timed runs still compare bit-identical.
-    timings: StageTimings = field(default_factory=StageTimings, compare=False)
     #: Span tuple recorded by an observed run (``RunSpec.execute(observe=
-    #: True)``); measurement metadata like ``timings``, excluded from
-    #: equality, ``None`` when the run was not observed.
+    #: True)``); measurement metadata (span durations are wall-clock),
+    #: excluded from equality, ``None`` when the run was not observed.
     trace: Optional[Tuple] = field(default=None, compare=False)
     #: The observed run's local metrics export (see
     #: :meth:`repro.obs.metrics.MetricsRegistry.export`); ``None`` when the
@@ -158,8 +154,8 @@ class LinkSimulator:
         #: receiver sees it (see :mod:`repro.faults`).
         self.faults = tuple(faults or ())
         self.planner = planner
-        #: Injected observability (see :mod:`repro.obs`): spans mirror the
-        #: stage timings, and the no-op defaults keep the hot path clean.
+        #: Injected observability (see :mod:`repro.obs`): span durations are
+        #: the stage timings, and the no-op defaults keep the hot path clean.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
 
@@ -169,64 +165,23 @@ class LinkSimulator:
         duration_s: float = 2.0,
     ) -> LinkResult:
         """Broadcast ``payload`` cyclically and record for ``duration_s``."""
-        require_positive(duration_s, "duration_s")
-        if payload is None:
-            payload = text_payload(3 * self.config.rs_params().k, seed=self.seed)
-
-        timings = StageTimings()
         with self.tracer.span(
             SPAN_CELL,
             device=self.device.name,
             order=self.config.csk_order,
             rate=float(self.config.symbol_rate),
             seed=str(self.seed),
-        ):
-            with timings.measure("tx-plan"), self.tracer.span(
-                SPAN_TX_PLAN
-            ) as span:
-                plan, waveform = self._plan_and_waveform(payload, span)
-
-            profile = DeviceProfile(
-                name=self.device.name,
-                timing=self.device.timing,
-                response=self.device.response,
-                noise=self.device.noise,
-                optics=self.channel.make_optics(),
-            )
-            camera = profile.make_camera(
-                simulated_columns=self.simulated_columns, seed=self.seed
-            )
-            with timings.measure("record"), self.tracer.span(
-                SPAN_RECORD
-            ) as span:
-                frames = camera.record(
-                    waveform,
-                    duration=duration_s,
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                )
-                span.set("frames", len(frames))
-            if not frames:
-                raise LinkError(
-                    f"duration {duration_s}s too short for one frame at "
-                    f"{profile.timing.frame_rate} fps"
-                )
-            with timings.measure("inject"), self.tracer.span(
-                SPAN_INJECT
-            ) as span:
-                frames, schedule = self._inject_faults(frames)
-                for key, value in schedule.span_attributes().items():
-                    span.set(key, value)
-
+        ) as cell:
+            plan, waveform, frames, schedule = self._record(payload, duration_s)
             receiver = make_receiver(
                 self.config,
-                profile.timing,
+                self.device.timing,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-            with timings.measure("decode"), self.tracer.span(SPAN_DECODE):
+            with self.tracer.span(SPAN_DECODE):
                 report = receiver.process_frames(frames)
-            with timings.measure("metrics"), self.tracer.span(SPAN_METRICS):
+            with self.tracer.span(SPAN_METRICS):
                 matches = align_ground_truth(
                     report.bands, plan.symbols, waveform
                 )
@@ -239,7 +194,8 @@ class LinkSimulator:
                 )
         self.metrics.counter(M_RUNS_COMPLETED).inc()
         self.metrics.counter(M_FAULTS_INJECTED).inc(len(schedule))
-        self.metrics.histogram(M_RUN_WALL_SECONDS).observe(timings.total())
+        if self.tracer.enabled:
+            self.metrics.histogram(M_RUN_WALL_SECONDS).observe(cell.duration_s)
         return LinkResult(
             config=self.config,
             device_name=self.device.name,
@@ -248,7 +204,6 @@ class LinkSimulator:
             plan=plan,
             matches=matches,
             fault_schedule=schedule,
-            timings=timings,
         )
 
     def record_session(
@@ -265,10 +220,18 @@ class LinkSimulator:
         service, live examples) obtain a recording to feed a
         :class:`~repro.rx.streaming.StreamingReceiver` frame by frame.
         """
+        plan, _, frames, schedule = self._record(payload, duration_s)
+        return plan, frames, schedule
+
+    def _record(
+        self, payload: Optional[bytes], duration_s: float
+    ) -> Tuple[TransmissionPlan, OpticalWaveform, list, FaultSchedule]:
+        """Plan, record and fault-inject one broadcast, each in its span."""
         require_positive(duration_s, "duration_s")
         if payload is None:
             payload = text_payload(3 * self.config.rs_params().k, seed=self.seed)
-        plan, waveform = self._plan_and_waveform(payload)
+        with self.tracer.span(SPAN_TX_PLAN) as span:
+            plan, waveform = self._plan_and_waveform(payload, span)
         profile = DeviceProfile(
             name=self.device.name,
             timing=self.device.timing,
@@ -279,19 +242,27 @@ class LinkSimulator:
         camera = profile.make_camera(
             simulated_columns=self.simulated_columns, seed=self.seed
         )
-        frames = camera.record(
-            waveform, duration=duration_s, tracer=self.tracer, metrics=self.metrics
-        )
+        with self.tracer.span(SPAN_RECORD) as span:
+            frames = camera.record(
+                waveform,
+                duration=duration_s,
+                tracer=self.tracer,
+                metrics=self.metrics,
+            )
+            span.set("frames", len(frames))
         if not frames:
             raise LinkError(
                 f"duration {duration_s}s too short for one frame at "
                 f"{profile.timing.frame_rate} fps"
             )
-        frames, schedule = self._inject_faults(frames)
-        return plan, frames, schedule
+        with self.tracer.span(SPAN_INJECT) as span:
+            frames, schedule = self._inject_faults(frames)
+            for key, value in schedule.span_attributes().items():
+                span.set(key, value)
+        return plan, waveform, frames, schedule
 
     def _plan_and_waveform(
-        self, payload: bytes, span=NULL_SPAN
+        self, payload: bytes, span
     ) -> Tuple[TransmissionPlan, OpticalWaveform]:
         """Build (or fetch via the injected planner) the broadcast cycle.
 
@@ -345,8 +316,9 @@ class RunSpec:
 
     Cells built from specs are independent by construction — every stochastic
     component derives from ``seed`` — which is the determinism argument that
-    lets :mod:`repro.perf.executor` farm specs out to worker processes and
-    still produce byte-identical results to a serial loop.
+    lets :func:`repro.perf.runtime.run_specs_resilient` hand specs to any
+    sweep backend (:mod:`repro.perf.backends`) and still produce
+    byte-identical results to a serial loop.
     """
 
     config: SystemConfig

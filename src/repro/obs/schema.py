@@ -292,7 +292,8 @@ METRICS: Tuple[MetricEntry, ...] = (
     ),
     MetricEntry(
         M_RUN_WALL_SECONDS, KIND_HISTOGRAM, "seconds", "repro.link.simulator",
-        "Wall-clock of one end-to-end run (sum of its stage timings).",
+        "Wall-clock of one end-to-end run: its `cell` span's duration "
+        "(traced runs only).",
     ),
     MetricEntry(
         M_FRAME_BANDS, KIND_HISTOGRAM, "bands", "repro.rx.receiver",

@@ -1,6 +1,6 @@
-"""Performance subsystem: parallel execution, resilience, caching, bench.
+"""Performance subsystem: parallel execution, resilience, caching.
 
-Four pieces (DESIGN.md §5d-§5e, §5k):
+Three pieces (DESIGN.md §5d-§5e, §5k):
 
 * :mod:`repro.perf.runtime` — :func:`run_specs_resilient`, the one entry
   point for running a list of independent
@@ -19,24 +19,11 @@ Four pieces (DESIGN.md §5d-§5e, §5k):
 * :mod:`repro.perf.cache` — memoizes the transmitter plan + optical
   waveform per ``(config, payload)`` so fleet/resilience sweeps stop
   rebuilding the identical broadcast per cell.
-* :mod:`repro.perf.bench` — the pinned ``colorbars bench`` micro-sweep
-  whose JSON report (``BENCH_colorbars.json``) tracks the perf trajectory
-  across PRs.
 
-Stage timings themselves live in :mod:`repro.util.stopwatch` (the bottom
-layer) so the link layer can attach them without importing this package.
+A cell's stage times are the durations of its spans
+(:mod:`repro.obs.trace`); the repository benchmark lives in ``bench/``.
 """
 
-from repro.perf.bench import (
-    BENCH_FILENAME,
-    BENCH_SCHEMA_VERSION,
-    format_breakdown,
-    load_and_validate,
-    micro_sweep_specs,
-    run_bench,
-    validate_report,
-    write_report,
-)
 from repro.perf.cache import PlanCache, config_cache_key
 from repro.perf.executor import (
     WORKERS_ENV,
@@ -58,14 +45,6 @@ from repro.perf.runtime import (
 )
 
 __all__ = [
-    "BENCH_FILENAME",
-    "BENCH_SCHEMA_VERSION",
-    "format_breakdown",
-    "load_and_validate",
-    "micro_sweep_specs",
-    "run_bench",
-    "validate_report",
-    "write_report",
     "PlanCache",
     "config_cache_key",
     "WORKERS_ENV",

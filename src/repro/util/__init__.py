@@ -11,7 +11,6 @@ from repro.util.bitstream import (
     pad_bits,
 )
 from repro.util.rng import derive_rng, make_rng
-from repro.util.stopwatch import StageTimings
 from repro.util.validation import (
     require,
     require_in_range,
@@ -30,7 +29,6 @@ __all__ = [
     "pad_bits",
     "derive_rng",
     "make_rng",
-    "StageTimings",
     "require",
     "require_in_range",
     "require_positive",

@@ -2,7 +2,7 @@
 
 The byte-identity contract is over *deterministic content* — metrics,
 decoded payloads, the symbol plan, the fault schedule — not whole-result
-pickles: ``LinkResult.timings`` is wall-clock, and pickle memoization of
+pickles: ``LinkResult.trace`` is wall-clock, and pickle memoization of
 shared references inside ``config`` differs across process round trips
 even between the ``inprocess`` and ``pool`` backends.
 """
@@ -258,16 +258,17 @@ class TestJournalMerge:
         # different bytes — still a valid pickled LinkResult.
         record = json.loads(b.read_text())
         tampered = pickle.loads(base64.b64decode(record["result"]))
-        object.__setattr__(tampered, "timings", None)
+        marker = {"tampered": True}
+        object.__setattr__(tampered, "obs_metrics", marker)
         record["result"] = base64.b64encode(
             pickle.dumps(tampered, protocol=4)
         ).decode("ascii")
         b.write_text(json.dumps(record) + "\n")
         report = merge_journals([a, b], journal)
         assert report.conflicts == 1
-        assert report.entries[spec_fingerprint(spec)].timings is None
+        assert report.entries[spec_fingerprint(spec)].obs_metrics == marker
         loaded = RunJournal(journal).load()
-        assert loaded[spec_fingerprint(spec)].timings is None
+        assert loaded[spec_fingerprint(spec)].obs_metrics == marker
 
     def test_conflicting_fingerprint_error_mode_raises(self, tiny_device, tmp_path):
         journal = tmp_path / "sweep.jsonl"
@@ -278,7 +279,7 @@ class TestJournalMerge:
         record = json.loads(b.read_text())
         record["fingerprint"] = spec_fingerprint(spec)
         tampered = pickle.loads(base64.b64decode(record["result"]))
-        object.__setattr__(tampered, "timings", None)
+        object.__setattr__(tampered, "obs_metrics", {"tampered": True})
         record["result"] = base64.b64encode(
             pickle.dumps(tampered, protocol=4)
         ).decode("ascii")

@@ -6,6 +6,7 @@ from repro.core.config import SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.faults import make_injector
 from repro.link.simulator import RunSpec, sweep
+from repro.obs.schema import M_RUN_WALL_SECONDS, SPAN_CELL
 from repro.perf.executor import (
     WORKERS_ENV,
     default_workers,
@@ -130,9 +131,13 @@ class TestRunnerInjection:
             assert direct[key].metrics == injected[key].metrics
             assert direct[key].report.payloads == injected[key].report.payloads
 
-    def test_timings_recorded_per_cell(self, tiny_device):
-        (result,) = run_specs([_spec(tiny_device)], workers=1)
-        stages = result.timings.as_dict()
-        for stage in ("tx-plan", "record", "inject", "decode", "metrics"):
-            assert stage in stages
-        assert result.timings.total() > 0
+    def test_cell_span_times_the_run(self, tiny_device):
+        result = _spec(tiny_device).execute(observe=True)
+        (cell,) = [span for span in result.trace if span.name == SPAN_CELL]
+        children = [
+            span.name for span in result.trace if span.parent_id == cell.span_id
+        ]
+        assert children == ["tx-plan", "record", "inject", "decode", "metrics"]
+        wall = result.obs_metrics["histograms"][M_RUN_WALL_SECONDS]
+        assert wall["count"] == 1
+        assert wall["sum"] == cell.duration_s > 0

@@ -57,7 +57,7 @@ class TestDeterminismRule:
         findings = findings_for(
             DeterminismRule(),
             {
-                "pkg/repro/util/clockio.py": '''
+                "pkg/repro/util/stamps.py": '''
                     """F."""
                     import time
 
@@ -66,7 +66,7 @@ class TestDeterminismRule:
                 ''',
                 "pkg/repro/link/driver.py": '''
                     """F."""
-                    from repro.util.clockio import now_tag
+                    from repro.util.stamps import now_tag
 
                     def run():
                         return now_tag()
