@@ -11,7 +11,7 @@ ambient light complete the link-budget model (the paper operates within
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,16 +53,35 @@ class Optics:
         ratio = self.reference_distance_m / self.distance_m
         return ratio * ratio
 
-    def vignette_map(self, rows: int, cols: int) -> np.ndarray:
-        """``(rows, cols)`` relative illumination map (1 at the center).
+    def vignette_map(
+        self,
+        rows: int,
+        cols: int,
+        col_start: int = 0,
+        col_stop: Optional[int] = None,
+    ) -> np.ndarray:
+        """Relative illumination of a ``rows x cols`` sensor (1 at the center).
 
         Classic cos^4(theta) falloff with theta growing radially toward the
-        corners, blended by ``vignetting_strength``.
+        corners, blended by ``vignetting_strength``.  By default the whole
+        ``(rows, cols)`` map; ``col_start``/``col_stop`` evaluate only the
+        column strip ``[col_start, col_stop)``, still normalised by the full
+        geometry.  Every pixel is computed independently, so a strip is
+        bit-identical to the same slice of the full map.
         """
         if rows <= 0 or cols <= 0:
             raise CameraError(f"rows and cols must be positive, got {rows}x{cols}")
+        if col_stop is None:
+            col_stop = cols
+        if not 0 <= col_start < col_stop <= cols:
+            raise CameraError(
+                f"column strip [{col_start}, {col_stop}) must be a non-empty "
+                f"range within [0, {cols}]"
+            )
         row_coords = (np.arange(rows) - (rows - 1) / 2.0) / max((rows - 1) / 2.0, 1)
-        col_coords = (np.arange(cols) - (cols - 1) / 2.0) / max((cols - 1) / 2.0, 1)
+        col_coords = (np.arange(col_start, col_stop) - (cols - 1) / 2.0) / max(
+            (cols - 1) / 2.0, 1
+        )
         radius = np.sqrt(
             row_coords[:, np.newaxis] ** 2 + col_coords[np.newaxis, :] ** 2
         ) / np.sqrt(2.0)
@@ -84,27 +103,32 @@ class Optics:
         return xyz * self.distance_gain() + self.ambient_xyz()
 
 
-#: Full-sensor vignette maps are pure geometry — (optics, rows, cols) — yet
-#: cost ~1 s at phone resolutions, so rebuilding one per camera dominates
-#: short sweep cells.  Memoized here; entries are returned read-only because
-#: they are shared across every camera in the process.
-_VIGNETTE_CACHE: Dict[Tuple["Optics", int, int], np.ndarray] = {}
+#: Vignette maps are pure geometry — (optics, rows, cols, column strip) —
+#: and cameras read only the centre strip they simulate, so the memo holds
+#: strips: a 48-column Nexus 5 strip is ~1 MB and ~10 ms to build, where the
+#: full map is 64 MB kept, ~320 MB transient and ~0.5 s.  Sweep cells share
+#: device geometry, so only the first camera per strip builds one.  Entries
+#: are returned read-only because they are shared across every camera in
+#: the process.
+_VIGNETTE_CACHE: Dict[Tuple["Optics", int, int, int, int], np.ndarray] = {}
 _VIGNETTE_CACHE_MAX = 16
 
 
-def cached_vignette_map(optics: Optics, rows: int, cols: int) -> np.ndarray:
-    """A process-wide memo over :meth:`Optics.vignette_map`.
+def cached_vignette_map(
+    optics: Optics, rows: int, cols: int, col_start: int, col_stop: int
+) -> np.ndarray:
+    """A process-wide memo over :meth:`Optics.vignette_map` column strips.
 
     Bit-identical to calling the method directly (the map is deterministic
     geometry); the returned array is marked non-writeable — copy before
     mutating.  The cache holds the :data:`_VIGNETTE_CACHE_MAX` most recently
-    inserted geometries (FIFO), bounding memory for synthetic-device
-    population studies that vary optics per device.
+    inserted strips (FIFO), bounding memory for synthetic-device population
+    studies that vary optics per device.
     """
-    key = (optics, rows, cols)
+    key = (optics, rows, cols, col_start, col_stop)
     cached = _VIGNETTE_CACHE.get(key)
     if cached is None:
-        cached = optics.vignette_map(rows, cols)
+        cached = optics.vignette_map(rows, cols, col_start, col_stop)
         cached.flags.writeable = False
         while len(_VIGNETTE_CACHE) >= _VIGNETTE_CACHE_MAX:
             _VIGNETTE_CACHE.pop(next(iter(_VIGNETTE_CACHE)))

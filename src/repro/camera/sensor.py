@@ -437,14 +437,17 @@ class RollingShutterCamera:
     def _compute_vignette_strip(self, rows: int, cols: int) -> np.ndarray:
         """Vignetting over the simulated center strip of the full sensor.
 
-        The full-sensor map is fetched from the process-wide geometry memo
+        Only the strip's ``cols`` columns are evaluated, normalised by the
+        full sensor geometry, so the strip is bit-identical to the centre
+        slice of the full-sensor map without ever building it.  Strips come
+        from the process-wide geometry memo
         (:func:`repro.camera.optics.cached_vignette_map`): sweep cells share
-        device geometry, so only the first camera per geometry pays the
-        ~1 s cos^4 evaluation at phone resolutions.
+        device geometry, so only the first camera per strip computes one.
         """
-        full = cached_vignette_map(self.optics, rows, self.timing.cols)
         left = (self.timing.cols - cols) // 2
-        return full[:, left : left + cols]
+        return cached_vignette_map(
+            self.optics, rows, self.timing.cols, left, left + cols
+        )
 
     def reset(self, seed=None) -> None:
         """Restart frame numbering and RNG (fresh recording session).

@@ -55,50 +55,66 @@ _LAB_TOE_OFFSET = 4.0 / 29.0
 _CHUNK_FRAMES = 4
 
 
-def _scanlines_from_pixels(pixels: np.ndarray, smooth_rows: int) -> np.ndarray:
-    """sRGB bytes ``(..., rows, cols, 3)`` -> scanline Lab ``(..., rows, 3)``.
+def _column_mean_lab_f(pixels: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
+    """sRGB bytes ``(frames, rows, cols, 3)`` -> column-mean Lab ``f(X/Xn)``.
 
-    The shared core of the single-frame and batched entry points: gamma
-    decode by byte lookup, one fused RGB->XYZ/white matmul, the Lab cube
-    root, one Lab-mixing matmul, column mean, box smooth.  Every step is
-    elementwise, a per-row matmul, or a per-frame reduction/convolution, so
-    batched and per-frame calls are bitwise identical.
+    Gamma decode by byte lookup, the fused RGB->XYZ/white matmul, the Lab
+    cube root with its linear toe, then the weighted column mean, giving
+    ``(frames, rows, 3)`` ready for the Lab channel mixing.
     """
-    rows, cols = pixels.shape[-3:-1]
-    lead = pixels.shape[:-3]
-    frames = int(np.prod(lead)) if lead else 1
+    frames, rows, cols = pixels.shape[:3]
     linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, pixels.reshape(-1, 3))
-    linear = linear.reshape(frames, rows * cols, 3)
+    ratios = linear @ _RGB_TO_XYZ_RATIOS_F32
+    f = np.cbrt(ratios)
+    toe = ratios <= _LAB_TOE_THRESHOLD
+    ratios *= _LAB_TOE_SCALE
+    ratios += _LAB_TOE_OFFSET
+    np.copyto(f, ratios, where=toe)
+    return np.einsum("frck,c->frk", f.reshape(frames, rows, cols, 3), col_weights)
+
+
+def _scanlines_from_pixels(
+    frame_pixels: Sequence[np.ndarray], smooth_rows: int
+) -> np.ndarray:
+    """Same-shape sRGB byte frames -> scanline Lab ``(frames, rows, 3)``.
+
+    ``frame_pixels`` is a list of ``(rows, cols, 3)`` frames or one stacked
+    ``(frames, rows, cols, 3)`` array.  The shared core of the single-frame
+    and batched entry points: gamma decode by byte lookup, one fused
+    RGB->XYZ/white matmul, the Lab cube root, one Lab-mixing matmul, column
+    mean, box smooth.  Frames are stacked and gamma-decoded
+    :data:`_CHUNK_FRAMES` at a time, so a batched decode never holds a
+    recording-wide index copy or linear image: its transient footprint is
+    one chunk's, whatever the recording length.  Every step is elementwise,
+    a per-row matmul, or a per-frame reduction/convolution, so batched and
+    per-frame calls are bitwise identical.
+    """
+    frames = len(frame_pixels)
+    rows, cols = frame_pixels[0].shape[:2]
     f_rows = np.empty((frames, rows, 3))
     col_weights = np.full(cols, 1.0 / cols, dtype=np.float32)
     # Frame-sized chunks keep the working set cache-resident; every kernel
-    # is per-frame independent, so chunking cannot change a byte.
+    # is per-frame independent, so chunking cannot change a byte.  A chunk's
+    # temporaries die with the helper's frame, before the next chunk's exist.
+    # ``asarray`` stacks a list slice and is a free view of an array slice.
     for lo in range(0, frames, _CHUNK_FRAMES):
         hi = min(lo + _CHUNK_FRAMES, frames)
-        ratios = linear[lo:hi].reshape(-1, 3) @ _RGB_TO_XYZ_RATIOS_F32
-        f = np.cbrt(ratios)
-        toe = ratios <= _LAB_TOE_THRESHOLD
-        ratios *= _LAB_TOE_SCALE
-        ratios += _LAB_TOE_OFFSET
-        np.copyto(f, ratios, where=toe)
-        f_rows[lo:hi] = np.einsum(
-            "frck,c->frk", f.reshape(hi - lo, rows, cols, 3), col_weights
+        f_rows[lo:hi] = _column_mean_lab_f(
+            np.asarray(frame_pixels[lo:hi]), col_weights
         )
     # Lab's channel mixing is linear, so it commutes with the column mean:
     # mix the (rows, 3) means instead of every pixel.
     scanlines = f_rows @ _LAB_BASIS
     scanlines += _LAB_OFFSET
-    scanlines = scanlines.reshape(lead + (rows, 3))
     if smooth_rows > 1:
         kernel = np.ones(smooth_rows) / smooth_rows
-        flat_scan = scanlines.reshape(-1, scanlines.shape[-2], 3)
-        smoothed = np.empty_like(flat_scan)
-        for index in range(flat_scan.shape[0]):
+        smoothed = np.empty_like(scanlines)
+        for index in range(frames):
             for channel in range(3):
                 smoothed[index, :, channel] = np.convolve(
-                    flat_scan[index, :, channel], kernel, mode="same"
+                    scanlines[index, :, channel], kernel, mode="same"
                 )
-        scanlines = smoothed.reshape(scanlines.shape)
+        scanlines = smoothed
     return scanlines
 
 
@@ -114,7 +130,7 @@ def frame_to_scanline_lab(
     suppresses scanline-scale pipeline noise; it is narrow relative to the
     10-row minimum band width, so band edges stay sharp enough to segment.
     """
-    return _scanlines_from_pixels(frame.pixels, smooth_rows)
+    return _scanlines_from_pixels(frame.pixels[np.newaxis], smooth_rows)[0]
 
 
 def frames_to_scanline_lab(
@@ -122,7 +138,7 @@ def frames_to_scanline_lab(
 ) -> List[np.ndarray]:
     """Batched :func:`frame_to_scanline_lab` over a same-shape recording.
 
-    One stacked gamma-decode/XYZ/Lab/mean pass over all frames instead of a
+    One chunked gamma-decode/XYZ/Lab/mean pass over all frames instead of a
     Python loop of per-frame passes; returns one ``(rows, 3)`` array per
     frame, bitwise identical to the per-frame results.  All frames must
     share a pixel shape (recordings do — fault injectors preserve shapes and
@@ -137,8 +153,9 @@ def frames_to_scanline_lab(
                 f"frames_to_scanline_lab needs one shape, got {shape} "
                 f"and {frame.pixels.shape}"
             )
-    pixels = np.stack([frame.pixels for frame in frames])
-    scanlines = _scanlines_from_pixels(pixels, smooth_rows)
+    scanlines = _scanlines_from_pixels(
+        [frame.pixels for frame in frames], smooth_rows
+    )
     return [scanlines[i] for i in range(len(frames))]
 
 

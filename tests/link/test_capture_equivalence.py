@@ -5,8 +5,8 @@ consequence: a full :class:`LinkSimulator` run must produce identical
 metrics, payloads, counters, and per-band decisions regardless of which
 capture engine developed the frames.  ``LinkSimulator`` builds its camera
 internally, so the engine is selected through the module default
-(``repro.camera.sensor.DEFAULT_CAPTURE_PATH``), exactly the seam the
-bench report records.
+(``repro.camera.sensor.DEFAULT_CAPTURE_PATH``), the same seam every
+sweep's cameras are built through.
 """
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Unit tests for frame preprocessing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,10 @@ class TestBatchedScanlines:
             for _ in range(count)
         ]
 
-    def test_bitwise_identical_to_per_frame(self):
-        frames = self._frames()
+    # Frame counts straddling the conversion chunk (_CHUNK_FRAMES = 4).
+    @pytest.mark.parametrize("count", [1, 4, 5, 9])
+    def test_bitwise_identical_to_per_frame(self, count):
+        frames = self._frames(count=count)
         batched = frames_to_scanline_lab(frames)
         assert len(batched) == len(frames)
         for frame, scanlines in zip(frames, batched):
@@ -126,3 +130,23 @@ class TestBatchedScanlines:
         frames = self._frames(count=2) + self._frames(count=1, rows=20)
         with pytest.raises(DemodulationError, match="one shape"):
             frames_to_scanline_lab(frames)
+
+    def test_transient_footprint_bounded_by_chunk(self):
+        """Decoding a longer recording costs at most its own pixel bytes in
+        extra transient memory: gamma decode runs chunk by chunk, so no
+        recording-wide index copy (8 B per channel) or float32 linear image
+        (4 B per channel) is ever held."""
+
+        def peak_bytes(frames):
+            tracemalloc.start()
+            try:
+                frames_to_scanline_lab(frames)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = self._frames(count=4, rows=1000, cols=64)
+        long = self._frames(count=20, rows=1000, cols=64)
+        pixel_bytes = sum(frame.pixels.nbytes for frame in long)
+        growth = peak_bytes(long) - peak_bytes(short)
+        assert growth <= pixel_bytes, (growth, pixel_bytes)
