@@ -40,6 +40,7 @@ DURATION_S = 2.0
 #: (the degradation contract DESIGN.md documents).  Injectors whose cliff
 #: lies beyond the grid use the grid maximum.
 CLIFF_THRESHOLDS = {
+    "drift": 0.5,
     "frame-drop": 0.5,
     "occlusion": 0.2,
     "saturation": 0.5,

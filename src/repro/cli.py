@@ -51,17 +51,7 @@ from repro.perf.runtime import (
     run_specs_resilient,
 )
 from repro.serve import BACKPRESSURE_POLICIES, ServePolicy, SoakSpec, run_soak
-from repro.tooling import (
-    ALL_RULES,
-    Baseline,
-    default_baseline_path,
-    format_report,
-    get_rules,
-    run_analysis,
-    to_json,
-    to_sarif,
-)
-from repro.tooling.reports import updated_baseline
+from repro.tooling import ALL_RULES, get_rules, run_analysis
 
 #: Exit status for a run that completed degraded (contained cell failures)
 #: without ``--allow-degraded``.
@@ -539,56 +529,22 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule.rule_id:>18}  [{scope:>7}]  {rule.description}")
         return 0
     paths = args.paths or [str(Path(__file__).resolve().parent)]
-    strict = args.strict or args.update_baseline
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path()
-    )
     try:
         rules = get_rules(args.rules.split(",")) if args.rules else None
-        if rules is not None and not strict:
-            skipped = [
-                r.rule_id for r in rules if getattr(r, "scope", "file") == "project"
-            ]
+        if rules is not None and not args.strict:
+            skipped = [r.rule_id for r in rules if r.scope == "project"]
             if skipped:
                 print(
                     "colorbars lint: note: contract rule(s)"
                     f" {', '.join(skipped)} run only with --strict",
                     file=sys.stderr,
                 )
-        baseline = Baseline.load(baseline_path) if strict else None
-        result = run_analysis(
-            paths, rules=rules, strict=strict, baseline=baseline
-        )
+        report = run_analysis(paths, rules=rules, strict=args.strict)
     except ToolingError as exc:
         print(f"colorbars lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        new_baseline = updated_baseline(result, baseline)
-        new_baseline.save(baseline_path)
-        print(
-            f"colorbars lint: baseline updated:"
-            f" {len(new_baseline.entries)} entries -> {baseline_path}"
-        )
-        return 0
-    if args.format == "json":
-        print(to_json(result))
-    elif args.format == "sarif":
-        print(to_sarif(result))
-    else:
-        print(format_report(result.findings, result.files_checked))
-        if result.suppressed:
-            print(
-                f"colorbars lint: {len(result.suppressed)} finding(s)"
-                f" suppressed by baseline {baseline_path}",
-                file=sys.stderr,
-            )
-        for entry in result.stale_baseline_entries:
-            print(
-                "colorbars lint: stale baseline entry (no longer matches):"
-                f" {entry.path} {entry.rule} {entry.message}",
-                file=sys.stderr,
-            )
-    return 1 if result.findings else 0
+    print(report.format())
+    return 0 if report.clean else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -833,20 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="also run whole-program contract rules (determinism,"
              " pickle-safety, obs-schema, exception-taxonomy)",
-    )
-    lint_p.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text; json/sarif print one document)",
-    )
-    lint_p.add_argument(
-        "--baseline", default=None,
-        help="baseline of grandfathered findings, applied under --strict"
-             " (default: the packaged tooling/baseline.json)",
-    )
-    lint_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to cover all current findings and exit 0"
-             " (implies --strict; new entries get a TODO reason)",
     )
     lint_p.set_defaults(func=cmd_lint)
     return parser

@@ -221,7 +221,3 @@ class ToolingError(ColorBarsError):
 
 class LayeringError(ToolingError):
     """The declared import-layering graph is malformed (cycle, unknown layer)."""
-
-
-class BaselineError(ToolingError):
-    """A reprolint baseline file is malformed (bad JSON, wrong shape/version)."""

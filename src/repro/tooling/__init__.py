@@ -15,17 +15,17 @@ Two rule scopes exist:
   symbol/import/call graph built by :mod:`repro.tooling.project` and check
   cross-module invariants — determinism of the simulation layers,
   pickle-safety of executor payloads, span/metric schema agreement, and the
-  exception taxonomy.  They run under ``colorbars lint --strict``, with
-  grandfathered findings tracked in a committed ``baseline.json``
-  (:mod:`repro.tooling.reports`).
+  exception taxonomy.  They run under ``colorbars lint --strict``.
 
-Three entry points consume it:
+:func:`~repro.tooling.runner.run_analysis` drives both scopes and returns one
+:class:`~repro.tooling.runner.LintReport`, printed as ``file:line rule-id
+message`` lines.  Three entry points consume it:
 
 * ``colorbars lint`` — the CLI subcommand (see :mod:`repro.cli`);
 * ``tests/core/test_lint_clean.py`` — the pytest gate asserting the tree is
-  violation-free (and strict-clean modulo the baseline);
-* ``.github/workflows/ci.yml`` — the CI jobs running both, plus a SARIF
-  export for code-scanning consumers.
+  violation-free and strict-clean;
+* ``.github/workflows/ci.yml`` — the CI job running ``colorbars lint
+  --strict``.
 
 Findings can be suppressed per line with ``# reprolint: disable=<rule-id>``;
 this works identically for per-file and contract rules.
@@ -43,15 +43,6 @@ from repro.tooling.project import (
     shared_cache,
     summarize_module,
 )
-from repro.tooling.reports import (
-    AnalysisResult,
-    Baseline,
-    default_baseline_path,
-    run_analysis,
-    to_json,
-    to_sarif,
-    validate_sarif,
-)
 from repro.tooling.rules import ALL_RULES, Rule, get_rules
 from repro.tooling.runner import (
     LintReport,
@@ -59,13 +50,12 @@ from repro.tooling.runner import (
     lint_file,
     lint_source,
     lint_tree,
+    run_analysis,
 )
 
 __all__ = [
     "ALL_RULES",
     "AnalysisCache",
-    "AnalysisResult",
-    "Baseline",
     "CONTRACT_RULES",
     "ContractRule",
     "Finding",
@@ -76,7 +66,6 @@ __all__ = [
     "Rule",
     "allowed_imports",
     "build_project",
-    "default_baseline_path",
     "format_report",
     "get_rules",
     "layer_of",
@@ -89,7 +78,4 @@ __all__ = [
     "run_contract_rules",
     "shared_cache",
     "summarize_module",
-    "to_json",
-    "to_sarif",
-    "validate_sarif",
 ]

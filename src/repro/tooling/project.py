@@ -13,9 +13,10 @@ and assembles them into a :class:`Project` the contract rules
 
 Summaries are pure functions of the file's text, so they are memoized in an
 :class:`AnalysisCache` keyed by ``(path, sha256(source))``.  Re-analyzing an
-unchanged tree parses nothing; the repo-wide pytest gate and repeated CLI
-runs stay fast (``tests/core/test_lint_clean.py`` asserts the second run is
-cache-warm, ``tests/tooling/test_project.py`` pins the speedup bound).
+unchanged tree within one process parses nothing, which keeps the repo-wide
+pytest gate fast (``tests/core/test_lint_clean.py`` asserts the second run
+is cache-warm, ``tests/tooling/test_project.py`` pins the speedup bound).
+Each ``colorbars lint`` call is a fresh process and starts cold.
 """
 
 from __future__ import annotations
@@ -745,9 +746,14 @@ class Project:
 
 
 def project_files(roots: Sequence[Union[str, Path]]) -> List[Path]:
-    """Every ``*.py`` file under the given roots, sorted and de-duplicated."""
+    """Every ``*.py`` file under the given roots, sorted and de-duplicated.
+
+    Overlapping roots (a directory and a file inside it) yield each file
+    once; files are keyed on their resolved path, so relative and absolute
+    spellings of one file do not count twice either.
+    """
     files: List[Path] = []
-    seen = set()
+    seen: Set[Path] = set()
     for root in roots:
         root_path = Path(root)
         if root_path.is_file():
@@ -757,7 +763,7 @@ def project_files(roots: Sequence[Union[str, Path]]) -> List[Path]:
         else:
             raise ToolingError(f"analysis target does not exist: {root_path}")
         for candidate in candidates:
-            key = str(candidate)
+            key = candidate.resolve()
             if key not in seen:
                 seen.add(key)
                 files.append(candidate)

@@ -1,11 +1,16 @@
 """Drive lint rules over sources, files, and whole trees; format reports.
 
+:func:`run_analysis` is the one entry point the CLI and the repo gate use:
+per-file rules over every file, plus the whole-program contract rules when
+``strict``.  Both passes discover files through
+:func:`~repro.tooling.project.project_files`, so overlapping paths are
+checked once.
+
 File-level linting is memoized through the content-hash keyed
 :class:`~repro.tooling.project.AnalysisCache`: ``lint_file``/``lint_tree``
-default to the shared process-wide cache, so the repo-wide pytest gate and
-repeated CLI runs inside one process re-parse only files whose bytes
-changed.  Pass ``cache=AnalysisCache()`` for isolation or ``cache=False``
-semantics via a fresh instance.
+default to the shared process-wide cache, so repeated runs inside one
+process (the pytest gate) re-parse only files whose bytes changed.  Pass
+``cache=AnalysisCache()`` for an isolated, cold cache.
 """
 
 from __future__ import annotations
@@ -16,14 +21,17 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ToolingError
+from repro.tooling.contracts import run_contract_rules
 from repro.tooling.findings import Finding, apply_pragmas, parse_pragmas
 from repro.tooling.project import (
     AnalysisCache,
+    build_project,
     content_hash,
     module_name_for,
+    project_files,
     shared_cache,
 )
-from repro.tooling.rules import ALL_RULES, ModuleContext, Rule
+from repro.tooling.rules import ALL_RULES, LintRule, ModuleContext, Rule
 
 __all__ = [
     "LintReport",
@@ -33,6 +41,7 @@ __all__ = [
     "lint_source",
     "lint_tree",
     "module_name_for",
+    "run_analysis",
 ]
 
 #: Rule id used for files that do not parse at all.
@@ -71,7 +80,7 @@ def lint_source(
 
     Only per-file rules (``scope == "file"``) run here; whole-program
     contract rules need a :class:`~repro.tooling.project.Project` and are
-    driven by :func:`repro.tooling.reports.run_analysis`.
+    driven by :func:`run_analysis`.
     """
     path = str(path)
     if module is None:
@@ -120,22 +129,43 @@ def lint_file(
 
 
 def lint_tree(
-    root: Union[str, Path],
+    roots: Union[str, Path, Sequence[Union[str, Path]]],
     rules: Optional[Sequence[Rule]] = None,
     cache: Optional[AnalysisCache] = None,
 ) -> LintReport:
-    """Lint every ``*.py`` file under ``root`` (or a single file)."""
-    root_path = Path(root)
-    if root_path.is_file():
-        files = [root_path]
-    elif root_path.is_dir():
-        files = sorted(p for p in root_path.rglob("*.py") if p.is_file())
-    else:
-        raise ToolingError(f"lint target does not exist: {root_path}")
+    """Lint every ``*.py`` file under ``roots`` (files, directories, or both)."""
+    if isinstance(roots, (str, Path)):
+        roots = [roots]
+    files = project_files(roots)
     findings: List[Finding] = []
     for file_path in files:
         findings.extend(lint_file(file_path, rules=rules, cache=cache))
     return LintReport(findings=tuple(sorted(findings)), files_checked=len(files))
+
+
+def run_analysis(
+    paths: Sequence[Union[str, Path]],
+    rules: Optional[Sequence[LintRule]] = None,
+    strict: bool = False,
+    cache: Optional[AnalysisCache] = None,
+) -> LintReport:
+    """Lint ``paths`` with per-file rules, plus contract rules when strict.
+
+    ``rules`` may mix per-file rules and contract rules (as ``get_rules``
+    returns them); each pass picks out its own scope.
+    """
+    file_rules = contract_rules = None
+    if rules is not None:
+        file_rules = [r for r in rules if r.scope == "file"]
+        contract_rules = [r for r in rules if r.scope == "project"]
+    report = lint_tree(paths, rules=file_rules, cache=cache)
+    if not strict:
+        return report
+    project = build_project(paths, cache=cache)
+    findings = report.findings + tuple(run_contract_rules(project, contract_rules))
+    return LintReport(
+        findings=tuple(sorted(findings)), files_checked=report.files_checked
+    )
 
 
 def format_report(findings: Sequence[Finding], files_checked: int) -> str:

@@ -4,21 +4,15 @@ This is the machine-checked form of the project's code contracts (DESIGN.md
 "Code contracts & static analysis"): RNG discipline, import layering,
 exception hygiene, and the smaller hygiene rules — plus, in strict mode, the
 whole-program contract rules (determinism, pickle-safety, obs-schema,
-exception-taxonomy) modulo the committed baseline.  If this test fails, run
-``colorbars lint`` (or ``colorbars lint --strict``) for the same report and
-fix (or, with justification, ``# reprolint: disable=<rule>`` / baseline)
-each finding.
+exception-taxonomy).  If this test fails, run ``colorbars lint --strict`` for
+the same report and fix each finding (or, with justification, suppress it
+with ``# reprolint: disable=<rule>``).
 """
 
 from pathlib import Path
 
 import repro
-from repro.tooling import (
-    Baseline,
-    default_baseline_path,
-    lint_tree,
-    run_analysis,
-)
+from repro.tooling import lint_tree, run_analysis
 from repro.tooling.project import AnalysisCache
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
@@ -30,27 +24,9 @@ def test_package_tree_is_violation_free():
     assert report.clean, "\n" + report.format()
 
 
-def test_package_tree_is_strict_clean_modulo_baseline():
-    baseline = Baseline.load(default_baseline_path())
-    result = run_analysis([PACKAGE_ROOT], strict=True, baseline=baseline)
-    assert result.clean, "\n" + "\n".join(f.format() for f in result.findings)
-    assert not result.stale_baseline_entries, (
-        "baseline entries no longer match any finding — prune them: "
-        + ", ".join(
-            f"{e.path}:{e.rule}" for e in result.stale_baseline_entries
-        )
-    )
-
-
-def test_baseline_entries_are_justified():
-    # Nothing gets grandfathered silently: every committed entry carries a
-    # human-written reason (not the --update-baseline placeholder).
-    baseline = Baseline.load(default_baseline_path())
-    for entry in baseline.entries:
-        assert entry.reason.strip(), f"baseline entry without reason: {entry}"
-        assert not entry.reason.startswith("TODO"), (
-            f"baseline entry still has placeholder reason: {entry}"
-        )
+def test_package_tree_is_strict_clean():
+    report = run_analysis([PACKAGE_ROOT], strict=True)
+    assert report.clean, "\n" + report.format()
 
 
 def test_second_lint_run_is_cache_warm():

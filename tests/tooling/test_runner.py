@@ -10,7 +10,15 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import ToolingError
-from repro.tooling import ALL_RULES, format_report, get_rules, lint_file, lint_tree
+from repro.tooling import (
+    ALL_RULES,
+    format_report,
+    get_rules,
+    lint_file,
+    lint_tree,
+    run_analysis,
+)
+from repro.tooling.project import AnalysisCache
 
 #: rule id -> (relative path inside the fixture package, offending source)
 VIOLATIONS = {
@@ -130,6 +138,34 @@ def clean_tree(tmp_path):
     return root
 
 
+@pytest.fixture
+def dirty_tree(tmp_path):
+    """A mini repro package with one determinism and one taxonomy violation."""
+    root = tmp_path / "repro"
+    (root / "link").mkdir(parents=True)
+    (root / "__init__.py").write_text('"""F."""\n')
+    (root / "link" / "__init__.py").write_text('"""F."""\n')
+    (root / "link" / "helper.py").write_text(
+        textwrap.dedent(
+            '''
+            """F."""
+            import time
+
+            def stamp():
+                return time.time()
+
+            def boom():
+                raise RuntimeError("x")
+            '''
+        )
+    )
+    return root
+
+
+def analyze(paths, strict=True):
+    return run_analysis(paths, strict=strict, cache=AnalysisCache())
+
+
 class TestLintTree:
     def test_catches_one_violation_per_rule(self, violation_tree):
         report = lint_tree(violation_tree)
@@ -173,6 +209,26 @@ class TestLintTree:
         assert [f.rule_id for f in findings] == ["no-print"]
 
 
+class TestRunAnalysis:
+    def test_strict_finds_contract_violations(self, dirty_tree):
+        report = analyze([dirty_tree])
+        rules_hit = sorted({f.rule_id for f in report.findings})
+        assert "determinism" in rules_hit
+        assert "exception-taxonomy" in rules_hit
+        # raw-raise (per-file) fires on the same RuntimeError too
+        assert "raw-raise" in rules_hit
+
+    def test_non_strict_skips_contract_rules(self, dirty_tree):
+        report = analyze([dirty_tree], strict=False)
+        assert "determinism" not in {f.rule_id for f in report.findings}
+
+    def test_overlapping_paths_count_each_file_once(self, dirty_tree):
+        helper = dirty_tree / "link" / "helper.py"
+        overlapping = analyze([dirty_tree, helper])
+        assert overlapping == analyze([dirty_tree])
+        assert overlapping.files_checked == 3
+
+
 class TestGetRules:
     def test_default_is_all_rules(self):
         assert get_rules() == ALL_RULES
@@ -207,6 +263,28 @@ class TestCliLint:
         out = capsys.readouterr().out
         for rule in ALL_RULES:
             assert rule.rule_id in out
+
+    def test_list_rules_includes_contract_rules(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for rule_id in (
+            "determinism", "pickle-safety", "obs-schema", "exception-taxonomy"
+        ):
+            assert rule_id in out
+        assert "[project]" in out
+        assert "[   file]" in out
+
+    def test_strict_flags_violations(self, dirty_tree, capsys):
+        code = main(["lint", "--strict", str(dirty_tree)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "determinism" in out
+        assert "exception-taxonomy" in out
+
+    def test_contract_rules_without_strict_prints_note(self, dirty_tree, capsys):
+        code = main(["lint", "--rules", "determinism", str(dirty_tree)])
+        assert code == 0  # contract rules are skipped without --strict
+        assert "run only with --strict" in capsys.readouterr().err
 
     def test_rule_filter_flag(self, violation_tree, capsys):
         code = main(["lint", "--rules", "bare-except", str(violation_tree)])
