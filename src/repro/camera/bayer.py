@@ -89,10 +89,13 @@ def mosaic_roundtrip(image: np.ndarray) -> np.ndarray:
 # -- batched (leading-axes) variants --------------------------------------
 #
 # The vectorized capture engine (camera.capture) runs the CFA stage over a
-# whole recording block ``(frames, rows, cols, 3)`` at once.  These nd
-# variants keep the input dtype (the batched pipeline is float32), apply
-# per-frame-independent arithmetic only, and share one geometry memo so the
-# presence masks and neighbour counts are computed once per sensor shape.
+# whole recording block at once: ``mosaic_from_rows`` samples the
+# row-constant sensor image straight into a ``(frames, rows, cols)`` mosaic
+# and ``demosaic_bilinear_nd`` fills it back to three channels.  Both keep
+# the input dtype (the batched pipeline is float32), apply
+# per-frame-independent arithmetic only, and the demosaic shares one
+# geometry memo so the presence masks and neighbour counts are computed once
+# per sensor shape.
 
 #: (rows, cols) -> (per-channel presence (3, rows, cols) bool,
 #:                  per-channel 3x3 neighbour counts (3, rows, cols) float)
@@ -142,16 +145,42 @@ def _geometry_counts(counts_by_dtype: "dict", dtype) -> np.ndarray:
     return counts
 
 
-def bayer_mosaic_nd(image: np.ndarray) -> np.ndarray:
-    """RGGB sampling over ``(..., rows, cols, 3)``, preserving dtype."""
-    image = np.asarray(image)
-    if image.ndim < 3 or image.shape[-1] != 3:
-        raise CameraError(f"expected (..., rows, cols, 3) image, got {image.shape}")
-    mosaic = np.empty(image.shape[:-1], dtype=image.dtype)
-    mosaic[..., 0::2, 0::2] = image[..., 0::2, 0::2, 0]
-    mosaic[..., 0::2, 1::2] = image[..., 0::2, 1::2, 1]
-    mosaic[..., 1::2, 0::2] = image[..., 1::2, 0::2, 1]
-    mosaic[..., 1::2, 1::2] = image[..., 1::2, 1::2, 2]
+def mosaic_from_rows(row_rgb: np.ndarray, vignette: np.ndarray) -> np.ndarray:
+    """RGGB mosaic of a row-constant image under a vignette, built directly.
+
+    ``row_rgb`` is ``(..., rows, 3)`` — one color per scanline — and
+    ``vignette`` is ``(rows, cols)``.  The result ``(..., rows, cols)`` equals
+    ``bayer_mosaic`` of the broadcast image
+    ``row_rgb[..., :, None, :] * vignette[..., None]`` sample for sample:
+    each mosaic site is the same single product of its row's filtered
+    channel and its vignette gain, computed by four strided multiplies, so
+    the three-channel image two thirds of which the mosaic discards is never
+    built.  The dtype follows numpy promotion of the two inputs.
+    """
+    row_rgb = np.asarray(row_rgb)
+    vignette = np.asarray(vignette)
+    if (
+        row_rgb.ndim < 2
+        or row_rgb.shape[-1] != 3
+        or vignette.ndim != 2
+        or row_rgb.shape[-2] != vignette.shape[0]
+    ):
+        raise CameraError(
+            f"expected (..., rows, 3) rows and a (rows, cols) vignette, got "
+            f"{row_rgb.shape} and {vignette.shape}"
+        )
+    rows, cols = vignette.shape
+    mosaic = np.empty(
+        row_rgb.shape[:-2] + (rows, cols),
+        dtype=np.result_type(row_rgb, vignette),
+    )
+    for row0 in (0, 1):
+        for col0 in (0, 1):
+            np.multiply(
+                row_rgb[..., row0::2, np.newaxis, _RGGB[row0, col0]],
+                vignette[row0::2, col0::2],
+                out=mosaic[..., row0::2, col0::2],
+            )
     return mosaic
 
 
@@ -326,7 +355,3 @@ def demosaic_bilinear_nd(mosaic: np.ndarray) -> np.ndarray:
         return _parity_fill_nd(mosaic, presence, counts)
     return _generic_fill_nd(mosaic, presence, counts, has_holes)
 
-
-def mosaic_roundtrip_nd(image: np.ndarray) -> np.ndarray:
-    """Batched mosaic + demosaic — the vectorized pipeline's CFA stage."""
-    return demosaic_bilinear_nd(bayer_mosaic_nd(image))

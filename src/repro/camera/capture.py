@@ -22,20 +22,26 @@ The vectorized-capture contract (DESIGN.md §5i):
   statistics engine meters on decimated raw stats — so the settings chain
   ``settings[i+1] = f(settings[i], stats[i], drift[i])`` costs O(rows)
   per frame and never blocks the heavy image formation.
-* **Batched image formation.**  Vignette broadcast, Bayer mosaic/demosaic,
-  the fused shot/read/PRNU noise kernel, row-noise gains, AWB gains and
-  the sRGB encode all run over the whole recording (chunked to bound
-  memory).  The image pipeline computes in float32 — distribution-faithful
-  for a sensor model whose output is 8-bit — while all *timing* stays in
-  float64.
+* **Batched image formation.**  The RGGB mosaic sampled straight from the
+  photoelectron rows under the vignette strip (the three-channel broadcast
+  image is only built with the Bayer stage off), the demosaic, the fused
+  shot/read/PRNU noise kernel, the row-gain x AWB factor (applied one
+  channel plane at a time) and the sRGB encode all run over the whole
+  recording (chunked to bound memory).  The image pipeline computes in
+  float32 — distribution-faithful for a sensor model whose output is
+  8-bit — while all *timing* stays in float64.
 * **Fast ↔ reference equivalence.**  :func:`develop_frames` (batched) and
-  :func:`develop_frame` (one frame at a time) consume the same prologue
-  arrays and the same float32 kernels, differing only in whether the
-  leading frames axis is present; every kernel is elementwise or
-  per-frame-spatial, so the two paths produce byte-identical pixels.
+  :func:`develop_frame` (one frame at a time) run one develop body on the
+  same prologue arrays, indexed by a slice of frames or by one frame;
+  every kernel is elementwise or per-frame-spatial, so the two paths
+  produce byte-identical pixels.  The single-frame
+  :meth:`~repro.camera.sensor.RollingShutterCamera.capture_frame` calls
+  the same image and gain kernels (:func:`sensor_image`,
+  :func:`apply_channel_gain`, :func:`encode_srgb_bytes`).
   ``RollingShutterCamera(capture_path="reference")`` keeps the slow path
-  selectable, and ``tests/camera/test_capture_equivalence.py`` pins the
-  guarantee.
+  selectable; ``tests/camera/test_capture_equivalence.py`` pins the
+  guarantee, and ``tests/camera/test_golden_digests.py`` pins the bytes
+  both paths must produce.
 
 Plans are memoized process-wide keyed on the *exact RNG state* plus the
 draw-plan spec: sweep cells sharing a seed (paper grids, resilience sweeps)
@@ -51,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.camera.auto_exposure import ExposureSettings
-from repro.camera.bayer import mosaic_roundtrip_nd
+from repro.camera.bayer import demosaic_bilinear_nd, mosaic_from_rows
 from repro.color.srgb import xyz_to_linear_rgb
 from repro.exceptions import CameraError
 
@@ -362,44 +368,73 @@ def apply_sensor_noise(
     return noisy
 
 
+def sensor_image(camera, row_signal: np.ndarray) -> np.ndarray:
+    """The pre-noise image of scanline colors under the vignette strip.
+
+    ``row_signal`` is ``(..., rows, 3)``.  With the Bayer stage on, the
+    RGGB mosaic is sampled straight from the rows
+    (:func:`~repro.camera.bayer.mosaic_from_rows`) and demosaiced, so the
+    three-channel broadcast image is never built; with it off, the image is
+    the broadcast itself.  Either way the result is ``(..., rows, cols, 3)``.
+    """
+    vignette = camera._vignette_f32
+    if camera.enable_bayer:
+        return demosaic_bilinear_nd(mosaic_from_rows(row_signal, vignette))
+    return row_signal[..., :, np.newaxis, :] * vignette[:, :, np.newaxis]
+
+
+def apply_channel_gain(signal: np.ndarray, gain: np.ndarray) -> None:
+    """``signal *= gain`` in place, one channel plane at a time.
+
+    ``gain`` is a small per-channel factor (``(..., 3)``, e.g. per-row gains
+    ``(F, rows, 1, 3)`` or AWB gains ``(3,)``).  Multiplying plane by plane
+    gives the same float32 products as the broadcast ``signal *= gain``
+    without numpy's three-long inner loop over the channel axis.
+    """
+    for channel in range(3):
+        plane = signal[..., channel]
+        plane *= gain[..., channel]
+
+
 def encode_srgb_bytes(linear: np.ndarray) -> np.ndarray:
     """Gamma-encode linear float32 and quantize to uint8 in one pass.
 
-    Clips to [0, 1] first — this is the pipeline's single saturation point.
+    Clips ``linear`` to [0, 1] *in place* first — this is the pipeline's
+    single saturation point, and every caller hands over a temporary.
     """
-    x = np.clip(linear, 0.0, 1.0)
+    x = np.clip(linear, 0.0, 1.0, out=linear)
     srgb = np.power(x, 1.0 / 2.4)
     srgb *= 1.055
     srgb -= 0.055
-    np.copyto(srgb, x * 12.92, where=x <= 0.0031308)
+    np.multiply(x, 12.92, out=srgb, where=x <= 0.0031308)
     srgb *= 255.0
     np.round(srgb, out=srgb)
     return srgb.astype(np.uint8)
 
 
-def _develop_block(camera, rec: RecordingPlan, lo: int, hi: int) -> np.ndarray:
-    """Develop frames [lo, hi) as one batched block -> uint8 pixels."""
+def _develop(camera, rec: RecordingPlan, index) -> np.ndarray:
+    """Develop ``rec``'s frames at ``index`` (a frame or a slice) -> uint8.
+
+    The one develop body of both paths: an integer index develops one
+    ``(rows, cols, 3)`` frame, a slice a ``(frames, rows, cols, 3)`` block.
+    Every kernel is elementwise or per-frame-spatial, so the two are
+    byte-identical frame for frame.
+    """
     draws = rec.draws
-    signal = (
-        rec.electron_rows[lo:hi, :, np.newaxis, :]
-        * camera._vignette_f32[:, :, np.newaxis]
-    )
-    if camera.enable_bayer:
-        signal = mosaic_roundtrip_nd(signal)
     signal = apply_sensor_noise(
-        signal,
-        rec.electron_inv_scale[lo:hi],
+        sensor_image(camera, rec.electron_rows[index]),
+        rec.electron_inv_scale[index],
         camera._read_noise_sq,
-        draws.shot[lo:hi],
+        draws.shot[index],
         camera._prnu_gain,
     )
     row_gain = draws.row_gain
     if row_gain is not None and rec.awb_gains is not None:
-        signal *= row_gain[lo:hi] * rec.awb_gains[lo:hi]
+        apply_channel_gain(signal, row_gain[index] * rec.awb_gains[index])
     elif row_gain is not None:
-        signal *= row_gain[lo:hi]
+        apply_channel_gain(signal, row_gain[index])
     elif rec.awb_gains is not None:
-        signal *= rec.awb_gains[lo:hi]
+        apply_channel_gain(signal, rec.awb_gains[index])
     return encode_srgb_bytes(signal)
 
 
@@ -413,39 +448,18 @@ def develop_frames(camera, rec: RecordingPlan) -> np.ndarray:
     per_frame = rows * cols * 3
     chunk = max(1, _CHUNK_ELEMENTS // per_frame)
     if chunk >= rec.frame_count:
-        return _develop_block(camera, rec, 0, rec.frame_count)
+        return _develop(camera, rec, slice(0, rec.frame_count))
     pixels = np.empty((rec.frame_count, rows, cols, 3), dtype=np.uint8)
     for lo in range(0, rec.frame_count, chunk):
         hi = min(lo + chunk, rec.frame_count)
-        pixels[lo:hi] = _develop_block(camera, rec, lo, hi)
+        pixels[lo:hi] = _develop(camera, rec, slice(lo, hi))
     return pixels
 
 
 def develop_frame(camera, rec: RecordingPlan, index: int) -> np.ndarray:
-    """The reference path: one frame's pixels via the same kernels.
+    """The reference path: one frame's pixels via the same develop body.
 
     Identical arithmetic to :func:`develop_frames` on the matching slice —
     the fast↔reference equivalence gate asserts byte equality.
     """
-    draws = rec.draws
-    signal = (
-        rec.electron_rows[index][:, np.newaxis, :]
-        * camera._vignette_f32[..., np.newaxis]
-    )
-    if camera.enable_bayer:
-        signal = mosaic_roundtrip_nd(signal)
-    signal = apply_sensor_noise(
-        signal,
-        rec.electron_inv_scale[index],
-        camera._read_noise_sq,
-        draws.shot[index],
-        camera._prnu_gain,
-    )
-    row_gain = draws.row_gain
-    if row_gain is not None and rec.awb_gains is not None:
-        signal *= row_gain[index] * rec.awb_gains[index]
-    elif row_gain is not None:
-        signal *= row_gain[index]
-    elif rec.awb_gains is not None:
-        signal *= rec.awb_gains[index]
-    return encode_srgb_bytes(signal)
+    return _develop(camera, rec, index)

@@ -11,8 +11,10 @@ Capture pipeline per frame:
 
 1. per-scanline exposure integration of the waveform (fast analytic windows),
 2. scene optics (distance, ambient), device color response,
-3. broadcast to 2-D, vignetting, exposure/ISO gain,
-4. Bayer mosaic + demosaic (optional), sensor noise,
+3. exposure/ISO gain, then vignetting: the Bayer mosaic sampled straight
+   from the scanline rows and demosaiced (or, without the Bayer stage, the
+   rows broadcast to 2-D),
+4. sensor noise,
 5. sRGB gamma + 8-bit quantization.
 
 The number of *simulated* columns is configurable: the receiver averages
@@ -29,17 +31,18 @@ from typing import List, Optional
 import numpy as np
 
 from repro.camera.auto_exposure import AutoExposure, ExposureSettings
-from repro.camera.bayer import mosaic_roundtrip_nd
 from repro.camera.capture import (
     PIXEL_DTYPE,
     AWB_ROW_LUMINANCE_FLOOR,
     RecordingPlan,
+    apply_channel_gain,
     apply_sensor_noise,
     develop_frame,
     develop_frames,
     draw_prnu_gain,
     encode_srgb_bytes,
     plan_recording,
+    sensor_image,
 )
 from repro.camera.color_filter import ColorResponse
 from repro.camera.frame import CapturedFrame
@@ -254,21 +257,19 @@ class RollingShutterCamera:
         scene_xyz = scene_xyz * self._scene_gain + self._scene_ambient
         camera_linear = xyz_to_linear_rgb(scene_xyz) @ self._response_matrix_t
 
-        # 3. Radiometric scaling to full-well units, float32 cast, broadcast
-        # to 2-D under the vignette strip (the image pipeline computes in
-        # float32 — see camera.capture).
+        # 3. Radiometric scaling to full-well units and float32 cast (the
+        # image pipeline computes in float32 — see camera.capture).
         gain = (
             self.radiometric_gain
             * applied.exposure_s
             * (applied.iso / self.noise.reference_iso)
         )
         signal_rows = np.clip(camera_linear * gain, 0.0, None).astype(PIXEL_DTYPE)
-        signal = signal_rows[:, np.newaxis, :] * self._vignette_f32[..., np.newaxis]
 
-        # 4. CFA sampling and sensor noise, drawn in the canonical order
-        # (PRNU fixed pattern once per camera, then shot, then row gains).
-        if self.enable_bayer:
-            signal = mosaic_roundtrip_nd(signal)
+        # 4. The rows under the vignette strip, through the CFA stage, then
+        # sensor noise drawn in the canonical order (PRNU fixed pattern once
+        # per camera, then shot, then row gains).
+        signal = sensor_image(self, signal_rows)
         if self.noise.prnu > 0 and self._prnu_gain is None:
             self._prnu_gain = draw_prnu_gain(
                 self.noise.prnu, rows, self.simulated_columns, self.rng
@@ -293,14 +294,14 @@ class RollingShutterCamera:
             row_gain = (
                 1.0 + self.rng.normal(0.0, self.noise.row_noise, (rows, 1, 3))
             ).astype(PIXEL_DTYPE)
-            signal = np.clip(signal * row_gain, 0.0, 1.0)
+            apply_channel_gain(signal, row_gain)
+            np.clip(signal, 0.0, 1.0, out=signal)
 
         # 5. Automatic white balance (gray-world over bright content).
         if self.enable_awb:
             self._update_awb(signal)
-            signal = np.clip(
-                signal * self._awb_gains.astype(PIXEL_DTYPE), 0.0, 1.0
-            )
+            apply_channel_gain(signal, self._awb_gains.astype(PIXEL_DTYPE))
+            np.clip(signal, 0.0, 1.0, out=signal)
 
         # 6. Gamma encode and quantize.
         pixels = encode_srgb_bytes(signal)

@@ -4,6 +4,11 @@ Paper §7 steps 1-2: convert the received frame from RGB to CIELab (removing
 the non-uniform brightness via the lightness channel) and collapse the 2-D
 frame to one mean color per scanline to keep per-frame processing cheap on a
 phone.
+
+Every step before the column mean is local to a scanline, so frames are
+converted in blocks of scanlines sized to keep float32 temporaries in
+cache (:data:`_BLOCK_ELEMENTS`); blocking, like batching frames, never
+changes a byte of the result.
 """
 
 from __future__ import annotations
@@ -51,18 +56,21 @@ _LAB_OFFSET.flags.writeable = False
 _LAB_TOE_THRESHOLD = (6.0 / 29.0) ** 3
 _LAB_TOE_SCALE = 1.0 / (3.0 * (6.0 / 29.0) ** 2)
 _LAB_TOE_OFFSET = 4.0 / 29.0
-#: Frames per chunk of the fused conversion loop (cache blocking).
-_CHUNK_FRAMES = 4
+#: Pixel channel values per block of the fused conversion loop (cache
+#: blocking): a block is as many scanlines of one frame as fit the budget,
+#: so its float32 temporaries stay cache-sized whatever the frame geometry.
+_BLOCK_ELEMENTS = 150_000
 
 
 def _column_mean_lab_f(pixels: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
-    """sRGB bytes ``(frames, rows, cols, 3)`` -> column-mean Lab ``f(X/Xn)``.
+    """sRGB bytes ``(rows, cols, 3)`` -> column-mean Lab ``f(X/Xn)``.
 
     Gamma decode by byte lookup, the fused RGB->XYZ/white matmul, the Lab
     cube root with its linear toe, then the weighted column mean, giving
-    ``(frames, rows, 3)`` ready for the Lab channel mixing.
+    ``(rows, 3)`` ready for the Lab channel mixing.  Every step is local to
+    a scanline, so any row range converts independently.
     """
-    frames, rows, cols = pixels.shape[:3]
+    rows, cols = pixels.shape[:2]
     linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, pixels.reshape(-1, 3))
     ratios = linear @ _RGB_TO_XYZ_RATIOS_F32
     f = np.cbrt(ratios)
@@ -70,7 +78,7 @@ def _column_mean_lab_f(pixels: np.ndarray, col_weights: np.ndarray) -> np.ndarra
     ratios *= _LAB_TOE_SCALE
     ratios += _LAB_TOE_OFFSET
     np.copyto(f, ratios, where=toe)
-    return np.einsum("frck,c->frk", f.reshape(frames, rows, cols, 3), col_weights)
+    return np.einsum("rck,c->rk", f.reshape(rows, cols, 3), col_weights)
 
 
 def _scanlines_from_pixels(
@@ -82,10 +90,11 @@ def _scanlines_from_pixels(
     ``(frames, rows, cols, 3)`` array.  The shared core of the single-frame
     and batched entry points: gamma decode by byte lookup, one fused
     RGB->XYZ/white matmul, the Lab cube root, one Lab-mixing matmul, column
-    mean, box smooth.  Frames are stacked and gamma-decoded
-    :data:`_CHUNK_FRAMES` at a time, so a batched decode never holds a
+    mean, box smooth.  Each frame is converted in blocks of scanlines
+    holding at most :data:`_BLOCK_ELEMENTS` channel values, read as views of
+    the frame, so a batched decode never stacks frames or holds a
     recording-wide index copy or linear image: its transient footprint is
-    one chunk's, whatever the recording length.  Every step is elementwise,
+    one block's, whatever the recording length.  Every step is elementwise,
     a per-row matmul, or a per-frame reduction/convolution, so batched and
     per-frame calls are bitwise identical.
     """
@@ -93,15 +102,14 @@ def _scanlines_from_pixels(
     rows, cols = frame_pixels[0].shape[:2]
     f_rows = np.empty((frames, rows, 3))
     col_weights = np.full(cols, 1.0 / cols, dtype=np.float32)
-    # Frame-sized chunks keep the working set cache-resident; every kernel
-    # is per-frame independent, so chunking cannot change a byte.  A chunk's
-    # temporaries die with the helper's frame, before the next chunk's exist.
-    # ``asarray`` stacks a list slice and is a free view of an array slice.
-    for lo in range(0, frames, _CHUNK_FRAMES):
-        hi = min(lo + _CHUNK_FRAMES, frames)
-        f_rows[lo:hi] = _column_mean_lab_f(
-            np.asarray(frame_pixels[lo:hi]), col_weights
-        )
+    # Every conversion step is row-local, so blocking cannot change a byte;
+    # a block's temporaries die with the helper's frame, before the next
+    # block's exist.
+    block = max(1, _BLOCK_ELEMENTS // (cols * 3))
+    for index, pixels in enumerate(frame_pixels):
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            f_rows[index, lo:hi] = _column_mean_lab_f(pixels[lo:hi], col_weights)
     # Lab's channel mixing is linear, so it commutes with the column mean:
     # mix the (rows, 3) means instead of every pixel.
     scanlines = f_rows @ _LAB_BASIS

@@ -7,6 +7,7 @@ from repro.camera.bayer import (
     bayer_mask,
     bayer_mosaic,
     demosaic_bilinear,
+    mosaic_from_rows,
     mosaic_roundtrip,
 )
 from repro.exceptions import CameraError
@@ -42,6 +43,45 @@ class TestMosaic:
     def test_bad_input(self):
         with pytest.raises(CameraError):
             bayer_mosaic(np.zeros((4, 4)))
+
+
+class TestMosaicFromRows:
+    """``mosaic_from_rows`` must equal ``bayer_mosaic`` of the broadcast
+    float32 image bit for bit (a float32 -> float64 cast is exact)."""
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(4, 4), (6, 8), (5, 4), (4, 7), (7, 9), (1, 1), (1, 6), (5, 1), (2, 1)],
+    )
+    def test_matches_mosaic_of_broadcast(self, rows, cols):
+        rng = np.random.default_rng(rows * 31 + cols)
+        row_rgb = rng.random((3, rows, 3), dtype=np.float32) * 4000.0
+        vignette = rng.random((rows, cols), dtype=np.float32)
+        mosaic = mosaic_from_rows(row_rgb, vignette)
+        assert mosaic.dtype == np.float32
+        assert mosaic.shape == (3, rows, cols)
+        for frame in range(3):
+            image = row_rgb[frame, :, np.newaxis, :] * vignette[:, :, np.newaxis]
+            expected = bayer_mosaic(image)
+            assert np.array_equal(mosaic[frame].astype(float), expected)
+
+    def test_single_frame_matches_batched(self):
+        rng = np.random.default_rng(0)
+        row_rgb = rng.random((4, 10, 3), dtype=np.float32)
+        vignette = rng.random((10, 6), dtype=np.float32)
+        batched = mosaic_from_rows(row_rgb, vignette)
+        for frame in range(4):
+            assert np.array_equal(
+                mosaic_from_rows(row_rgb[frame], vignette), batched[frame]
+            )
+
+    @pytest.mark.parametrize(
+        "row_shape, vignette_shape",
+        [((4, 2), (4, 4)), ((5, 3), (4, 4)), ((3,), (3, 3)), ((4, 3), (4,))],
+    )
+    def test_bad_input(self, row_shape, vignette_shape):
+        with pytest.raises(CameraError):
+            mosaic_from_rows(np.zeros(row_shape), np.zeros(vignette_shape))
 
 
 class TestDemosaic:

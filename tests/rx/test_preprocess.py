@@ -8,6 +8,7 @@ import pytest
 from repro.camera.auto_exposure import ExposureSettings
 from repro.camera.frame import CapturedFrame
 from repro.exceptions import DemodulationError
+from repro.rx import preprocess
 from repro.rx.preprocess import (
     column_color_variance,
     frame_to_scanline_lab,
@@ -103,16 +104,24 @@ class TestBatchedScanlines:
             for _ in range(count)
         ]
 
-    # Frame counts straddling the conversion chunk (_CHUNK_FRAMES = 4).
+    # Frame counts, each decoded under row budgets that straddle the 40-row
+    # frames: one row, 7 rows (not a divisor of 40), 8 rows (a divisor) and
+    # the default budget, which holds a whole 12-column frame.
     @pytest.mark.parametrize("count", [1, 4, 5, 9])
-    def test_bitwise_identical_to_per_frame(self, count):
+    def test_bitwise_identical_to_per_frame(self, count, monkeypatch):
         frames = self._frames(count=count)
-        batched = frames_to_scanline_lab(frames)
-        assert len(batched) == len(frames)
-        for frame, scanlines in zip(frames, batched):
-            reference = frame_to_scanline_lab(frame)
-            assert scanlines.dtype == reference.dtype
-            assert np.array_equal(scanlines, reference)
+        references = [frame_to_scanline_lab(frame) for frame in frames]
+        for block_rows in (1, 7, 8, None):
+            if block_rows is not None:
+                monkeypatch.setattr(
+                    preprocess, "_BLOCK_ELEMENTS", block_rows * 12 * 3
+                )
+            batched = frames_to_scanline_lab(frames)
+            assert len(batched) == len(frames)
+            for frame, scanlines, reference in zip(frames, batched, references):
+                assert scanlines.dtype == reference.dtype
+                assert np.array_equal(scanlines, reference)
+                assert np.array_equal(frame_to_scanline_lab(frame), reference)
 
     def test_smoothing_parameter_forwarded(self):
         frames = self._frames(count=3)
