@@ -7,12 +7,10 @@ codes (paper §5).  This package is a from-scratch implementation:
   polynomial (the same field used by the 802.15.7 / CCSDS RS codes),
 * :mod:`repro.fec.polynomial` — dense polynomials over that field,
 * :mod:`repro.fec.reed_solomon` — systematic RS encoder and a
-  Berlekamp-Massey + Forney decoder handling both errors and erasures,
-* :mod:`repro.fec.interleave` — block interleaving to spread burst loss.
+  Berlekamp-Massey + Forney decoder handling both errors and erasures.
 """
 
 from repro.fec.gf256 import GF256
-from repro.fec.interleave import BlockInterleaver
 from repro.fec.polynomial import GFPolynomial
 from repro.fec.reed_solomon import ReedSolomonCodec, rs_params_for_loss
 
@@ -21,5 +19,4 @@ __all__ = [
     "GFPolynomial",
     "ReedSolomonCodec",
     "rs_params_for_loss",
-    "BlockInterleaver",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.exceptions import GaloisFieldError
-from repro.fec.gf256 import GF256
+from repro.fec.gf256 import _EXP, _LOG, GF256
 
 
 class GFPolynomial:
@@ -23,13 +23,20 @@ class GFPolynomial:
         normalized = list(coeffs)
         for c in normalized:
             GF256._check(c, "coefficient")
-        # Strip leading zeros but keep at least one coefficient.
-        index = 0
-        while index < len(normalized) - 1 and normalized[index] == 0:
-            index += 1
-        self._coeffs: Tuple[int, ...] = tuple(normalized[index:]) or (0,)
+        self._coeffs: Tuple[int, ...] = _strip(normalized)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of_field_elements(cls, coeffs: List[int]) -> "GFPolynomial":
+        """Build from coefficients that are field elements by construction.
+
+        The results of field operations on valid polynomials need no
+        per-coefficient re-check; only the public constructor validates.
+        """
+        poly = cls.__new__(cls)
+        poly._coeffs = _strip(coeffs)
+        return poly
 
     @classmethod
     def zero(cls) -> "GFPolynomial":
@@ -79,7 +86,7 @@ class GFPolynomial:
         offset = len(longer) - len(shorter)
         for i, c in enumerate(shorter):
             result[offset + i] ^= c
-        return GFPolynomial(result)
+        return GFPolynomial._of_field_elements(result)
 
     #: Subtraction equals addition in characteristic 2.
     __sub__ = __add__
@@ -91,15 +98,21 @@ class GFPolynomial:
         for i, a in enumerate(self._coeffs):
             if a == 0:
                 continue
+            log_a = _LOG[a]
             for j, b in enumerate(other._coeffs):
                 if b:
-                    result[i + j] ^= GF256.mul(a, b)
-        return GFPolynomial(result)
+                    result[i + j] ^= _EXP[log_a + _LOG[b]]
+        return GFPolynomial._of_field_elements(result)
 
     def scale(self, scalar: int) -> "GFPolynomial":
         """Multiply every coefficient by a field scalar."""
         GF256._check(scalar, "scalar")
-        return GFPolynomial([GF256.mul(c, scalar) for c in self._coeffs])
+        if scalar == 0:
+            return GFPolynomial.zero()
+        log_s = _LOG[scalar]
+        return GFPolynomial._of_field_elements(
+            [_EXP[_LOG[c] + log_s] if c else 0 for c in self._coeffs]
+        )
 
     def shift(self, degree: int) -> "GFPolynomial":
         """Multiply by ``x^degree``."""
@@ -107,7 +120,7 @@ class GFPolynomial:
             raise GaloisFieldError(f"shift degree must be non-negative, got {degree}")
         if self.is_zero():
             return GFPolynomial.zero()
-        return GFPolynomial(list(self._coeffs) + [0] * degree)
+        return GFPolynomial._of_field_elements(list(self._coeffs) + [0] * degree)
 
     def divmod(self, divisor: "GFPolynomial") -> Tuple["GFPolynomial", "GFPolynomial"]:
         """Quotient and remainder of polynomial long division."""
@@ -117,17 +130,21 @@ class GFPolynomial:
             return GFPolynomial.zero(), self
         remainder = list(self._coeffs)
         quotient = [0] * (self.degree - divisor.degree + 1)
-        lead_inverse = GF256.inverse(divisor._coeffs[0])
+        log_lead = _LOG[divisor._coeffs[0]]
+        divisor_logs = [(j, _LOG[d]) for j, d in enumerate(divisor._coeffs) if d]
         for i in range(len(quotient)):
             coef = remainder[i]
             if coef == 0:
                 continue
-            factor = GF256.mul(coef, lead_inverse)
-            quotient[i] = factor
-            for j, d in enumerate(divisor._coeffs):
-                remainder[i + j] ^= GF256.mul(factor, d)
+            log_factor = (_LOG[coef] - log_lead) % GF256.order
+            quotient[i] = _EXP[log_factor]
+            for j, log_d in divisor_logs:
+                remainder[i + j] ^= _EXP[log_factor + log_d]
         tail = remainder[len(quotient):]
-        return GFPolynomial(quotient), GFPolynomial(tail or [0])
+        return (
+            GFPolynomial._of_field_elements(quotient),
+            GFPolynomial._of_field_elements(tail or [0]),
+        )
 
     def __mod__(self, divisor: "GFPolynomial") -> "GFPolynomial":
         return self.divmod(divisor)[1]
@@ -140,9 +157,12 @@ class GFPolynomial:
     def evaluate(self, point: int) -> int:
         """Evaluate at a field element using Horner's rule."""
         GF256._check(point, "evaluation point")
+        if point == 0:
+            return self._coeffs[-1]
+        log_point = _LOG[point]
         acc = 0
         for c in self._coeffs:
-            acc = GF256.mul(acc, point) ^ c
+            acc = (_EXP[_LOG[acc] + log_point] if acc else 0) ^ c
         return acc
 
     def derivative(self) -> "GFPolynomial":
@@ -153,7 +173,7 @@ class GFPolynomial:
         for power in range(self.degree, 0, -1):
             c = self.coefficient(power)
             out.append(c if power % 2 == 1 else 0)
-        return GFPolynomial(out or [0])
+        return GFPolynomial._of_field_elements(out or [0])
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -167,3 +187,11 @@ class GFPolynomial:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GFPolynomial({list(self._coeffs)})"
+
+
+def _strip(coeffs: List[int]) -> Tuple[int, ...]:
+    """Coefficients without leading zeros, keeping at least one."""
+    index = 0
+    while index < len(coeffs) - 1 and coeffs[index] == 0:
+        index += 1
+    return tuple(coeffs[index:]) or (0,)

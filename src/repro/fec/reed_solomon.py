@@ -7,7 +7,8 @@ bytes; it corrects up to ``t`` symbol errors, or any mix of ``e`` errors and
 supported by the standard zero-prefix construction.
 
 The decode path is the classical chain: syndromes -> erasure locator ->
-Berlekamp-Massey (errata-aware) -> Chien search -> Forney magnitudes.
+Forney syndromes -> Berlekamp-Massey -> Chien search -> Forney magnitudes
+-> residual-syndrome check.
 
 ColorBars dimensions the code from the inter-frame loss ratio (paper §5);
 :func:`rs_params_for_loss` implements that sizing rule.
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ReedSolomonError, UncorrectableBlockError
-from repro.fec.gf256 import GF256
+from repro.fec.gf256 import _EXP, _LOG, GF256
 from repro.fec.polynomial import GFPolynomial
 
 #: Log/antilog tables as numpy arrays for the vectorized syndrome pass.
@@ -149,6 +150,13 @@ class ReedSolomonCodec:
         self.num_parity = n - k
         self.t = self.num_parity // 2
         self._generator = self._build_generator(self.num_parity)
+        #: log X_p = n-1-p of each codeword position's error location.
+        self._location_logs = np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._location_logs.flags.writeable = False
+        #: (FIRST_ROOT + i) * log X_p: the syndrome exponent of a unit symbol.
+        roots = np.arange(self.FIRST_ROOT, self.FIRST_ROOT + self.num_parity)
+        self._syndrome_exponents = np.multiply.outer(roots, self._location_logs)
+        self._syndrome_exponents.flags.writeable = False
 
     @staticmethod
     def _build_generator(num_parity: int) -> GFPolynomial:
@@ -205,6 +213,12 @@ class ReedSolomonCodec:
             raise ReedSolomonError(
                 f"decode expects exactly n={self.n} bytes, got {len(received)}"
             )
+        if not isinstance(received, (bytes, bytearray)):
+            for symbol in received:
+                if not isinstance(symbol, int) or not 0 <= symbol < GF256.size:
+                    raise ReedSolomonError(
+                        f"received symbols must be ints in [0, 255], got {symbol!r}"
+                    )
         erasures = sorted(set(erasure_positions or ()))
         for pos in erasures:
             if not 0 <= pos < self.n:
@@ -242,38 +256,41 @@ class ReedSolomonCodec:
         return bytes(out)
 
     # -- decoder internals ---------------------------------------------------
+    #
+    # Inside the decoder, polynomials are plain lists indexed by power
+    # (lowest degree first) and field products are log/antilog lookups on
+    # module-level tables: every operand is a field element by construction,
+    # so no step re-validates one.  Evaluations at many points (syndromes,
+    # Chien search, Forney magnitudes) are one numpy table gather each.
 
-    def _syndromes(self, codeword: List[int]) -> List[int]:
+    def _syndromes(self, codeword: Sequence[int]) -> List[int]:
         # S_i = C(alpha^(FIRST_ROOT+i)).  Expanding Horner's rule, the term
         # for coefficient c_j of degree d_j contributes
         # exp(log c_j + d_j * (FIRST_ROOT + i)), and field addition is XOR —
         # one (num_parity, nonzero-terms) table gather per codeword instead
         # of num_parity Python Horner loops.
         coeffs = np.asarray(codeword, dtype=np.int64)
-        degrees = np.arange(len(codeword) - 1, -1, -1, dtype=np.int64)
-        nonzero = coeffs != 0
-        if not nonzero.any():
+        nonzero = np.flatnonzero(coeffs)
+        if nonzero.size == 0:
             return [0] * self.num_parity
-        logs = _LOG_TABLE[coeffs[nonzero]]
-        degrees = degrees[nonzero]
-        roots = np.arange(
-            self.FIRST_ROOT, self.FIRST_ROOT + self.num_parity, dtype=np.int64
-        )
-        exponents = (logs[np.newaxis, :] + degrees[np.newaxis, :] * roots[:, np.newaxis]) % GF256.order
-        terms = _EXP_TABLE[exponents]
-        return np.bitwise_xor.reduce(terms, axis=1).tolist()
+        exponents = self._syndrome_exponents[:, nonzero] + _LOG_TABLE[coeffs[nonzero]]
+        exponents %= GF256.order
+        return np.bitwise_xor.reduce(_EXP_TABLE[exponents], axis=1).tolist()
 
-    def _erasure_locator(self, erasures: Sequence[int]) -> GFPolynomial:
-        # Positions are indexed from the start of the codeword; the location
-        # exponent counts from the end (degree n-1 term is position 0).
-        locator = GFPolynomial.one()
+    def _erasure_locator(self, erasures: Sequence[int]) -> List[int]:
+        """Gamma(x) = prod (1 + X_p x) over the erasure locations X_p.
+
+        Positions are indexed from the start of the codeword; the location
+        exponent counts from the end (degree n-1 term is position 0).
+        """
+        locator = [1]
         for pos in erasures:
-            exponent = self.n - 1 - pos
-            locator = locator * GFPolynomial([GF256.exp(exponent), 1])
+            factor = [1, _EXP[self.n - 1 - pos]]
+            locator = _mul_mod_xn(locator, factor, len(locator) + 1)
         return locator
 
     def _forney_syndromes(
-        self, syndromes: List[int], erasure_locator: GFPolynomial, num_erasures: int
+        self, syndromes: List[int], erasure_locator: List[int], num_erasures: int
     ) -> List[int]:
         """Modified syndromes that see only the *errors*, not the erasures.
 
@@ -281,57 +298,80 @@ class ReedSolomonCodec:
         ``Xi = Gamma * S mod x^2t`` has coefficients ``Xi_f .. Xi_{2t-1}``
         forming a syndrome sequence for the unknown error positions alone.
         """
-        syndrome_poly = GFPolynomial(list(reversed(syndromes)) or [0])
-        xi = (erasure_locator * syndrome_poly) % GFPolynomial.monomial(
-            1, self.num_parity
-        )
-        return [xi.coefficient(j) for j in range(num_erasures, self.num_parity)]
+        return _mul_mod_xn(erasure_locator, syndromes, self.num_parity)[num_erasures:]
 
     @staticmethod
-    def _berlekamp_massey(sequence: List[int]) -> Tuple[GFPolynomial, int]:
+    def _berlekamp_massey(sequence: List[int]) -> Tuple[List[int], int]:
         """Textbook Berlekamp-Massey: shortest LFSR generating ``sequence``.
 
-        Returns the connection polynomial C(x) = 1 + C_1 x + ... and its
-        LFSR length L.
+        Returns the connection polynomial C(x) = 1 + C_1 x + ... (lowest
+        degree first, high zeros trimmed) and its LFSR length L.
         """
-        c = GFPolynomial.one()
-        b_poly = GFPolynomial.one()
+        exp, log = _EXP, _LOG
+        # deg C never exceeds the LFSR length, itself at most len(sequence),
+        # so fixed lists of this size never drop an x^m * B(x) term.
+        size = len(sequence) + 1
+        c = [1] + [0] * size
+        b_poly = [1] + [0] * size
         length = 0
         m = 1
         b = 1
         for n, s_n in enumerate(sequence):
             discrepancy = s_n
             for i in range(1, length + 1):
-                discrepancy ^= GF256.mul(c.coefficient(i), sequence[n - i])
+                c_i = c[i]
+                s_i = sequence[n - i]
+                if c_i and s_i:
+                    discrepancy ^= exp[log[c_i] + log[s_i]]
             if discrepancy == 0:
                 m += 1
-            elif 2 * length <= n:
-                previous_c = c
-                c = c + b_poly.scale(GF256.div(discrepancy, b)).shift(m)
+                continue
+            # c += (discrepancy / b) * x^m * b_poly
+            log_factor = (log[discrepancy] - log[b]) % GF256.order
+            previous_c = c[:] if 2 * length <= n else None
+            for j in range(size + 1 - m):
+                b_j = b_poly[j]
+                if b_j:
+                    c[j + m] ^= exp[log[b_j] + log_factor]
+            if previous_c is not None:
                 length = n + 1 - length
                 b_poly = previous_c
                 b = discrepancy
                 m = 1
             else:
-                c = c + b_poly.scale(GF256.div(discrepancy, b)).shift(m)
                 m += 1
-        return c, length
+        return _trim(c), length
 
-    def _chien_search(self, locator: GFPolynomial) -> List[int]:
+    def _chien_search(self, locator: List[int]) -> List[int]:
         """Return errata positions (indices into the codeword)."""
-        positions: List[int] = []
-        for position in range(self.n):
-            exponent = self.n - 1 - position
-            # X_i = alpha^exponent; roots of the locator are X_i^{-1}.
-            value = locator.evaluate(GF256.inverse(GF256.exp(exponent)))
-            if value == 0:
-                positions.append(position)
-        if len(positions) != locator.degree:
+        # X_p = alpha^(n-1-p); roots of the locator are X_p^{-1}.
+        values = self._evaluate_at_inverse_locations(locator)
+        positions = np.flatnonzero(values == 0).tolist()
+        degree = len(locator) - 1
+        if len(positions) != degree:
             raise UncorrectableBlockError(
                 f"Chien search found {len(positions)} roots for a locator of "
-                f"degree {locator.degree}; block is uncorrectable"
+                f"degree {degree}; block is uncorrectable"
             )
         return positions
+
+    def _evaluate_at_inverse_locations(
+        self, poly: List[int], positions: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """``poly(X_p^{-1})`` for each codeword position ``p`` (all by default).
+
+        Term ``c_j x^j`` at ``x = alpha^-(n-1-p)`` is
+        ``exp(log c_j - j (n-1-p))``: one table gather over
+        (positions, nonzero terms), XOR-reduced along the terms.
+        """
+        log_x = self._location_logs
+        if positions is not None:
+            log_x = log_x[np.asarray(positions, dtype=np.int64)]
+        coeffs = np.asarray(poly, dtype=np.int64)
+        powers = np.flatnonzero(coeffs)
+        exponents = _LOG_TABLE[coeffs[powers]] - np.multiply.outer(log_x, powers)
+        exponents %= GF256.order
+        return np.bitwise_xor.reduce(_EXP_TABLE[exponents], axis=1)
 
     def _correct(
         self,
@@ -349,27 +389,26 @@ class ReedSolomonCodec:
                 f"{lfsr_length} errors plus {len(erasures)} erasures exceed the "
                 f"capability of parity {self.num_parity}"
             )
-        locator = error_locator * erasure_locator
+        degree = len(error_locator) + len(erasure_locator) - 2
+        locator = _mul_mod_xn(error_locator, erasure_locator, degree + 1)
         positions = self._chien_search(locator)
 
         # Forney with first root b = 0: the error magnitude at location X_i is
         # X_i^(1-b) * Omega(X_i^-1) / Lambda'(X_i^-1) = X_i * Omega / Lambda'.
-        syndrome_poly = GFPolynomial(list(reversed(syndromes)) or [0])
-        omega = (syndrome_poly * locator) % GFPolynomial.monomial(1, self.num_parity)
-        derivative = locator.derivative()
-
-        for position in positions:
-            exponent = self.n - 1 - position
-            x_i = GF256.exp(exponent)
-            x_inverse = GF256.inverse(x_i)
-            denominator = derivative.evaluate(x_inverse)
-            if denominator == 0:
-                raise UncorrectableBlockError(
-                    "Forney denominator vanished; block is uncorrectable"
-                )
-            magnitude = GF256.mul(
-                x_i, GF256.div(omega.evaluate(x_inverse), denominator)
+        # The formal derivative keeps the odd-power terms (characteristic 2).
+        omega = _mul_mod_xn(syndromes, locator, self.num_parity)
+        derivative = [c if j % 2 == 1 else 0 for j, c in enumerate(locator)][1:]
+        denominators = self._evaluate_at_inverse_locations(derivative, positions)
+        if not denominators.all():
+            raise UncorrectableBlockError(
+                "Forney denominator vanished; block is uncorrectable"
             )
+        numerators = self._evaluate_at_inverse_locations(omega, positions)
+        log_x = self._location_logs[positions]
+        exponents = log_x + _LOG_TABLE[numerators] - _LOG_TABLE[denominators]
+        exponents %= GF256.order
+        magnitudes = np.where(numerators != 0, _EXP_TABLE[exponents], 0)
+        for position, magnitude in zip(positions, magnitudes.tolist()):
             codeword[position] ^= magnitude
 
         if any(s != 0 for s in self._syndromes(codeword)):
@@ -377,3 +416,24 @@ class ReedSolomonCodec:
                 "residual syndromes after correction; block is uncorrectable"
             )
         return codeword
+
+
+def _trim(poly: List[int]) -> List[int]:
+    """Drop zero high-degree coefficients, keeping at least one."""
+    end = len(poly)
+    while end > 1 and poly[end - 1] == 0:
+        end -= 1
+    return poly[:end]
+
+
+def _mul_mod_xn(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+    """``a * b mod x^n`` for lowest-degree-first coefficient lists."""
+    exp, log = _EXP, _LOG
+    out = [0] * n
+    for i, a_i in enumerate(a[:n]):
+        if a_i:
+            log_a = log[a_i]
+            for j, b_j in enumerate(b[: n - i]):
+                if b_j:
+                    out[i + j] ^= exp[log_a + log[b_j]]
+    return out

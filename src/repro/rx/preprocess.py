@@ -8,7 +8,10 @@ phone.
 Every step before the column mean is local to a scanline, so frames are
 converted in blocks of scanlines sized to keep float32 temporaries in
 cache (:data:`_BLOCK_ELEMENTS`); blocking, like batching frames, never
-changes a byte of the result.
+changes a byte of the result.  Each block is transposed to column-major
+order once, as 3-byte pixels, so the column mean is a reduction over the
+outermost axis: one vectorized add of whole ``(rows, 3)`` planes per
+column.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ def _read_only_f32(values: np.ndarray) -> np.ndarray:
 #: (``ratios = linear @ (M.T / white)``), and Lab's channel mixing
 #: (``L = 116 fy - 16`` etc.) is itself a matmul plus an offset.  The only
 #: per-pixel transcendental left is the CIELab cube root.  Scanline means
-#: are a float32 weighted contraction over the column axis; the result
-#: matches the reference ``xyz_to_lab(linear_rgb_to_xyz(srgb_to_linear``
-#: ``(...)))`` chain to float32 rounding (~1e-6 relative) — far below the
-#: ΔE = 2.3 decision scale.
+#: scale every value by the float32 ``1/cols`` and sum the columns in
+#: order, in float32; the result matches the reference
+#: ``xyz_to_lab(linear_rgb_to_xyz(srgb_to_linear(...)))`` chain to float32
+#: rounding (~1e-6 relative) — far below the ΔE = 2.3 decision scale.
 _SRGB_BYTE_TO_LINEAR_F32 = _read_only_f32(SRGB_BYTE_TO_LINEAR)
 _RGB_TO_XYZ_RATIOS_F32 = _read_only_f32(
     SRGB_TO_XYZ_MATRIX.T / ILLUMINANT_D65.XYZ[np.newaxis, :]
@@ -60,25 +63,40 @@ _LAB_TOE_OFFSET = 4.0 / 29.0
 #: blocking): a block is as many scanlines of one frame as fit the budget,
 #: so its float32 temporaries stay cache-sized whatever the frame geometry.
 _BLOCK_ELEMENTS = 150_000
+#: One pixel's three sRGB bytes as a single element, so a transpose moves
+#: whole pixels.
+_PIXEL_BYTES = np.dtype((np.void, 3))
 
 
-def _column_mean_lab_f(pixels: np.ndarray, col_weights: np.ndarray) -> np.ndarray:
+def _column_mean_lab_f(pixels: np.ndarray, inv_cols: np.float32) -> np.ndarray:
     """sRGB bytes ``(rows, cols, 3)`` -> column-mean Lab ``f(X/Xn)``.
 
-    Gamma decode by byte lookup, the fused RGB->XYZ/white matmul, the Lab
-    cube root with its linear toe, then the weighted column mean, giving
-    ``(rows, 3)`` ready for the Lab channel mixing.  Every step is local to
-    a scanline, so any row range converts independently.
+    Transposes the pixels to column-major ``(cols, rows, 3)``, then gamma
+    decode by byte lookup, the fused RGB->XYZ/white matmul, the Lab cube
+    root with its linear toe, scaling by ``inv_cols`` and a sum over the
+    columns, giving ``(rows, 3)`` ready for the Lab channel mixing.  Every
+    step is local to a scanline, so any row range converts independently.
+    The sum runs over the outer axis, adding the columns in order in
+    float32: the same sums as a column-wise weighted ``einsum``, byte for
+    byte, where BLAS's blocked matmul reductions are not.
     """
     rows, cols = pixels.shape[:2]
-    linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, pixels.reshape(-1, 3))
+    by_column = np.ascontiguousarray(
+        np.ascontiguousarray(pixels).view(_PIXEL_BYTES)[..., 0].T
+    )
+    # Indexing by intp skips np.take's per-call cast of uint8 indices.
+    codes = by_column.view(np.uint8).reshape(-1, 3).astype(np.intp)
+    linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, codes)
+    del codes
     ratios = linear @ _RGB_TO_XYZ_RATIOS_F32
-    f = np.cbrt(ratios)
+    # Temporaries are reused in place: fewer live blocks, fewer page faults.
+    f = np.cbrt(ratios, out=linear)
     toe = ratios <= _LAB_TOE_THRESHOLD
     ratios *= _LAB_TOE_SCALE
     ratios += _LAB_TOE_OFFSET
     np.copyto(f, ratios, where=toe)
-    return np.einsum("rck,c->rk", f.reshape(rows, cols, 3), col_weights)
+    f *= inv_cols
+    return np.add.reduce(f.reshape(cols, rows, 3), axis=0)
 
 
 def _scanlines_from_pixels(
@@ -89,8 +107,8 @@ def _scanlines_from_pixels(
     ``frame_pixels`` is a list of ``(rows, cols, 3)`` frames or one stacked
     ``(frames, rows, cols, 3)`` array.  The shared core of the single-frame
     and batched entry points: gamma decode by byte lookup, one fused
-    RGB->XYZ/white matmul, the Lab cube root, one Lab-mixing matmul, column
-    mean, box smooth.  Each frame is converted in blocks of scanlines
+    RGB->XYZ/white matmul, the Lab cube root, column mean, one Lab-mixing
+    matmul, box smooth.  Each frame is converted in blocks of scanlines
     holding at most :data:`_BLOCK_ELEMENTS` channel values, read as views of
     the frame, so a batched decode never stacks frames or holds a
     recording-wide index copy or linear image: its transient footprint is
@@ -101,7 +119,7 @@ def _scanlines_from_pixels(
     frames = len(frame_pixels)
     rows, cols = frame_pixels[0].shape[:2]
     f_rows = np.empty((frames, rows, 3))
-    col_weights = np.full(cols, 1.0 / cols, dtype=np.float32)
+    inv_cols = np.float32(1.0 / cols)
     # Every conversion step is row-local, so blocking cannot change a byte;
     # a block's temporaries die with the helper's frame, before the next
     # block's exist.
@@ -109,7 +127,7 @@ def _scanlines_from_pixels(
     for index, pixels in enumerate(frame_pixels):
         for lo in range(0, rows, block):
             hi = min(lo + block, rows)
-            f_rows[index, lo:hi] = _column_mean_lab_f(pixels[lo:hi], col_weights)
+            f_rows[index, lo:hi] = _column_mean_lab_f(pixels[lo:hi], inv_cols)
     # Lab's channel mixing is linear, so it commutes with the column mean:
     # mix the (rows, 3) means instead of every pixel.
     scanlines = f_rows @ _LAB_BASIS

@@ -92,6 +92,36 @@ class TestDecodeErrors:
         assert codec.decode(bytes(word)) == data
 
 
+class TestDecodeInputValidation:
+    """Symbols that are not ints in [0, 255] are rejected as a
+    ReedSolomonError before any decoding, never as a raw IndexError or a
+    spurious uncorrectable block."""
+
+    @pytest.mark.parametrize(
+        "bad", [300, 256, -1, 3.0, 7.9, "a", None], ids=repr
+    )
+    def test_bad_symbol_rejected(self, codec, bad):
+        word = list(codec.encode(bytes(40)))
+        word[17] = bad
+        with pytest.raises(ReedSolomonError, match="ints in \\[0, 255\\]") as info:
+            codec.decode(word)
+        assert type(info.value) is ReedSolomonError
+
+    @pytest.mark.parametrize("bad", [300, -1, 2.0])
+    def test_uniform_bad_word_rejected(self, codec, bad):
+        with pytest.raises(ReedSolomonError, match="ints in") as info:
+            codec.decode([bad] * 60)
+        assert type(info.value) is ReedSolomonError
+
+    def test_int_sequences_decode_like_bytes(self, codec):
+        data = bytes(range(40))
+        word = bytearray(codec.encode(data))
+        word[5] ^= 0x33
+        assert codec.decode(list(word)) == data
+        assert codec.decode(tuple(word)) == data
+        assert codec.decode(bytearray(word)) == data
+
+
 class TestDecodeErasures:
     def test_full_parity_of_erasures(self, codec):
         rng = np.random.default_rng(5)

@@ -159,3 +159,87 @@ class TestBatchedScanlines:
         pixel_bytes = sum(frame.pixels.nbytes for frame in long)
         growth = peak_bytes(long) - peak_bytes(short)
         assert growth <= pixel_bytes, (growth, pixel_bytes)
+
+
+def _einsum_oracle(pixels, smooth_rows=3):
+    """Scanline Lab by a column-wise float32 ``einsum`` over the whole frame.
+
+    The layout-independent reference for the column-major mean: gamma
+    decode, fused XYZ matmul, cube root and toe on the frame as given, then
+    ``einsum`` with ``1/cols`` weights, Lab mixing and the box smooth.
+    """
+    rows, cols = pixels.shape[:2]
+    linear = np.take(preprocess._SRGB_BYTE_TO_LINEAR_F32, pixels.reshape(-1, 3))
+    ratios = linear @ preprocess._RGB_TO_XYZ_RATIOS_F32
+    toe = ratios <= preprocess._LAB_TOE_THRESHOLD
+    f = np.where(
+        toe,
+        ratios * np.float32(preprocess._LAB_TOE_SCALE)
+        + np.float32(preprocess._LAB_TOE_OFFSET),
+        np.cbrt(ratios),
+    )
+    weights = np.full(cols, 1.0 / cols, dtype=np.float32)
+    means = np.einsum("rck,c->rk", f.reshape(rows, cols, 3), weights)
+    lab = means.astype(np.float64) @ preprocess._LAB_BASIS + preprocess._LAB_OFFSET
+    if smooth_rows > 1:
+        kernel = np.ones(smooth_rows) / smooth_rows
+        lab = np.stack(
+            [np.convolve(lab[:, k], kernel, mode="same") for k in range(3)], axis=1
+        )
+    return lab
+
+
+class TestColumnMajorLayout:
+    """The column-major mean is byte-identical to a column-wise ``einsum``
+    whatever the pixel layout, frame shape or row blocking."""
+
+    @staticmethod
+    def _frame(pixels):
+        return CapturedFrame(
+            index=0,
+            pixels=pixels,
+            start_time=0.0,
+            row_period=1e-5,
+            exposure=ExposureSettings(1e-4, 100),
+        )
+
+    @staticmethod
+    def _pixels(rows, cols, seed=5):
+        return np.random.default_rng(seed).integers(
+            0, 256, size=(rows, cols, 3), dtype=np.uint8
+        )
+
+    def _assert_matches_oracle(self, pixels, smooth_rows=3):
+        lab = frame_to_scanline_lab(self._frame(pixels), smooth_rows)
+        oracle = _einsum_oracle(np.ascontiguousarray(pixels), smooth_rows)
+        assert lab.dtype == np.float64
+        assert np.array_equal(lab, oracle)
+
+    def test_strided_column_view(self):
+        pixels = self._pixels(64, 24)[:, ::2]
+        assert not pixels.flags.c_contiguous
+        self._assert_matches_oracle(pixels)
+
+    def test_fortran_order(self):
+        pixels = np.asfortranarray(self._pixels(48, 17))
+        assert not pixels.flags.c_contiguous
+        self._assert_matches_oracle(pixels)
+
+    # A 1-row frame is decoded unsmoothed: the box filter needs at least
+    # ``smooth_rows`` scanlines.
+    @pytest.mark.parametrize(
+        "rows,cols,smooth_rows", [(1, 9, 1), (1, 1, 1), (30, 1, 3)]
+    )
+    def test_degenerate_frames(self, rows, cols, smooth_rows):
+        self._assert_matches_oracle(self._pixels(rows, cols), smooth_rows)
+
+    def test_rows_straddle_default_block(self):
+        cols = 32
+        block_rows = preprocess._BLOCK_ELEMENTS // (cols * 3)
+        self._assert_matches_oracle(self._pixels(2 * block_rows + 1, cols))
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 6])
+    def test_rows_straddle_patched_block(self, block_rows, monkeypatch):
+        cols = 48
+        monkeypatch.setattr(preprocess, "_BLOCK_ELEMENTS", block_rows * cols * 3 + 1)
+        self._assert_matches_oracle(self._pixels(31, cols))
