@@ -15,9 +15,8 @@ decides whether to keep or drop it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,8 +33,7 @@ class DecisionKind(Enum):
     OFF = "off"
 
 
-@dataclass(frozen=True)
-class SymbolDecision:
+class SymbolDecision(NamedTuple):
     """One demodulated band: its class, index (DATA only), and confidence.
 
     ``margin`` is the ΔE gap between the nearest and second-nearest
@@ -46,6 +44,9 @@ class SymbolDecision:
     lightness alone, never matched against the table) and for bootstrap
     decisions made before any calibration exists — an undefined margin is
     *not* a zero margin.
+
+    Built once per lit band, so it is an immutable
+    :class:`~typing.NamedTuple` rather than a frozen dataclass.
     """
 
     kind: DecisionKind
@@ -111,7 +112,8 @@ class CskDemodulator:
         for them — and an all-dark stream (gap-straddling frames, occlusion
         faults) short-circuits before touching the reference table at all.
         The remaining lit rows get one batched nearest-reference match and
-        one white-distance pass; decisions are materialized at the end.
+        one white-distance pass; decisions are materialized at the end,
+        straight from the ``tolist()`` columns (already Python numbers).
         """
         lab = np.asarray(lab, dtype=float)
         if lab.ndim != 2 or lab.shape[1] != 3:
@@ -154,10 +156,10 @@ class CskDemodulator:
         ):
             decisions[row] = SymbolDecision(
                 DecisionKind.WHITE if white else DecisionKind.DATA,
-                None if white else int(index),
-                float(dist),
-                bool(sure),
-                float(gap),
+                None if white else index,
+                dist,
+                sure,
+                gap,
             )
         return decisions
 

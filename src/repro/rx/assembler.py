@@ -15,8 +15,8 @@ and their erasure positions, plus calibration events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,16 +30,16 @@ from repro.packet.framing import (
 )
 from repro.packet.packetizer import Packetizer
 from repro.rx.detector import ReceivedBand
-from repro.util.bitstream import bits_to_bytes, int_to_bits
 from repro.util.validation import require_positive
 
 
-@dataclass(frozen=True)
-class StreamItem:
+class StreamItem(NamedTuple):
     """One element of the stitched symbol stream: a band or a loss marker.
 
     ``band`` is ``None`` for gap markers, in which case ``lost`` counts the
-    symbols the inter-frame gap swallowed at this position.
+    symbols the inter-frame gap swallowed at this position.  One per
+    received band, so an immutable :class:`~typing.NamedTuple` rather than
+    a frozen dataclass.
     """
 
     band: Optional[ReceivedBand]
@@ -48,9 +48,6 @@ class StreamItem:
     @property
     def is_gap(self) -> bool:
         return self.band is None
-
-    def char(self) -> str:
-        return "_" if self.is_gap else self.band.to_char()
 
 
 @dataclass
@@ -122,12 +119,18 @@ class PreambleScanner:
     (a partial prefix at end-of-stream is not a match), so the concatenated
     match list over any feed split equals the batch match list by
     construction.  Calibration is tried before data at every position,
-    mirroring the batch matcher's priority.
+    mirroring the batch matcher's priority.  Positions whose symbol starts
+    neither skeleton are skipped with ``str.find``: at those positions the
+    scan could only step past, so skipping them decides exactly the same.
     """
 
     def __init__(self, calibration: str, data: str) -> None:
         self.calibration = calibration
         self.data = data
+        #: Symbols a skeleton starts with.  A position holding any other
+        #: symbol can neither match nor be a proper prefix of a skeleton,
+        #: so the scan skips straight past it.
+        self._leads = tuple(sorted({calibration[:1], data[:1]}))
         #: Cursor: every position before it has been decided.
         self.position = 0
 
@@ -137,10 +140,23 @@ class PreambleScanner:
         remaining = len(chars) - position
         return remaining < len(pattern) and pattern.startswith(chars[position:])
 
+    def _next_lead(self, chars: str, position: int) -> int:
+        """First position at or after ``position`` holding a lead symbol.
+
+        Past the last lead symbol this is the end of ``chars`` (or
+        ``position`` itself, if that already lies beyond it).
+        """
+        found = [
+            index
+            for index in (chars.find(lead, position) for lead in self._leads)
+            if index >= 0
+        ]
+        return min(found, default=max(position, len(chars)))
+
     def scan(self, chars: str, final: bool) -> List[tuple]:
         """Advance the cursor, returning newly decided ``(start, kind)``."""
         matches: List[tuple] = []
-        position = self.position
+        position = self._next_lead(chars, self.position)
         while position < len(chars):
             if not final and (
                 self._could_complete(chars, position, self.calibration)
@@ -158,6 +174,7 @@ class PreambleScanner:
                 position += len(self.data)
             else:
                 position += 1
+            position = self._next_lead(chars, position)
         self.position = position
         return matches
 
@@ -205,27 +222,27 @@ class PacketAssembler:
         ``previous_band``.
         """
         period = 1.0 / self.symbol_rate
+        stats = self.stats
+        append = items.append
         for band in frame_bands:
             if previous_band is not None:
                 dt = band.mid_time - previous_band.mid_time
                 missing = int(round(dt / period)) - 1
                 if missing > 0:
-                    items.append(StreamItem(band=None, lost=missing))
-                    self.stats.symbols_lost_in_gaps += missing
-                    self.stats.gaps_inserted += 1
-                    self.stats.max_gap_symbols = max(
-                        self.stats.max_gap_symbols, missing
-                    )
-            items.append(StreamItem(band=band))
-            self.stats.symbols_consumed += 1
+                    append(StreamItem(None, missing))
+                    stats.symbols_lost_in_gaps += missing
+                    stats.gaps_inserted += 1
+                    stats.max_gap_symbols = max(stats.max_gap_symbols, missing)
+            append(StreamItem(band))
             previous_band = band
+        stats.symbols_consumed += len(frame_bands)
         return previous_band
 
     # -- preamble matching -------------------------------------------------
 
     @staticmethod
-    def _classify_char(item: StreamItem) -> str:
-        """'o' for a dark band, 'x' for any lit band, '_' for a gap.
+    def _classify_chars(items: Sequence[StreamItem]) -> str:
+        """'o' per dark band, 'x' per lit band, '_' per gap marker.
 
         Preambles are matched on the OFF-symbol *skeleton* only: the dark
         symbol is the one band class that is trivially reliable ("easily
@@ -234,11 +251,15 @@ class PacketAssembler:
         appears nowhere outside preambles, the skeleton alone identifies
         them with negligible false-positive probability.
         """
-        if item.is_gap:
-            return "_"
-        if item.band.decision.kind is DecisionKind.OFF:
-            return "o"
-        return "x"
+        off = DecisionKind.OFF
+        chars = []
+        for item in items:
+            band = item.band
+            if band is None:
+                chars.append("_")
+            else:
+                chars.append("o" if band.decision.kind is off else "x")
+        return "".join(chars)
 
     @staticmethod
     def _skeleton(pattern: str) -> str:
@@ -266,7 +287,7 @@ class PacketAssembler:
         header (size field) was damaged or whose advertised size is
         impossible are dropped, as the paper specifies.
         """
-        chars = "".join(self._classify_char(item) for item in items)
+        chars = self._classify_chars(items)
         matches = self._find_preambles(chars)
         self.stats.preambles_seen += len(matches)
 
@@ -407,19 +428,13 @@ class PacketAssembler:
             self.stats.data_packets_dropped_header += 1
             return None
 
-        bits: List[int] = []
-        for slot in size_slots:
-            bits.extend(
-                int_to_bits(
-                    self.packetizer.mapper.label_of_index(
-                        slot.band.decision.index
-                    ),
-                    self.packetizer.bits_per_symbol,
-                )
-            )
+        # The size field's labels, MSB-first, packed into one int.
+        bits_per_symbol = self.packetizer.bits_per_symbol
         codeword_bytes = 0
-        for bit in bits:
-            codeword_bytes = (codeword_bytes << 1) | bit
+        for slot in size_slots:
+            codeword_bytes = (
+                codeword_bytes << bits_per_symbol
+            ) | self.packetizer.mapper.label_of_index(slot.band.decision.index)
         if codeword_bytes == 0 or codeword_bytes > self.packetizer.max_codeword_bytes:
             self.stats.data_packets_dropped_size += 1
             return None
@@ -513,35 +528,43 @@ class PacketAssembler:
         layout: List[bool],
         codeword_bytes: int,
     ) -> tuple:
-        """Strip whites by layout; map data slots to bytes with erasures."""
+        """Strip whites by layout; map data slots to bytes with erasures.
+
+        The data slots' labels are packed MSB-first into one int and their
+        erased bits into a second, so ``to_bytes`` yields both the codeword
+        and a per-byte erasure mask.  Data bits beyond ``codeword_bytes``
+        are dropped; missing ones are zero bits, erased.
+        """
         bits_per_symbol = self.packetizer.bits_per_symbol
-        bits: List[int] = []
-        erased_bits: List[bool] = []
-        for slot_index, is_white in enumerate(layout):
-            value = slot_values[slot_index]
+        label_of_index = self.packetizer.mapper.label_of_index
+        all_erased = (1 << bits_per_symbol) - 1
+        value = 0
+        erased = 0
+        data_bits = 0
+        for is_white, slot in zip(layout, slot_values):
             if is_white:
                 # Illumination slot: discard whatever arrived here.
                 continue
-            if value is None or value == "w":
+            value <<= bits_per_symbol
+            erased <<= bits_per_symbol
+            data_bits += bits_per_symbol
+            if slot is None or slot == "w":
                 # Lost, corrupted, or misclassified-as-white data slot.
-                bits.extend([0] * bits_per_symbol)
-                erased_bits.extend([True] * bits_per_symbol)
+                erased |= all_erased
             else:
-                label = self.packetizer.mapper.label_of_index(int(value))
-                bits.extend(int_to_bits(label, bits_per_symbol))
-                erased_bits.extend([False] * bits_per_symbol)
+                value |= label_of_index(slot)
 
-        total_bits = codeword_bytes * 8
-        bits = bits[:total_bits] + [0] * max(0, total_bits - len(bits))
-        erased_bits = erased_bits[:total_bits] + [True] * max(
-            0, total_bits - len(erased_bits)
-        )
-        codeword = bits_to_bytes(bits)
-        erasures = sorted(
-            {
-                bit_index // 8
-                for bit_index, erased in enumerate(erased_bits)
-                if erased
-            }
-        )
+        spare_bits = codeword_bytes * 8 - data_bits
+        if spare_bits < 0:
+            value >>= -spare_bits
+            erased >>= -spare_bits
+        else:
+            value <<= spare_bits
+            erased = (erased << spare_bits) | ((1 << spare_bits) - 1)
+        codeword = value.to_bytes(codeword_bytes, "big")
+        erasures = [
+            position
+            for position, mask in enumerate(erased.to_bytes(codeword_bytes, "big"))
+            if mask
+        ]
         return codeword, erasures

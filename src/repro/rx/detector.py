@@ -10,8 +10,7 @@ Once calibrated, full constellation matching takes over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -25,9 +24,12 @@ from repro.exceptions import DemodulationError
 from repro.rx.segmentation import Band
 
 
-@dataclass(frozen=True)
-class ReceivedBand:
-    """A detected band tagged with its frame, timing and decision."""
+class ReceivedBand(NamedTuple):
+    """A detected band tagged with its frame, timing and decision.
+
+    One per received band, so an immutable :class:`~typing.NamedTuple`
+    rather than a frozen dataclass.
+    """
 
     frame_index: int
     band: Band
@@ -66,19 +68,13 @@ class SymbolDetector:
     def calibrated(self) -> bool:
         return self.demodulator.calibration.is_calibrated
 
-    def _bootstrap_decision(self, lab: np.ndarray) -> SymbolDecision:
-        lightness = float(lab[0])
-        chroma_mag = float(np.hypot(lab[1], lab[2]))
-        if lightness < self.demodulator.off_lightness:
-            return SymbolDecision(DecisionKind.OFF, None, 0.0, True)
-        if chroma_mag < self.bootstrap_white_chroma:
-            return SymbolDecision(DecisionKind.WHITE, None, chroma_mag, True)
-        # Unknown color: report as unconfident DATA with no index.  The
-        # assembler ignores data payloads until calibration anyway.
-        return SymbolDecision(DecisionKind.DATA, None, chroma_mag, False)
-
     def _bootstrap_stream(self, labs: np.ndarray) -> List[SymbolDecision]:
-        """Vectorized :meth:`_bootstrap_decision` over ``(N, 3)`` Lab rows."""
+        """Bootstrap decisions for ``(N, 3)`` Lab rows.
+
+        OFF by lightness, WHITE by low chroma magnitude, and any other
+        color an unconfident DATA decision with no index: the assembler
+        ignores data payloads until calibration anyway.
+        """
         lightness = labs[:, 0]
         chroma_mag = np.hypot(labs[:, 1], labs[:, 2])
         off = lightness < self.demodulator.off_lightness
@@ -90,7 +86,7 @@ class SymbolDetector:
                 DecisionKind.WHITE if is_white else DecisionKind.DATA,
                 None,
                 mag,
-                bool(is_white),
+                is_white,
             )
             for is_off, is_white, mag in zip(
                 off.tolist(), white.tolist(), chroma_mag.tolist()
@@ -105,25 +101,23 @@ class SymbolDetector:
         """Attach timing and symbol decisions to a frame's bands."""
         if not bands:
             return []
-        labs = np.stack([band.lab for band in bands])
+        labs = np.array([band.lab for band in bands])
         if self.calibrated:
             decisions = self.demodulator.decide_stream(labs)
         else:
             decisions = self._bootstrap_stream(labs)
-        centers = np.array([band.center_row for band in bands])
-        mid_times = (
-            frame.start_time
-            + centers * frame.row_period
-            + frame.exposure.exposure_s / 2.0
-        )
+        # Per-band timing in Python floats: the same operations, in the same
+        # order, as one float64 array expression over the band centres.
+        start_time = float(frame.start_time)
+        row_period = float(frame.row_period)
+        half_exposure = float(frame.exposure.exposure_s / 2.0)
+        frame_index = frame.index
         return [
             ReceivedBand(
-                frame_index=frame.index,
-                band=band,
-                mid_time=mid_time,
-                decision=decision,
+                frame_index,
+                band,
+                start_time + band.center_row * row_period + half_exposure,
+                decision,
             )
-            for band, mid_time, decision in zip(
-                bands, mid_times.tolist(), decisions
-            )
+            for band, decision in zip(bands, decisions)
         ]

@@ -114,10 +114,17 @@ def _scanlines_from_pixels(
     recording-wide index copy or linear image: its transient footprint is
     one block's, whatever the recording length.  Every step is elementwise,
     a per-row matmul, or a per-frame reduction/convolution, so batched and
-    per-frame calls are bitwise identical.
+    per-frame calls are bitwise identical.  Frames with fewer scanlines
+    than ``smooth_rows`` raise :class:`DemodulationError`.
     """
     frames = len(frame_pixels)
     rows, cols = frame_pixels[0].shape[:2]
+    if smooth_rows > 1 and rows < smooth_rows:
+        # A box filter longer than the frame has no "same"-length output.
+        raise DemodulationError(
+            f"frame has {rows} scanline(s), fewer than the "
+            f"smooth_rows={smooth_rows} box filter"
+        )
     f_rows = np.empty((frames, rows, 3))
     inv_cols = np.float32(1.0 / cols)
     # Every conversion step is row-local, so blocking cannot change a byte;

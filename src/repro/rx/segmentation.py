@@ -34,8 +34,7 @@ whose band pitch falls below it are rejected up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -46,13 +45,16 @@ from repro.util.validation import require, require_positive
 MIN_BAND_ROWS = 10
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """One detected color band.
 
     ``row_start``/``row_stop`` span the grid cell; ``core_start``/
     ``core_stop`` bound the pure plateau used for both the color estimate
     and the band's timing.
+
+    An immutable record a frame builds one of per band, so it is a
+    :class:`~typing.NamedTuple`: no per-instance ``__dict__`` and no
+    per-field ``object.__setattr__`` as a frozen dataclass has.
     """
 
     row_start: int
@@ -267,9 +269,13 @@ class BandSegmenter:
     ) -> List[Band]:
         """All central-coring bands of a frame in one batched pass.
 
-        Same trim arithmetic as :meth:`_make_band`'s central branch, with
-        the per-band core means computed from one cumulative sum over the
-        scanlines instead of one ``mean`` reduction per band.
+        A plain mean over each trimmed pure plateau.  Unlike the dispersion
+        search, the mean has no selection bias, so scanline-correlated
+        pipeline noise enters at its full 1/sqrt(plateau) floor — shrinking
+        plateaus (higher symbol rates) estimate worse.  The per-band core
+        means come from one cumulative sum over the scanlines, and the
+        bands are built from Python-int columns and the rows of the mean
+        array, so no band pays for numpy scalars.
         """
         rows = scanline_lab.shape[0]
         trim = ((hi - lo) * self.edge_trim_fraction).astype(int)
@@ -280,24 +286,21 @@ class BandSegmenter:
         core_stop = np.where(
             narrow, np.minimum(np.maximum(hi, core_start + 3), rows), core_stop
         )
-        sums = np.concatenate(
-            [np.zeros((1, 3)), np.cumsum(scanline_lab, axis=0)]
-        )
+        sums = np.zeros((rows + 1, 3))
+        np.cumsum(scanline_lab, axis=0, out=sums[1:])
         labs = (sums[core_stop] - sums[core_start]) / (
             (core_stop - core_start)[:, np.newaxis]
         )
-        return [
-            Band(
-                row_start=max(int(c_lo), 0),
-                row_stop=min(int(c_hi), rows),
-                core_start=int(start),
-                core_stop=int(stop),
-                lab=labs[index],
+        return list(
+            map(
+                Band,
+                np.maximum(cell_lo, 0).tolist(),
+                np.minimum(cell_hi, rows).tolist(),
+                core_start.tolist(),
+                core_stop.tolist(),
+                labs,
             )
-            for index, (c_lo, c_hi, start, stop) in enumerate(
-                zip(cell_lo, cell_hi, core_start, core_stop)
-            )
-        ]
+        )
 
     def _make_band(
         self,
@@ -307,38 +310,22 @@ class BandSegmenter:
         cell_lo: int,
         cell_hi: int,
     ) -> Band:
-        total_rows = scanline_lab.shape[0]
-        if self.coring == "min_variance":
-            rows = scanline_lab[plateau_lo:plateau_hi]
-            width = plateau_hi - plateau_lo
-            core_len = max(3, int(width * (1.0 - 2 * self.edge_trim_fraction)))
-            if core_len >= width:
-                offset, core = 0, rows
-            else:
-                offset, core = self._purest_window(rows, core_len)
-            # Median resists residual transition rows better than the mean.
-            lab = np.median(core, axis=0)
-            core_start = plateau_lo + offset
-            core_stop = core_start + core.shape[0]
+        """One ``min_variance`` band: median of the purest plateau window."""
+        rows = scanline_lab[plateau_lo:plateau_hi]
+        width = plateau_hi - plateau_lo
+        core_len = max(3, int(width * (1.0 - 2 * self.edge_trim_fraction)))
+        if core_len >= width:
+            offset, core = 0, rows
         else:
-            # Plain mean over the trimmed plateau.  Unlike the dispersion
-            # search, the mean has no selection bias, so scanline-correlated
-            # pipeline noise enters at its full 1/sqrt(plateau) floor —
-            # shrinking plateaus (higher symbol rates) estimate worse.
-            width = plateau_hi - plateau_lo
-            trim = int(width * self.edge_trim_fraction)
-            core_start = max(plateau_lo + trim, 0)
-            core_stop = min(plateau_hi - trim, total_rows)
-            if core_stop - core_start < 3:
-                core_start = max(plateau_lo, 0)
-                core_stop = min(max(plateau_hi, core_start + 3), total_rows)
-            core = scanline_lab[core_start:core_stop]
-            lab = core.mean(axis=0)
+            offset, core = self._purest_window(rows, core_len)
+        # Median resists residual transition rows better than the mean.
+        lab = np.median(core, axis=0)
+        core_start = plateau_lo + offset
         return Band(
             row_start=max(cell_lo, 0),
-            row_stop=min(cell_hi, total_rows),
+            row_stop=min(cell_hi, scanline_lab.shape[0]),
             core_start=core_start,
-            core_stop=core_stop,
+            core_stop=core_start + core.shape[0],
             lab=lab,
         )
 

@@ -184,9 +184,8 @@ class StreamingReceiver:
         self._previous_band = self._assembler.stitch_into(
             self._items, bands, self._previous_band
         )
-        self._chars += "".join(
-            self._assembler._classify_char(item)
-            for item in self._items[grown_from:]
+        self._chars += self._assembler._classify_chars(
+            self._items[grown_from:]
         )
         return self._drain(final=False)
 

@@ -16,6 +16,8 @@ from repro.core.system import make_receiver
 from repro.csk.calibration import CalibrationTable
 from repro.exceptions import DemodulationError
 from repro.link.simulator import LinkSimulator
+from repro.rx.preprocess import frame_to_scanline_lab
+from repro.rx.streaming import StreamingReceiver
 
 ROWS, COLS = 400, 8
 
@@ -108,3 +110,60 @@ class TestContainment:
         clean = simulator.run(duration_s=2.0)
         assert clean.report.frames_failed == 0
         assert clean.metrics.goodput_bps > 0
+
+
+def make_short_frame(index, rows):
+    rng = np.random.default_rng(index)
+    return CapturedFrame(
+        index=index,
+        pixels=rng.integers(10, 240, size=(rows, COLS, 3)).astype(np.uint8),
+        start_time=index / 30.0,
+        row_period=1e-4,
+        exposure=ExposureSettings(exposure_s=1e-3, iso=100.0),
+    )
+
+
+class TestFramesShorterThanSmoothing:
+    """1- and 2-row frames at the default ``smooth_rows=3`` fail as data."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_preprocess_raises_demodulation_error(self, rows):
+        with pytest.raises(DemodulationError) as excinfo:
+            frame_to_scanline_lab(make_short_frame(0, rows))
+        message = str(excinfo.value)
+        assert f"{rows} scanline" in message
+        assert "smooth_rows=3" in message
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_batch_records_preprocess_failure(self, receiver, rows):
+        frames = make_frames(4)
+        frames[2] = make_short_frame(2, rows)
+        report = receiver.process_frames(frames)
+        assert report.frames_processed == 4
+        assert [f.frame_index for f in report.frame_failures] == [2]
+        failure = report.frame_failures[0]
+        assert failure.stage == "preprocess"
+        assert failure.error_type == "DemodulationError"
+        assert "smooth_rows=3" in failure.message
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_batch_of_only_short_frames(self, receiver, rows):
+        frames = [make_short_frame(i, rows) for i in range(3)]
+        report = receiver.process_frames(frames)
+        assert report.frames_failed == 3
+        assert {f.stage for f in report.frame_failures} == {"preprocess"}
+        assert report.symbols_detected == 0
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_streaming_session_survives(self, receiver, rows):
+        streaming = StreamingReceiver(receiver)
+        frames = make_frames(3)
+        for frame in (frames[0], make_short_frame(1, rows), frames[2]):
+            streaming.feed(frame)
+        assert streaming.failures_contained == 1
+        assert streaming.last_contained_failure.stage == "preprocess"
+        streaming.finish()
+        report = streaming.report
+        assert report.frames_processed == 3
+        assert [f.frame_index for f in report.frame_failures] == [1]
+        assert report.frame_failures[0].error_type == "DemodulationError"
