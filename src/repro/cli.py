@@ -634,9 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--backend", default=None, metavar="NAME[:OPTS]",
-        help="distributed sweep backend: inprocess | pool[:workers=N] | "
-        "remote[:workers=N] (default: inprocess at one worker without "
-        "watchdog/chaos, else pool)",
+        help="distributed sweep backend: inprocess | pool[:workers=N] "
+        "(default: inprocess at one worker without watchdog/chaos, else pool)",
     )
     resilience(sweep_p, journal=True)
     observability(sweep_p)

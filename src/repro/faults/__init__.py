@@ -27,7 +27,6 @@ from repro.faults.chaos import (
     ProcessChaos,
     SlowCellChaos,
     WorkerCrashChaos,
-    WorkerPartitionChaos,
     make_chaos,
     parse_chaos_spec,
     parse_chaos_specs,
@@ -55,7 +54,6 @@ __all__ = [
     "ProcessChaos",
     "SlowCellChaos",
     "WorkerCrashChaos",
-    "WorkerPartitionChaos",
     "make_chaos",
     "parse_chaos_spec",
     "parse_chaos_specs",

@@ -130,31 +130,6 @@ class CellHangChaos(ProcessChaos):
         time.sleep(self.hang_s)
 
 
-class WorkerPartitionChaos(ProcessChaos):
-    """The worker's connection to its parent goes dark (a network partition).
-
-    Unlike ``worker-crash`` the process stays *alive*: its result channel
-    (stdout for remote stdio workers) is closed and the worker then sleeps
-    forever, which is what a severed link to a remote host looks like from
-    the parent's side — EOF with no exit.  The containing runtime must
-    detect the lost connection, kill the orphaned process itself, and
-    contain the in-flight cell; a pool worker partitioned this way keeps
-    its pipe to the parent (pools multiplex over dedicated queues), so the
-    injector degenerates to a permanent hang there and needs a watchdog to
-    clear, exactly like ``cell-hang``.
-    """
-
-    name = "worker-partition"
-
-    def _strike(self, cell_index: int, attempt: int) -> None:
-        try:
-            os.close(1)  # sever the result channel: the parent sees EOF
-        except OSError:
-            pass
-        while True:  # the process lingers, unreachable, until killed
-            time.sleep(3600.0)
-
-
 class SlowCellChaos(ProcessChaos):
     """The cell is delayed but completes: the watchdog must tolerate it.
 
@@ -186,7 +161,6 @@ CHAOS_REGISTRY: Dict[str, Type[ProcessChaos]] = {
         WorkerCrashChaos,
         CellHangChaos,
         SlowCellChaos,
-        WorkerPartitionChaos,
     )
 }
 

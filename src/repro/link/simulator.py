@@ -11,7 +11,7 @@ randomness from its own ``(seed, cell)`` tuple, so cells share no state.
 :class:`RunSpec` makes one cell a picklable value object, and :func:`sweep`
 accepts a ``runner`` — any callable mapping a spec list to the matching
 result list — so :func:`repro.perf.runtime.run_specs_resilient` can hand
-the grid to a sweep backend (``inprocess``, ``pool``, ``remote``) while
+the grid to a sweep backend (``inprocess`` or ``pool``) while
 staying bit-identical to this serial code path.
 """
 

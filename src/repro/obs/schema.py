@@ -88,7 +88,6 @@ M_ADAPT_RUNG = "colorbars.adapt.rung"
 M_ADAPT_MARGIN = "colorbars.adapt.margin_delta_e"
 M_ADAPT_QUARANTINES_AVERTED = "colorbars.adapt.quarantines_averted"
 M_BACKEND_CELLS = "colorbars.backend.cells"
-M_BACKEND_WORKER_RESTARTS = "colorbars.backend.worker_restarts"
 M_BACKEND_MERGED_CELLS = "colorbars.backend.merged_cells"
 
 
@@ -372,12 +371,6 @@ METRICS: Tuple[MetricEntry, ...] = (
         M_BACKEND_CELLS, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Cells executed through the sweep backend (excludes cells spliced "
         "from a resume journal).",
-    ),
-    MetricEntry(
-        M_BACKEND_WORKER_RESTARTS, KIND_COUNTER, "workers",
-        "repro.perf.backends.driver",
-        "Remote workers the backend killed and respawned after a crash, "
-        "partition, or watchdog timeout.",
     ),
     MetricEntry(
         M_BACKEND_MERGED_CELLS, KIND_COUNTER, "cells",

@@ -7,8 +7,8 @@ sharding, resume, journal merge, and observability — so every backend,
 including third-party ones (see ``docs/BACKENDS.md``), inherits the
 same byte-identical sweep semantics.
 
-Importing this package registers the three built-in backends
-(``inprocess``, ``pool``, ``remote``) with
+Importing this package registers the two built-in backends
+(``inprocess``, ``pool``) with
 :func:`~repro.perf.backends.base.make_backend`.
 """
 
@@ -33,7 +33,6 @@ from repro.perf.backends.driver import (
 )
 from repro.perf.backends.inprocess import InProcessBackend
 from repro.perf.backends.pool import PoolBackend
-from repro.perf.backends.remote import RemoteBackend
 
 __all__ = [
     "BACKEND_REGISTRY",
@@ -41,7 +40,6 @@ __all__ = [
     "InProcessBackend",
     "MergeReport",
     "PoolBackend",
-    "RemoteBackend",
     "Shard",
     "ShardCell",
     "SweepBackend",

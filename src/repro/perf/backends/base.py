@@ -4,16 +4,13 @@ A :class:`SweepBackend` is the execution engine behind a distributed sweep:
 the driver (:mod:`repro.perf.backends.driver`) shards a sweep's pending
 cells across the backend's parallel lanes, submits each shard, drains the
 per-cell outcomes, and merges the shard journals back into one sweep
-journal.  Three implementations ship with the repo —
+journal.  Two implementations ship with the repo —
 
 * ``inprocess`` (:mod:`repro.perf.backends.inprocess`) — serial, in the
   caller's process: the *reference* every other backend must match
   byte-for-byte;
 * ``pool`` (:mod:`repro.perf.backends.pool`) — a supervised process
-  pool on one host (watchdog, crash containment, retry);
-* ``remote`` (:mod:`repro.perf.backends.remote`) — subprocess workers
-  spoken to over a length-prefixed stdio protocol, the stand-in for
-  workers on other hosts (tests and CI run them on localhost).
+  pool on one host (watchdog, crash containment, retry).
 
 The full backend-author contract — lifecycle, journal semantics, the
 failure taxonomy, and how to prove byte-identity against ``inprocess`` —
@@ -114,8 +111,6 @@ class SweepBackend:
         self.policy = policy if policy is not None else RuntimePolicy()
         self.lanes = int(lanes)
         self.observe = bool(observe)
-        #: Remote workers killed and respawned during drains (metrics).
-        self.worker_restarts = 0
         #: Retry attempts consumed across all drained cells (metrics).
         self.cells_retried = 0
         self._pending: List[Shard] = []
@@ -221,7 +216,7 @@ def parse_backend_spec(spec: str) -> Tuple[str, Dict[str, str]]:
 
     The grammar of every ``--backend`` flag: a registered backend name,
     optionally followed by comma-separated ``key=value`` options (e.g.
-    ``remote:workers=2``).  Option validation is the backend's job;
+    ``pool:workers=2``).  Option validation is the backend's job;
     this only enforces the shape.
     """
     if not isinstance(spec, str) or not spec.strip():
@@ -250,7 +245,7 @@ def make_backend(
     """Instantiate a registered backend from a ``NAME[:OPTS]`` spec.
 
     ``workers`` is the default lane count for backends that take one
-    (``pool``/``remote``); an explicit ``workers=`` in the spec's options
+    (``pool``); an explicit ``workers=`` in the spec's options
     wins over it.  ``inprocess`` accepts no options.
     """
     name, options = parse_backend_spec(spec)

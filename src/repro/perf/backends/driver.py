@@ -33,7 +33,6 @@ from repro.link.simulator import LinkResult, RunSpec
 from repro.obs.schema import (
     M_BACKEND_CELLS,
     M_BACKEND_MERGED_CELLS,
-    M_BACKEND_WORKER_RESTARTS,
     M_CELLS_COMPLETED,
     M_CELLS_FAILED,
     M_CELLS_RESUMED,
@@ -245,7 +244,6 @@ def run_specs_sharded(
 
     shard_of: List[Optional[int]] = [None] * len(specs)
     retried_before = backend.cells_retried
-    restarts_before = backend.worker_restarts
     if pending:
         shards = make_shards(
             pending,
@@ -295,9 +293,6 @@ def run_specs_sharded(
             workers=max(1, min(backend.lanes, len(specs))),
         )
         metrics.counter(M_BACKEND_CELLS).inc(len(pending))
-        metrics.counter(M_BACKEND_WORKER_RESTARTS).inc(
-            backend.worker_restarts - restarts_before
-        )
         metrics.counter(M_BACKEND_MERGED_CELLS).inc(merged_cells)
     return outcome
 

@@ -2,8 +2,8 @@
 
 Cells run one shard at a time, one cell at a time, in the caller's own
 process — no pool, no workers, no scheduling freedom — so its result
-table *defines* correct output for the sweep.  ``pool`` and ``remote``
-(and any third-party backend; see ``docs/BACKENDS.md``) are proven by
+table *defines* correct output for the sweep.  ``pool`` (and any
+third-party backend; see ``docs/BACKENDS.md``) is proven by
 byte-comparing against this one.
 
 Because there is no process boundary, this backend cannot enforce a
@@ -43,8 +43,8 @@ class InProcessBackend(SweepBackend):
         if self.policy.needs_isolation():
             raise ConfigurationError(
                 "the inprocess backend cannot enforce a watchdog or host "
-                "process chaos (no process boundary); use the pool or "
-                "remote backend for policies that need isolation"
+                "process chaos (no process boundary); use the pool "
+                "backend for policies that need isolation"
             )
 
     def _drain(self, shards: List[Shard]) -> List[CellOutcome]:

@@ -6,7 +6,9 @@ containment, innocent-pool-mate resubmission and seed-stable retry:
 * cells from *all* submitted shards feed one pool, dispatched in spec
   order, so lanes stay busy even when shards are unevenly sized;
 * each completed cell is appended to its own shard's journal as it
-  finishes.
+  finishes;
+* every worker exits on its own once the driver that forked it is gone,
+  so a killed sweep leaves no orphans behind.
 
 This is also the engine :func:`repro.perf.runtime.run_specs_resilient`
 picks whenever a sweep needs more than one worker, a watchdog, or chaos.
@@ -14,6 +16,8 @@ picks whenever a sweep needs more than one worker, a watchdog, or chaos.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
@@ -42,6 +46,9 @@ from repro.perf.runtime import (
 
 #: Poll interval of the supervision loop, seconds.
 _TICK_S = 0.1
+
+#: How often a pool worker checks that its driver is still alive, seconds.
+_DRIVER_POLL_S = 0.5
 
 
 @dataclass
@@ -79,6 +86,25 @@ def _execute_cell(
         injector.before_cell(cell_index=index, attempt=attempt)
     result = spec.execute(planner=_process_cache(), observe=observe)
     return _annotate_trace(result, index, attempt)
+
+
+def _exit_with_driver(driver_pid: int) -> None:
+    """Pool-worker initializer: hard-exit once the driver process is gone.
+
+    A killed driver closes none of the pool's pipes, and forked workers
+    hold each other's pipe ends, so an orphaned worker blocked on one would
+    never see EOF.  A daemon thread polls the parent pid instead; the worker
+    is reparented the moment the driver dies.
+    """
+
+    def watch() -> None:
+        while os.getppid() == driver_pid:
+            time.sleep(_DRIVER_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="colorbars-driver-watch", daemon=True
+    ).start()
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
@@ -156,7 +182,11 @@ def _run_isolated(
             now = time.monotonic()
             if pool is None and any(c.ready_at <= now for c in pending):
                 pool_width = max(1, min(workers, len(pending)))
-                pool = ProcessPoolExecutor(max_workers=pool_width)
+                pool = ProcessPoolExecutor(
+                    max_workers=pool_width,
+                    initializer=_exit_with_driver,
+                    initargs=(os.getpid(),),
+                )
             while pool is not None and len(active) < pool_width:
                 cell = next((c for c in pending if c.ready_at <= now), None)
                 if cell is None:

@@ -51,7 +51,6 @@ DETERMINISTIC_LAYERS = frozenset(
         "rx",
         "core",
         "link",
-        "analysis",
         "baselines",
         "perf",
         "serve",

@@ -6,7 +6,7 @@ architecture is a strict bottom-up chain through the optical pipeline::
 
     exceptions -> util -> color -> phy -> {csk, fec, camera}
         -> {packet, flicker, video, faults} -> rx -> core -> link
-        -> {analysis, baselines, perf, serve}
+        -> {baselines, perf, serve}
 
 (``faults`` sits between ``camera`` and ``link``: injectors transform
 captured frames, and only the link layer composes them into runs;
@@ -55,7 +55,6 @@ LAYER_DEPS: Dict[str, FrozenSet[str]] = {
     "rx": frozenset({"video", "packet", "fec", "obs"}),
     "core": frozenset({"rx", "flicker"}),
     "link": frozenset({"core", "faults", "obs"}),
-    "analysis": frozenset({"link"}),
     "baselines": frozenset({"rx"}),
     "perf": frozenset({"link", "obs"}),
     "serve": frozenset({"link"}),

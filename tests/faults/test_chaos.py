@@ -20,7 +20,6 @@ class TestRegistry:
             "worker-crash",
             "cell-hang",
             "slow-cell",
-            "worker-partition",
         }
 
     def test_make_chaos_by_name(self):

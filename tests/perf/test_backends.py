@@ -11,6 +11,7 @@ import base64
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -22,12 +23,10 @@ from tests.conftest import make_tiny_device
 
 from repro.core.config import SystemConfig
 from repro.exceptions import BackendError, ConfigurationError, JournalError
-from repro.faults.chaos import WorkerCrashChaos, WorkerPartitionChaos
 from repro.link.simulator import RunSpec
 from repro.perf.backends import (
     BACKEND_REGISTRY,
     InProcessBackend,
-    RemoteBackend,
     Shard,
     ShardCell,
     SweepBackend,
@@ -87,14 +86,14 @@ def _cells(specs):
 
 class TestRegistryAndSpec:
     def test_shipped_backends_registered(self):
-        assert {"inprocess", "pool", "remote"} <= set(BACKEND_REGISTRY)
+        assert {"inprocess", "pool"} <= set(BACKEND_REGISTRY)
 
     def test_parse_plain_name(self):
         assert parse_backend_spec("pool") == ("pool", {})
 
     def test_parse_options(self):
-        name, options = parse_backend_spec("remote:workers=2,x=y")
-        assert name == "remote"
+        name, options = parse_backend_spec("pool:workers=2,x=y")
+        assert name == "pool"
         assert options == {"workers": "2", "x": "y"}
 
     @pytest.mark.parametrize("bad", ["", "   ", "pool:workers", "pool:=2", "pool:a="])
@@ -204,7 +203,7 @@ class TestByteIdentity:
         assert not outcome.failures
         return [_signature(r) for r in outcome.results]
 
-    @pytest.mark.parametrize("spec", ["pool:workers=2", "remote:workers=2"])
+    @pytest.mark.parametrize("spec", ["pool:workers=2"])
     def test_backend_matches_reference(self, spec, tiny_device, reference):
         with make_backend(spec) as backend:
             outcome = run_specs_sharded(_specs(tiny_device), backend)
@@ -377,70 +376,23 @@ class TestDrainContract:
         assert failure.index == 0
 
 
-class TestRemoteResilience:
-    @staticmethod
-    def _transient_crash(cell=0):
-        # A chaos whose attempt-1 draw deterministically triggers and
-        # whose attempt-2 draw deterministically survives for ``cell``
-        # (same probing trick as the runtime retry tests).
-        for chaos_seed in range(64):
-            probe = WorkerCrashChaos(0.5, seed=chaos_seed)
-            first, second = probe.trigger_draw(cell, 1), probe.trigger_draw(cell, 2)
-            if first < second:
-                return WorkerCrashChaos((first + second) / 2, seed=chaos_seed)
-        raise AssertionError("no transient chaos seed found")
-
-    def test_worker_crash_is_retried(self, tiny_device):
-        chaos = self._transient_crash(cell=0)
-        policy = RuntimePolicy(
-            max_attempts=2, backoff_base_s=0.0, chaos=(chaos,)
-        )
-        with RemoteBackend(policy=policy, workers=1) as backend:
-            outcome = run_specs_sharded([_spec(tiny_device)], backend)
-            assert backend.worker_restarts >= 1
-            assert backend.cells_retried >= 1
-        assert not outcome.failures
-        reference = _spec(tiny_device).execute()
-        assert _signature(outcome.results[0]) == _signature(reference)
-
-    def test_partitioned_worker_is_killed_and_contained(self, tiny_device):
-        policy = RuntimePolicy(
-            cell_timeout_s=60.0,
-            max_attempts=2,
-            backoff_base_s=0.0,
-            chaos=(WorkerPartitionChaos(1.0, seed=5),),
-        )
-        with RemoteBackend(policy=policy, workers=1) as backend:
-            outcome = run_specs_sharded([_spec(tiny_device)], backend)
-            assert backend.worker_restarts >= 1
-        causes = {f.cause for f in outcome.failures}
-        if outcome.failures:
-            assert causes <= {"crash", "timeout"}
-        else:
-            assert backend.cells_retried >= 1
-
-    def test_exhausted_attempts_become_crash_failures(self, tiny_device):
-        policy = RuntimePolicy(
-            max_attempts=1, chaos=(WorkerCrashChaos(1.0, seed=5),)
-        )
-        with RemoteBackend(policy=policy, workers=1) as backend:
-            outcome = run_specs_sharded([_spec(tiny_device)], backend)
-        assert len(outcome.failures) == 1
-        assert outcome.failures[0].cause == "crash"
-        assert outcome.failures[0].attempts == 1
-
-
 class TestKilledSweepResume:
     def test_mid_sweep_kill_then_resume_is_byte_identical(
         self, tiny_device, tmp_path
     ):
-        """SIGKILL a remote sweep mid-flight; --resume splices the shards."""
+        """SIGKILL a pool sweep's driver mid-flight; no worker outlives it.
+
+        The driver runs in its own session, so its process group holds it
+        and every pool worker it forked; only the driver is killed, and the
+        whole group must then drain by itself.  ``--resume`` splices the
+        shard journals into the identical table.
+        """
         journal = tmp_path / "sweep.jsonl"
         driver = (
             "import pickle, sys\n"
             "from repro.perf.backends import make_backend, run_specs_sharded\n"
             "specs = pickle.load(open(sys.argv[1], 'rb'))\n"
-            "with make_backend('remote:workers=2') as backend:\n"
+            "with make_backend('pool:workers=2') as backend:\n"
             "    run_specs_sharded(specs, backend, journal=sys.argv[2])\n"
         )
         specs = _specs(tiny_device, count=4)
@@ -459,6 +411,7 @@ class TestKilledSweepResume:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         deadline = time.monotonic() + 120.0
         try:
@@ -470,7 +423,23 @@ class TestKilledSweepResume:
                 if proc.poll() is not None:
                     break
                 time.sleep(0.05)
+            proc.kill()
+            proc.wait()
+            survivors_deadline = time.monotonic() + 20.0
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < survivors_deadline, (
+                    "pool workers outlived their killed driver"
+                )
+                time.sleep(0.1)
         finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             proc.kill()
             proc.wait()
         checkpointed = sum(

@@ -10,7 +10,7 @@ from repro.faults import make_injector
 from repro.faults.chaos import CellHangChaos, SlowCellChaos, WorkerCrashChaos
 from repro.link.simulator import RunSpec
 from repro.obs import MetricsRegistry
-from repro.obs.schema import M_SWEEP_WORKERS
+from repro.obs.schema import M_CELLS_RETRIED, M_SWEEP_WORKERS
 from repro.perf.executor import make_runner, run_specs
 from repro.perf.runtime import (
     CELL_TIMEOUT_ENV,
@@ -198,14 +198,17 @@ class TestCrashContainment:
 
         specs = [_spec(tiny_device, seed=6)]
         baseline = run_specs(specs, workers=1)
+        registry = MetricsRegistry()
         outcome = run_specs_resilient(
             specs,
             workers=1,
             policy=RuntimePolicy(
                 max_attempts=2, backoff_base_s=0.0, chaos=(chaos,)
             ),
+            metrics=registry,
         )
         assert not outcome.degraded
+        assert registry.export()["counters"][M_CELLS_RETRIED] >= 1
         _assert_results_identical(baseline, outcome.results)
 
 

@@ -76,7 +76,7 @@ class TestDag:
         # the repo-wide gate (test_lint_clean) enforces the converse.
         assert is_import_allowed("rx", "fec")
         assert is_import_allowed("baselines", "rx")
-        assert is_import_allowed("analysis", "link")
+        assert is_import_allowed("serve", "link")
         assert is_import_allowed("video", "camera")
         assert is_import_allowed("flicker", "csk")
         assert is_import_allowed("perf", "link")
@@ -88,7 +88,7 @@ class TestDag:
         assert is_import_allowed("perf", "link")
         assert is_import_allowed("perf", "core")  # transitive, via link
         assert not is_import_allowed("link", "perf")
-        assert not is_import_allowed("analysis", "perf")
+        assert not is_import_allowed("serve", "perf")
         assert not is_import_allowed("perf", "tooling")
 
 
