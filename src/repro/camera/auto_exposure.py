@@ -12,6 +12,7 @@ random drift so consecutive frames are never parameter-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -28,10 +29,12 @@ class ExposureSettings:
     iso: float
 
     def __post_init__(self) -> None:
-        if self.exposure_s <= 0:
-            raise CameraError(f"exposure_s must be positive, got {self.exposure_s}")
-        if self.iso <= 0:
-            raise CameraError(f"iso must be positive, got {self.iso}")
+        if not (math.isfinite(self.exposure_s) and self.exposure_s > 0):
+            raise CameraError(
+                f"exposure_s must be positive and finite, got {self.exposure_s}"
+            )
+        if not (math.isfinite(self.iso) and self.iso > 0):
+            raise CameraError(f"iso must be positive and finite, got {self.iso}")
 
     def gain(self, reference_iso: float = 100.0) -> float:
         """Combined radiometric gain relative to 1 s at the reference ISO."""

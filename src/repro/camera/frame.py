@@ -9,6 +9,7 @@ inter-frame gap swallowed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,14 @@ class CapturedFrame:
             )
         if pixels.dtype != np.uint8:
             raise CameraError(f"pixels must be uint8, got {pixels.dtype}")
-        if self.row_period <= 0:
-            raise CameraError(f"row_period must be positive, got {self.row_period}")
+        if pixels.shape[1] == 0:
+            raise CameraError("a frame needs at least one column")
+        if not math.isfinite(self.start_time):
+            raise CameraError(f"start_time must be finite, got {self.start_time}")
+        if not (math.isfinite(self.row_period) and self.row_period > 0):
+            raise CameraError(
+                f"row_period must be positive and finite, got {self.row_period}"
+            )
         object.__setattr__(self, "pixels", pixels)
 
     @property

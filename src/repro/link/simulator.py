@@ -35,8 +35,6 @@ from repro.link.channel import ChannelConditions
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.schema import (
     M_FAULTS_INJECTED,
-    M_PLAN_CACHE_HITS,
-    M_PLAN_CACHE_MISSES,
     M_RUN_WALL_SECONDS,
     M_RUNS_COMPLETED,
     SPAN_CELL,
@@ -53,13 +51,6 @@ from repro.phy.waveform import EXTEND_CYCLE, OpticalWaveform
 from repro.rx.receiver import ReceiverReport
 from repro.util.rng import derive_rng, make_rng
 from repro.util.validation import require_positive
-
-#: A planner maps ``(config, payload)`` to a ready transmission plan and its
-#: optical waveform.  ``None`` builds both from scratch; the memoizing
-#: implementation lives in :class:`repro.perf.cache.PlanCache` (injected, so
-#: the link layer never imports the perf layer).
-Planner = Callable[[SystemConfig, bytes], Tuple[TransmissionPlan, OpticalWaveform]]
-
 
 @dataclass
 class LinkResult:
@@ -125,13 +116,7 @@ class LinkResult:
 
 
 class LinkSimulator:
-    """Reproducible transmitter-camera-receiver runs for one device.
-
-    ``planner`` optionally replaces the in-run transmitter-plan/waveform
-    construction (see :data:`Planner`); because plan building is fully
-    deterministic in ``(config, payload)``, a memoizing planner cannot
-    change any run outcome, only skip redundant work.
-    """
+    """Reproducible transmitter-camera-receiver runs for one device."""
 
     def __init__(
         self,
@@ -141,7 +126,6 @@ class LinkSimulator:
         simulated_columns: int = 48,
         seed=0,
         faults: Optional[Sequence[FaultInjector]] = None,
-        planner: Optional[Planner] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -153,7 +137,6 @@ class LinkSimulator:
         #: Fault injectors applied, in order, to each recording before the
         #: receiver sees it (see :mod:`repro.faults`).
         self.faults = tuple(faults or ())
-        self.planner = planner
         #: Injected observability (see :mod:`repro.obs`): span durations are
         #: the stage timings, and the no-op defaults keep the hot path clean.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -231,7 +214,13 @@ class LinkSimulator:
         if payload is None:
             payload = text_payload(3 * self.config.rs_params().k, seed=self.seed)
         with self.tracer.span(SPAN_TX_PLAN) as span:
-            plan, waveform = self._plan_and_waveform(payload, span)
+            transmitter = ColorBarsTransmitter(self.config)
+            plan = transmitter.plan(payload)
+            with self.tracer.span(SPAN_WAVEFORM) as wave_span:
+                waveform = transmitter.waveform(plan, extend=EXTEND_CYCLE)
+                wave_span.set("symbols", waveform.num_symbols)
+            span.set("symbols", len(plan.symbols))
+            span.set("codewords", len(plan.codewords))
         profile = DeviceProfile(
             name=self.device.name,
             timing=self.device.timing,
@@ -260,37 +249,6 @@ class LinkSimulator:
             for key, value in schedule.span_attributes().items():
                 span.set(key, value)
         return plan, waveform, frames, schedule
-
-    def _plan_and_waveform(
-        self, payload: bytes, span
-    ) -> Tuple[TransmissionPlan, OpticalWaveform]:
-        """Build (or fetch via the injected planner) the broadcast cycle.
-
-        ``span`` is the enclosing ``tx-plan`` span.  A planner's cache
-        outcome is recorded as an *attribute* only (``cache_hit``) — span
-        structure must stay a pure function of the spec, and cache state
-        differs between serial and per-worker caches.  The ``waveform``
-        child span exists only on the build-from-scratch path, which is
-        itself deterministic in whether a planner was injected.
-        """
-        if self.planner is not None:
-            plan, waveform = self.planner(self.config, payload)
-            last_hit = getattr(self.planner, "last_hit", None)
-            if last_hit is not None:
-                span.set("cache_hit", bool(last_hit))
-                name = M_PLAN_CACHE_HITS if last_hit else M_PLAN_CACHE_MISSES
-                self.metrics.counter(name).inc()
-            span.set("symbols", len(plan.symbols))
-            span.set("codewords", len(plan.codewords))
-            return plan, waveform
-        transmitter = ColorBarsTransmitter(self.config)
-        plan = transmitter.plan(payload)
-        with self.tracer.span(SPAN_WAVEFORM) as wave_span:
-            waveform = transmitter.waveform(plan, extend=EXTEND_CYCLE)
-            wave_span.set("symbols", waveform.num_symbols)
-        span.set("symbols", len(plan.symbols))
-        span.set("codewords", len(plan.codewords))
-        return plan, waveform
 
     def _inject_faults(self, frames) -> tuple:
         """Run every configured injector over the recording, in order.
@@ -330,10 +288,8 @@ class RunSpec:
     payload: Optional[bytes] = None
     duration_s: float = 2.0
 
-    def execute(
-        self, planner: Optional[Planner] = None, observe: bool = False
-    ) -> LinkResult:
-        """Run this cell (optionally with a shared memoizing planner).
+    def execute(self, observe: bool = False) -> LinkResult:
+        """Run this cell.
 
         ``observe=True`` records the run into a cell-local tracer and
         metrics registry and attaches both to the result (``trace``,
@@ -351,7 +307,6 @@ class RunSpec:
             simulated_columns=self.simulated_columns,
             seed=self.seed,
             faults=self.faults,
-            planner=planner,
             tracer=tracer,
             metrics=registry,
         )

@@ -63,8 +63,6 @@ M_PACKETS_DECODED = "colorbars.packets.decoded"
 M_PACKETS_FAILED_FEC = "colorbars.packets.failed_fec"
 M_CALIBRATION_UPDATES = "colorbars.calibration.updates"
 M_CALIBRATION_REJECTED = "colorbars.calibration.rejected"
-M_PLAN_CACHE_HITS = "colorbars.plan_cache.hits"
-M_PLAN_CACHE_MISSES = "colorbars.plan_cache.misses"
 M_CELLS_COMPLETED = "colorbars.cells.completed"
 M_CELLS_FAILED = "colorbars.cells.failed"
 M_CELLS_RETRIED = "colorbars.cells.retried"
@@ -88,7 +86,6 @@ M_ADAPT_RUNG = "colorbars.adapt.rung"
 M_ADAPT_MARGIN = "colorbars.adapt.margin_delta_e"
 M_ADAPT_QUARANTINES_AVERTED = "colorbars.adapt.quarantines_averted"
 M_BACKEND_CELLS = "colorbars.backend.cells"
-M_BACKEND_MERGED_CELLS = "colorbars.backend.merged_cells"
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,12 @@ SPANS: Tuple[SpanEntry, ...] = (
     SpanEntry(
         SPAN_TX_PLAN, SPAN_CELL, "repro.link.simulator",
         "Transmitter plan construction (RS encode, packetize, modulate); "
-        "`cache_hit` records the PlanCache outcome when a planner is "
-        "injected.",
+        "each cell builds its own.",
     ),
     SpanEntry(
         SPAN_WAVEFORM, SPAN_TX_PLAN, "repro.link.simulator",
-        "Optical waveform synthesis; present only when no planner is "
-        "injected (a memoizing planner builds plan and waveform together).",
+        "Optical waveform synthesis of the planned broadcast cycle; one "
+        "under every `tx-plan`.",
     ),
     SpanEntry(
         SPAN_RECORD, SPAN_CELL, "repro.link.simulator",
@@ -258,15 +254,6 @@ METRICS: Tuple[MetricEntry, ...] = (
         "Calibration events rejected by the poison gates.",
     ),
     MetricEntry(
-        M_PLAN_CACHE_HITS, KIND_COUNTER, "lookups", "repro.perf.cache",
-        "PlanCache lookups served from memory (recorded by the link layer "
-        "off the injected planner).",
-    ),
-    MetricEntry(
-        M_PLAN_CACHE_MISSES, KIND_COUNTER, "lookups", "repro.perf.cache",
-        "PlanCache lookups that rebuilt the plan and waveform.",
-    ),
-    MetricEntry(
         M_CELLS_COMPLETED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Sweep cells that produced a result (including resumed cells).",
     ),
@@ -371,12 +358,6 @@ METRICS: Tuple[MetricEntry, ...] = (
         M_BACKEND_CELLS, KIND_COUNTER, "cells", "repro.perf.backends.driver",
         "Cells executed through the sweep backend (excludes cells spliced "
         "from a resume journal).",
-    ),
-    MetricEntry(
-        M_BACKEND_MERGED_CELLS, KIND_COUNTER, "cells",
-        "repro.perf.backends.driver",
-        "Cells spliced from shard journals into the sweep journal by the "
-        "post-drain merge.",
     ),
 )
 

@@ -1,6 +1,6 @@
-"""Performance subsystem: parallel execution, resilience, caching.
+"""Performance subsystem: parallel execution and resilience.
 
-Three pieces (DESIGN.md §5d-§5e, §5k):
+Two pieces (DESIGN.md §5d-§5e, §5k):
 
 * :mod:`repro.perf.runtime` — :func:`run_specs_resilient`, the one entry
   point for running a list of independent
@@ -16,15 +16,11 @@ Three pieces (DESIGN.md §5d-§5e, §5k):
   (``COLORBARS_WORKERS`` / ``--workers``; 1 is serial) and
   :func:`run_specs` / :func:`make_runner`, thin wrappers that give the
   runtime the plain ``Runner`` contract.
-* :mod:`repro.perf.cache` — memoizes the transmitter plan + optical
-  waveform per ``(config, payload)`` so fleet/resilience sweeps stop
-  rebuilding the identical broadcast per cell.
 
 A cell's stage times are the durations of its spans
 (:mod:`repro.obs.trace`); the repository benchmark lives in ``bench/``.
 """
 
-from repro.perf.cache import PlanCache, config_cache_key
 from repro.perf.executor import (
     WORKERS_ENV,
     default_workers,
@@ -45,8 +41,6 @@ from repro.perf.runtime import (
 )
 
 __all__ = [
-    "PlanCache",
-    "config_cache_key",
     "WORKERS_ENV",
     "default_workers",
     "make_runner",

@@ -3,7 +3,7 @@
 The package splits distribution into two halves: backends
 (:mod:`~repro.perf.backends.base`) only execute shards of cells, while
 the driver (:mod:`~repro.perf.backends.driver`) owns fingerprints,
-sharding, resume, journal merge, and observability — so every backend,
+sharding, resume, the sweep journal, and observability — so every backend,
 including third-party ones (see ``docs/BACKENDS.md``), inherits the
 same byte-identical sweep semantics.
 
@@ -23,13 +23,9 @@ from repro.perf.backends.base import (
     register_backend,
 )
 from repro.perf.backends.driver import (
-    MergeReport,
     assemble_backend_trace,
-    existing_shard_journals,
     make_shards,
-    merge_journals,
     run_specs_sharded,
-    shard_journal_path,
 )
 from repro.perf.backends.inprocess import InProcessBackend
 from repro.perf.backends.pool import PoolBackend
@@ -38,18 +34,14 @@ __all__ = [
     "BACKEND_REGISTRY",
     "CellOutcome",
     "InProcessBackend",
-    "MergeReport",
     "PoolBackend",
     "Shard",
     "ShardCell",
     "SweepBackend",
     "assemble_backend_trace",
-    "existing_shard_journals",
     "make_backend",
     "make_shards",
-    "merge_journals",
     "parse_backend_spec",
     "register_backend",
     "run_specs_sharded",
-    "shard_journal_path",
 ]

@@ -2,9 +2,8 @@
 
 A :class:`SweepBackend` is the execution engine behind a distributed sweep:
 the driver (:mod:`repro.perf.backends.driver`) shards a sweep's pending
-cells across the backend's parallel lanes, submits each shard, drains the
-per-cell outcomes, and merges the shard journals back into one sweep
-journal.  Two implementations ship with the repo —
+cells across the backend's parallel lanes, submits each shard, and drains
+the per-cell outcomes.  Two implementations ship with the repo —
 
 * ``inprocess`` (:mod:`repro.perf.backends.inprocess`) — serial, in the
   caller's process: the *reference* every other backend must match
@@ -21,9 +20,9 @@ is documented in ``docs/BACKENDS.md``; the obligations in one paragraph:
    ``crash``/``timeout``/``error``) instead of raising; apply the
    :class:`~repro.perf.runtime.RuntimePolicy`'s watchdog, retry, and
    chaos semantics yourself.
-2. Append each completed cell to its shard's
-   :class:`~repro.perf.runtime.RunJournal` *as it finishes* — a killed
-   sweep may only lose in-flight cells.
+2. Append each completed cell to ``shard.journal()`` (the sweep's
+   :class:`~repro.perf.runtime.RunJournal`) *as it finishes*, from the
+   driver process — a killed sweep may only lose in-flight cells.
 3. Never let execution order, lane assignment, or retries change a
    result: a cell is a pure function of its spec, so any backend's result
    table must be byte-identical to the ``inprocess`` reference.
@@ -52,9 +51,9 @@ class ShardCell:
 class Shard:
     """One unit of backend work: the cells assigned to one parallel lane.
 
-    ``journal_path`` (when the sweep is journaled) is where the backend
-    must checkpoint this shard's completed cells; the driver merges shard
-    journals into the sweep journal after ``drain``.
+    ``journal_path`` (when the sweep is journaled) is the sweep journal,
+    where the backend must checkpoint this shard's completed cells; every
+    shard of a sweep shares it.
     """
 
     shard_id: int
@@ -62,7 +61,7 @@ class Shard:
     journal_path: Optional[str] = None
 
     def journal(self) -> Optional[RunJournal]:
-        """The shard's checkpoint journal, or ``None`` when unjournaled."""
+        """The sweep's checkpoint journal, or ``None`` when unjournaled."""
         if self.journal_path is None:
             return None
         return RunJournal(self.journal_path)

@@ -5,15 +5,13 @@ line, so every backend gets the same semantics for free:
 
 * **identity** — each spec's :func:`~repro.perf.runtime.spec_fingerprint`
   is computed here and rides the :class:`~repro.perf.backends.base.ShardCell`;
-* **resume** — leftover shard journals from a killed run are merged into
-  the sweep journal first, then journaled cells are spliced into the
-  results unrun;
+* **resume** — with ``resume``, cells already in the sweep journal are
+  spliced into the results unrun; without it the journal is discarded;
 * **sharding** — pending cells round-robin across the backend's lanes
   (cell *i* of the pending list lands in shard ``i % lanes``), a pure
   function of the spec list and lane count, so two runs shard alike;
-* **merge** — after ``drain``, :func:`merge_journals` splices the shard
-  journals back into one sweep journal (byte-splicing records, never
-  re-pickling) and the shard files are removed;
+* **journal** — every shard checkpoints into the sweep journal itself, so
+  there is one file per sweep and nothing to merge after ``drain``;
 * **observability** — the ``colorbars.sweep.*`` and
   ``colorbars.backend.*`` metrics, and the root -> shard -> cell trace via
   :func:`repro.obs.trace.assemble_sharded_trace`.
@@ -24,15 +22,12 @@ are, the sweep's results, journal, and failure records look the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import BackendError, CellFailure, JournalError
+from repro.exceptions import BackendError, CellFailure
 from repro.link.simulator import LinkResult, RunSpec
 from repro.obs.schema import (
     M_BACKEND_CELLS,
-    M_BACKEND_MERGED_CELLS,
     M_CELLS_COMPLETED,
     M_CELLS_FAILED,
     M_CELLS_RESUMED,
@@ -42,92 +37,6 @@ from repro.obs.schema import (
 from repro.obs.trace import Span, assemble_sharded_trace
 from repro.perf.backends.base import Shard, ShardCell, SweepBackend
 from repro.perf.runtime import RunJournal, RuntimeResult, spec_fingerprint
-
-# -- shard journals --------------------------------------------------------
-
-
-def shard_journal_path(journal_path, shard_id: int) -> str:
-    """Where shard ``shard_id`` of the sweep journal checkpoints."""
-    return f"{Path(journal_path)}.shard-{int(shard_id)}"
-
-
-def existing_shard_journals(journal_path) -> List[Path]:
-    """Leftover shard journal files of a sweep journal, in shard order."""
-    base = Path(journal_path)
-
-    def shard_number(path: Path) -> Tuple[int, str]:
-        suffix = path.name.rpartition("-")[2]
-        return (int(suffix), "") if suffix.isdigit() else (1 << 30, path.name)
-
-    return sorted(base.parent.glob(base.name + ".shard-*"), key=shard_number)
-
-
-def _discard_file(path: Path) -> None:
-    try:
-        path.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise JournalError(
-            f"cannot remove shard journal {path}: {exc}"
-        ) from exc
-
-
-@dataclass
-class MergeReport:
-    """What :func:`merge_journals` did: the merged view, and how it got there."""
-
-    #: Post-merge fingerprint -> result (what a subsequent resume loads).
-    entries: Dict[str, LinkResult]
-    #: Records spliced into the target (duplicates contribute nothing).
-    appended: int
-    #: Fingerprints where a shard disagreed with the already-merged bytes.
-    conflicts: int
-
-
-def merge_journals(shard_paths, target, on_conflict: str = "last") -> MergeReport:
-    """Splice shard journals into one sweep journal, byte-identically.
-
-    Records are copied with their original base64 payloads (never
-    re-pickled), so the merged journal resolves each cell to exactly the
-    bytes some shard wrote.  A record whose fingerprint is already merged
-    with *identical* bytes is a no-op; differing bytes are a conflict:
-    ``on_conflict="last"`` lets the later shard win (cells are pure
-    functions of their specs, so a genuine conflict implies foul play or
-    corruption — last-write matches the journal's own load semantics),
-    ``"error"`` raises :class:`~repro.exceptions.JournalError` instead.
-    """
-    if on_conflict not in ("last", "error"):
-        raise JournalError(
-            f"on_conflict must be 'last' or 'error', got {on_conflict!r}"
-        )
-    if not isinstance(target, RunJournal):
-        target = RunJournal(target)
-    merged: Dict[str, str] = {}
-    entries: Dict[str, LinkResult] = {}
-    for fingerprint, payload, result in target.read_records():
-        merged[fingerprint] = payload
-        entries[fingerprint] = result
-    appended = 0
-    conflicts = 0
-    for path in shard_paths:
-        for fingerprint, payload, result in RunJournal(path).read_records():
-            prior = merged.get(fingerprint)
-            if prior == payload:
-                continue
-            if prior is not None:
-                conflicts += 1
-                if on_conflict == "error":
-                    raise JournalError(
-                        f"shard journal {path} disagrees with the merged "
-                        f"sweep on cell {fingerprint[:12]}"
-                    )
-            target.append_record(fingerprint, payload)
-            merged[fingerprint] = payload
-            entries[fingerprint] = result
-            appended += 1
-    return MergeReport(entries=entries, appended=appended, conflicts=conflicts)
-
 
 # -- sharding --------------------------------------------------------------
 
@@ -140,6 +49,7 @@ def make_shards(
     Cell *i* of the list lands in shard ``i % lanes`` — a pure function
     of (cell order, lane count), so two runs of the same sweep shard
     identically and a resumed run re-shards only what is still pending.
+    Every shard checkpoints into ``journal_path``, the sweep journal.
     """
     if not cells:
         return []
@@ -151,11 +61,7 @@ def make_shards(
         Shard(
             shard_id=shard_id,
             cells=tuple(bucket),
-            journal_path=(
-                shard_journal_path(journal_path, shard_id)
-                if journal_path is not None
-                else None
-            ),
+            journal_path=None if journal_path is None else str(journal_path),
         )
         for shard_id, bucket in enumerate(buckets)
     ]
@@ -214,18 +120,12 @@ def run_specs_sharded(
     if journal is not None and not isinstance(journal, RunJournal):
         journal = RunJournal(journal)
 
-    merged_cells = 0
     journaled: Dict[str, LinkResult] = {}
     if journal is not None:
-        leftovers = existing_shard_journals(journal.path)
         if resume:
-            report = merge_journals(leftovers, journal)
-            merged_cells += report.appended
-            journaled = report.entries
+            journaled = journal.load()
         else:
             journal.discard()
-        for path in leftovers:
-            _discard_file(path)
 
     results: List[Optional[LinkResult]] = [None] * len(specs)
     failures: List[CellFailure] = []
@@ -272,13 +172,6 @@ def run_specs_sharded(
                 f"per submitted cell"
             )
         failures.sort(key=lambda failure: failure.index)
-        if journal is not None:
-            report = merge_journals(
-                [shard.journal_path for shard in shards], journal
-            )
-            merged_cells += report.appended
-            for shard in shards:
-                _discard_file(Path(shard.journal_path))
 
     outcome = RuntimeResult(
         results=results, failures=failures, resumed=resumed, shard_of=shard_of
@@ -293,7 +186,6 @@ def run_specs_sharded(
             workers=max(1, min(backend.lanes, len(specs))),
         )
         metrics.counter(M_BACKEND_CELLS).inc(len(pending))
-        metrics.counter(M_BACKEND_MERGED_CELLS).inc(merged_cells)
     return outcome
 
 

@@ -26,7 +26,6 @@ from repro.perf.backends.base import (
     SweepBackend,
     register_backend,
 )
-from repro.perf.executor import _process_cache
 from repro.perf.runtime import RuntimePolicy, _annotate_trace, backoff_delay_s
 
 
@@ -48,7 +47,6 @@ class InProcessBackend(SweepBackend):
             )
 
     def _drain(self, shards: List[Shard]) -> List[CellOutcome]:
-        cache = _process_cache()
         outcomes: List[CellOutcome] = []
         for shard in shards:
             journal = shard.journal()
@@ -57,7 +55,7 @@ class InProcessBackend(SweepBackend):
                 while True:
                     try:
                         result = _annotate_trace(
-                            cell.spec.execute(planner=cache, observe=self.observe),
+                            cell.spec.execute(observe=self.observe),
                             cell.index,
                             attempt,
                         )

@@ -5,10 +5,11 @@ containment, innocent-pool-mate resubmission and seed-stable retry:
 
 * cells from *all* submitted shards feed one pool, dispatched in spec
   order, so lanes stay busy even when shards are unevenly sized;
-* each completed cell is appended to its own shard's journal as it
-  finishes;
+* the driver process appends each completed cell to the sweep journal as
+  it finishes;
 * every worker exits on its own once the driver that forked it is gone,
-  so a killed sweep leaves no orphans behind.
+  so a killed sweep leaves no orphans behind (:data:`_MP_CONTEXT` keeps
+  the driver each worker's parent, which that guard relies on).
 
 This is also the engine :func:`repro.perf.runtime.run_specs_resilient`
 picks whenever a sweep needs more than one worker, a watchdog, or chaos.
@@ -16,7 +17,9 @@ picks whenever a sweep needs more than one worker, a watchdog, or chaos.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sys
 import threading
 import time
 from collections import deque
@@ -36,7 +39,7 @@ from repro.perf.backends.base import (
     SweepBackend,
     register_backend,
 )
-from repro.perf.executor import _process_cache, resolve_workers, validate_workers
+from repro.perf.executor import resolve_workers, validate_workers
 from repro.perf.runtime import (
     RunJournal,
     RuntimePolicy,
@@ -49,6 +52,17 @@ _TICK_S = 0.1
 
 #: How often a pool worker checks that its driver is still alive, seconds.
 _DRIVER_POLL_S = 0.5
+
+#: Start method of the pool's workers.  Under ``forkserver`` (the Linux
+#: default from Python 3.14) a worker's parent is the fork server, which
+#: :func:`_exit_with_driver` would read as a dead driver, and which itself
+#: outlives a killed driver.  ``fork`` keeps the driver the parent; other
+#: platforms keep their default (``spawn``, whose workers are the
+#: driver's children too).
+_MP_CONTEXT = (
+    multiprocessing.get_context("fork") if sys.platform.startswith("linux")
+    else None
+)
 
 
 @dataclass
@@ -84,7 +98,7 @@ def _execute_cell(
     """Worker-side cell entry point: chaos first, then the real run."""
     for injector in chaos:
         injector.before_cell(cell_index=index, attempt=attempt)
-    result = spec.execute(planner=_process_cache(), observe=observe)
+    result = spec.execute(observe=observe)
     return _annotate_trace(result, index, attempt)
 
 
@@ -184,6 +198,7 @@ def _run_isolated(
                 pool_width = max(1, min(workers, len(pending)))
                 pool = ProcessPoolExecutor(
                     max_workers=pool_width,
+                    mp_context=_MP_CONTEXT,
                     initializer=_exit_with_driver,
                     initargs=(os.getpid(),),
                 )

@@ -9,9 +9,7 @@ serial loop by construction: the same spec runs the same code against the
 same seed either way, and result order is the spec order.
 
 ``workers=1`` (the default, also via the ``COLORBARS_WORKERS`` environment
-switch) keeps everything in-process and serial.  Every process keeps one
-:class:`~repro.perf.cache.PlanCache`, so fleet/resilience runs stop
-rebuilding the identical RS-encoded broadcast for every device/fault cell.
+switch) keeps everything in-process and serial.
 
 :func:`run_specs` and :func:`make_runner` adapt
 :func:`repro.perf.runtime.run_specs_resilient` to the plain
@@ -27,7 +25,6 @@ from typing import List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError, LinkError
 from repro.link.simulator import LinkResult, RunSpec, Runner
-from repro.perf.cache import PlanCache
 
 #: Environment switch: ``COLORBARS_WORKERS=4`` parallelizes every sweep that
 #: does not pin an explicit worker count.
@@ -85,18 +82,6 @@ def default_workers() -> int:
     if raw is None or not raw.strip():
         return 1
     return validate_workers(raw.strip(), source=WORKERS_ENV)
-
-
-#: Per-process plan cache for pool workers: one per forked/spawned worker,
-#: reused across every cell that worker executes.
-_WORKER_CACHE: Optional[PlanCache] = None
-
-
-def _process_cache() -> PlanCache:
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = PlanCache()
-    return _WORKER_CACHE
 
 
 def run_specs(

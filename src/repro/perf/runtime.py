@@ -4,8 +4,9 @@
 through.  It resolves the :class:`RuntimePolicy` and the execution backend
 and hands the sweep to the backend driver
 (:func:`repro.perf.backends.run_specs_sharded`), which owns
-fingerprinting, resume splicing and journal merging; the backends execute
-the cells.  This module defines what those layers share:
+fingerprinting and resume splicing; the backends execute the cells and
+append each one to the sweep journal as it completes.  This module
+defines what those layers share:
 
 * **Watchdog timeouts** — every cell runs under a deadline
   (``cell_timeout_s``, or the ``COLORBARS_CELL_TIMEOUT`` environment
@@ -168,17 +169,16 @@ class RunJournal:
     def __init__(self, path) -> None:
         self.path = Path(path)
 
-    def read_records(self) -> List[Tuple[str, str, LinkResult]]:
-        """(fingerprint, base64 payload, decoded result) per readable record.
+    def load(self) -> Dict[str, LinkResult]:
+        """Fingerprint -> result for every readable journaled cell.
 
-        File order is preserved, so callers that fold records into a dict
-        get last-write-wins.  Unparseable or truncated records are skipped
-        (the affected cell simply reruns); a schema mismatch is a hard
-        error.
+        Later records win over earlier ones.  Unparseable or truncated
+        records are skipped (the affected cell simply reruns); a schema
+        mismatch is a hard error.
         """
-        records: List[Tuple[str, str, LinkResult]] = []
+        entries: Dict[str, LinkResult] = {}
         if not self.path.exists():
-            return records
+            return entries
         try:
             lines = self.path.read_text().splitlines()
         except OSError as exc:
@@ -208,38 +208,34 @@ class RunJournal:
             except Exception:  # corrupt payload: rerun that cell
                 continue
             if isinstance(result, LinkResult):
-                records.append((fingerprint, payload, result))
-        return records
+                entries[fingerprint] = result
+        return entries
 
-    def append_record(self, fingerprint: str, payload: str) -> None:
-        """Write one record with an already-encoded payload (flushed)."""
+    def append(self, fingerprint: str, result: LinkResult) -> None:
+        """Record one completed cell (flushed immediately).
+
+        A killed run can leave a last line cut off mid-write, with no
+        newline.  That tail is ended first, so the new record starts a
+        line of its own instead of joining the torn one.
+        """
         record = {
             "schema": JOURNAL_SCHEMA_VERSION,
             "fingerprint": fingerprint,
-            "result": payload,
+            "result": base64.b64encode(
+                pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
+            ).decode("ascii"),
         }
+        line = (json.dumps(record) + "\n").encode("ascii")
         try:
-            with self.path.open("a", encoding="ascii") as handle:
-                handle.write(json.dumps(record) + "\n")
+            with self.path.open("ab+") as handle:
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        line = b"\n" + line
+                handle.write(line)
                 handle.flush()
         except OSError as exc:
             raise JournalError(f"cannot append to journal {self.path}: {exc}") from exc
-
-    def load(self) -> Dict[str, LinkResult]:
-        """Fingerprint -> result for every readable journaled cell."""
-        return {
-            fingerprint: result
-            for fingerprint, _, result in self.read_records()
-        }
-
-    def append(self, fingerprint: str, result: LinkResult) -> None:
-        """Record one completed cell (flushed immediately)."""
-        self.append_record(
-            fingerprint,
-            base64.b64encode(
-                pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-            ).decode("ascii"),
-        )
 
     def discard(self) -> None:
         """Delete the journal file (fresh non-resume runs start clean)."""

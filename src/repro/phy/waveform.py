@@ -77,18 +77,6 @@ class OpticalWaveform:
         """Per-symbol emission, ``(N, 3)`` (read-only copy)."""
         return self._xyz.copy()
 
-    def freeze(self) -> "OpticalWaveform":
-        """Mark the internal arrays read-only and return ``self``.
-
-        A frozen waveform can be shared safely across simulator runs (the
-        memoizing planner in :mod:`repro.perf.cache` does this): any
-        accidental in-place mutation raises instead of corrupting the other
-        consumers.  All sampling/integration methods only read.
-        """
-        self._xyz.flags.writeable = False
-        self._cumulative.flags.writeable = False
-        return self
-
     # -- sampling ------------------------------------------------------------
 
     def symbol_index_at(self, times: np.ndarray) -> np.ndarray:

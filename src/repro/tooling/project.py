@@ -50,9 +50,9 @@ EXECUTOR_BOUNDARY_FUNCS = frozenset(
     }
 )
 
-#: Keyword arguments that inject callables into the sweep machinery; a
+#: Keyword argument that injects a callable into the sweep machinery; a
 #: lambda here may end up pickled toward a worker process.
-EXECUTOR_BOUNDARY_KWARGS = frozenset({"runner", "planner"})
+EXECUTOR_BOUNDARY_KWARGS = frozenset({"runner"})
 
 #: Method names that submit work to a pool regardless of the receiver.
 EXECUTOR_BOUNDARY_METHODS = frozenset({"submit"})

@@ -18,6 +18,16 @@ class TestExposureSettings:
         with pytest.raises(CameraError):
             ExposureSettings(exposure_s=0.001, iso=0)
 
+    @pytest.mark.parametrize(
+        "exposure_s, iso",
+        [(float("nan"), 100), (float("inf"), 100),
+         (0.001, float("nan")), (0.001, float("inf"))],
+        ids=["nan-exposure", "inf-exposure", "nan-iso", "inf-iso"],
+    )
+    def test_non_finite_rejected(self, exposure_s, iso):
+        with pytest.raises(CameraError):
+            ExposureSettings(exposure_s=exposure_s, iso=iso)
+
 
 class TestController:
     def test_invalid_bounds(self):

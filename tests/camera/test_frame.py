@@ -35,6 +35,23 @@ class TestValidation:
             CapturedFrame(0, np.zeros((10, 10, 3), dtype=np.uint8), 0.0, 0.0,
                           ExposureSettings(1e-4, 100))
 
+    # Each of these used to reach the receiver and crash it with a
+    # non-library exception (ZeroDivisionError, ValueError, OverflowError).
+    @pytest.mark.parametrize(
+        "cols, start_time, row_period",
+        [
+            (0, 0.0, 1e-5),
+            (10, float("nan"), 1e-5),
+            (10, float("inf"), 1e-5),
+            (10, 0.0, float("nan")),
+        ],
+        ids=["zero-columns", "nan-start", "inf-start", "nan-row-period"],
+    )
+    def test_malformed_frame_rejected(self, cols, start_time, row_period):
+        with pytest.raises(CameraError):
+            CapturedFrame(0, np.zeros((10, cols, 3), dtype=np.uint8),
+                          start_time, row_period, ExposureSettings(1e-4, 100))
+
 
 class TestTiming:
     def test_dimensions(self, frame):

@@ -48,16 +48,6 @@ def _specs(tiny_device, count=2, duration_s=0.4):
     ]
 
 
-def _comparable_counters(registry):
-    # Plan-cache hits/misses depend on process history (warm forks, shared
-    # caches), so they are attributes of the run environment, not the spec.
-    return {
-        name: value
-        for name, value in registry.export()["counters"].items()
-        if not name.startswith("colorbars.plan_cache.")
-    }
-
-
 class TestSerialParallelIdentity:
     def test_span_tree_identical_and_counters_match(self, tiny_device):
         specs = _specs(tiny_device)
@@ -71,8 +61,9 @@ class TestSerialParallelIdentity:
         serial_trace = assemble_trace([r.trace for r in serial.results])
         parallel_trace = assemble_trace([r.trace for r in parallel.results])
         assert tree_signature(serial_trace) == tree_signature(parallel_trace)
-        assert _comparable_counters(serial_registry) == _comparable_counters(
-            parallel_registry
+        assert (
+            serial_registry.export()["counters"]
+            == parallel_registry.export()["counters"]
         )
 
     def test_every_span_name_is_declared(self, tiny_device):

@@ -1,4 +1,4 @@
-"""Sweep-backend contracts: registry, lifecycle, sharding, merge, parity.
+"""Sweep-backend contracts: registry, lifecycle, sharding, journal, parity.
 
 The byte-identity contract is over *deterministic content* — metrics,
 decoded payloads, the symbol plan, the fault schedule — not whole-result
@@ -7,8 +7,6 @@ shared references inside ``config`` differs across process round trips
 even between the ``inprocess`` and ``pool`` backends.
 """
 
-import base64
-import json
 import os
 import pickle
 import signal
@@ -22,7 +20,7 @@ import pytest
 from tests.conftest import make_tiny_device
 
 from repro.core.config import SystemConfig
-from repro.exceptions import BackendError, ConfigurationError, JournalError
+from repro.exceptions import BackendError, ConfigurationError
 from repro.link.simulator import RunSpec
 from repro.perf.backends import (
     BACKEND_REGISTRY,
@@ -31,13 +29,10 @@ from repro.perf.backends import (
     ShardCell,
     SweepBackend,
     assemble_backend_trace,
-    existing_shard_journals,
     make_backend,
     make_shards,
-    merge_journals,
     parse_backend_spec,
     run_specs_sharded,
-    shard_journal_path,
 )
 from repro.perf.runtime import (
     RunJournal,
@@ -174,22 +169,11 @@ class TestSharding:
         assert make_shards([], lanes=4) == []
 
     def test_journal_paths_derive_from_sweep_journal(self, tiny_device, tmp_path):
+        # Every shard checkpoints into the sweep journal itself.
         journal = tmp_path / "sweep.jsonl"
         shards = make_shards(_cells(_specs(tiny_device)), 2, journal_path=journal)
-        assert shards[0].journal_path == f"{journal}.shard-0"
-        assert shards[0].journal().path == Path(f"{journal}.shard-0")
-        assert shard_journal_path(journal, 1) == f"{journal}.shard-1"
-
-    def test_existing_shard_journals_sorted_numerically(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        for shard_id in (10, 2, 0):
-            Path(shard_journal_path(journal, shard_id)).write_text("")
-        found = existing_shard_journals(journal)
-        assert [p.name for p in found] == [
-            "sweep.jsonl.shard-0",
-            "sweep.jsonl.shard-2",
-            "sweep.jsonl.shard-10",
-        ]
+        assert [shard.journal_path for shard in shards] == [str(journal)] * 2
+        assert shards[1].journal().path == journal
 
 
 class TestByteIdentity:
@@ -220,131 +204,49 @@ class TestByteIdentity:
         assert [_signature(r) for r in outcome.results] == reference
 
 
-class TestJournalMerge:
-    def _seed_shard(self, journal, shard_id, spec, result):
-        shard = RunJournal(shard_journal_path(journal, shard_id))
-        shard.append(spec_fingerprint(spec), result)
-        return shard.path
-
-    def test_merge_splices_bytes_verbatim(self, tiny_device, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        spec = _spec(tiny_device)
-        result = spec.execute()
-        path = self._seed_shard(journal, 0, spec, result)
-        shard_bytes = path.read_text()
-        report = merge_journals([path], journal)
-        assert report.appended == 1 and report.conflicts == 0
-        assert journal.read_text() == shard_bytes
-        assert set(report.entries) == {spec_fingerprint(spec)}
-
-    def test_identical_duplicate_is_noop(self, tiny_device, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        spec = _spec(tiny_device)
-        result = spec.execute()
-        a = self._seed_shard(journal, 0, spec, result)
-        b = self._seed_shard(journal, 1, spec, result)
-        report = merge_journals([a, b], journal)
-        assert report.appended == 1 and report.conflicts == 0
-        assert len(journal.read_text().splitlines()) == 1
-
-    def test_conflicting_fingerprint_last_wins(self, tiny_device, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        spec = _spec(tiny_device)
-        result = spec.execute()
-        a = self._seed_shard(journal, 0, spec, result)
-        b = self._seed_shard(journal, 1, spec, result)
-        # Tamper shard 1's payload so the same fingerprint maps to
-        # different bytes — still a valid pickled LinkResult.
-        record = json.loads(b.read_text())
-        tampered = pickle.loads(base64.b64decode(record["result"]))
-        marker = {"tampered": True}
-        object.__setattr__(tampered, "obs_metrics", marker)
-        record["result"] = base64.b64encode(
-            pickle.dumps(tampered, protocol=4)
-        ).decode("ascii")
-        b.write_text(json.dumps(record) + "\n")
-        report = merge_journals([a, b], journal)
-        assert report.conflicts == 1
-        assert report.entries[spec_fingerprint(spec)].obs_metrics == marker
-        loaded = RunJournal(journal).load()
-        assert loaded[spec_fingerprint(spec)].obs_metrics == marker
-
-    def test_conflicting_fingerprint_error_mode_raises(self, tiny_device, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        spec = _spec(tiny_device)
-        result = spec.execute()
-        a = self._seed_shard(journal, 0, spec, result)
-        b = self._seed_shard(journal, 1, spec, result)
-        record = json.loads(b.read_text())
-        record["fingerprint"] = spec_fingerprint(spec)
-        tampered = pickle.loads(base64.b64decode(record["result"]))
-        object.__setattr__(tampered, "obs_metrics", {"tampered": True})
-        record["result"] = base64.b64encode(
-            pickle.dumps(tampered, protocol=4)
-        ).decode("ascii")
-        b.write_text(json.dumps(record) + "\n")
-        with pytest.raises(JournalError, match="disagrees"):
-            merge_journals([a, b], journal, on_conflict="error")
-
-    def test_bad_conflict_mode_rejected(self, tmp_path):
-        with pytest.raises(JournalError, match="on_conflict"):
-            merge_journals([], tmp_path / "sweep.jsonl", on_conflict="first")
-
-    def test_corrupt_trailing_record_skipped(self, tiny_device, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        spec = _spec(tiny_device)
-        path = self._seed_shard(journal, 0, spec, spec.execute())
-        with path.open("a") as handle:
-            handle.write('{"schema": 1, "fingerprint": "abc", "resu')
-        report = merge_journals([path], journal)
-        assert report.appended == 1
-        assert set(report.entries) == {spec_fingerprint(spec)}
-
-    def test_schema_mismatch_is_a_hard_error(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        shard = Path(shard_journal_path(journal, 0))
-        shard.write_text('{"schema": 99, "fingerprint": "x", "result": "eA=="}\n')
-        with pytest.raises(JournalError, match="schema"):
-            merge_journals([shard], journal)
-
-
 class TestResume:
-    def test_resume_splices_shard_leftovers(self, tiny_device, tmp_path):
+    def test_resume_splices_journaled_cells(self, tiny_device, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         specs = _specs(tiny_device)
-        # A "killed" run checkpointed cell 1 into a shard journal only.
-        shard = RunJournal(shard_journal_path(journal, 1))
-        shard.append(spec_fingerprint(specs[1]), specs[1].execute())
+        # A "killed" run checkpointed cell 1 only.
+        RunJournal(journal).append(spec_fingerprint(specs[1]), specs[1].execute())
         with make_backend("inprocess") as backend:
             outcome = run_specs_sharded(specs, backend, journal=journal, resume=True)
         assert outcome.resumed == 1
         assert outcome.shard_of[1] is None  # resumed, never re-sharded
         assert not outcome.failures
-        assert not existing_shard_journals(journal)  # shards cleaned up
         assert len(RunJournal(journal).load()) == len(specs)
 
     def test_fresh_run_discards_leftovers(self, tiny_device, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         specs = _specs(tiny_device)
-        shard = RunJournal(shard_journal_path(journal, 0))
-        shard.append(spec_fingerprint(specs[0]), specs[0].execute())
+        RunJournal(journal).append(spec_fingerprint(specs[0]), specs[0].execute())
         with make_backend("inprocess") as backend:
             outcome = run_specs_sharded(specs, backend, journal=journal, resume=False)
         assert outcome.resumed == 0
-        assert not existing_shard_journals(journal)
+        # The leftover record was discarded, not kept beside the new ones.
+        assert len(journal.read_text().splitlines()) == len(specs)
 
     def test_resumed_rerun_is_byte_identical(self, tiny_device, tmp_path):
         specs = _specs(tiny_device)
         with make_backend("inprocess") as backend:
             full = run_specs_sharded(specs, backend)
         journal = tmp_path / "sweep.jsonl"
-        shard = RunJournal(shard_journal_path(journal, 0))
-        shard.append(spec_fingerprint(specs[0]), specs[0].execute())
+        RunJournal(journal).append(spec_fingerprint(specs[0]), specs[0].execute())
         with make_backend("pool:workers=2") as backend:
             resumed = run_specs_sharded(specs, backend, journal=journal, resume=True)
         assert [_signature(r) for r in resumed.results] == [
             _signature(r) for r in full.results
         ]
+
+    def test_pool_sweep_writes_only_the_sweep_journal(self, tiny_device, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        specs = _specs(tiny_device)
+        with make_backend("pool:workers=2") as backend:
+            outcome = run_specs_sharded(specs, backend, journal=journal)
+        assert not outcome.failures
+        assert os.listdir(tmp_path) == ["sweep.jsonl"]
+        assert len(RunJournal(journal).load()) == len(specs)
 
 
 class TestDrainContract:
@@ -384,8 +286,9 @@ class TestKilledSweepResume:
 
         The driver runs in its own session, so its process group holds it
         and every pool worker it forked; only the driver is killed, and the
-        whole group must then drain by itself.  ``--resume`` splices the
-        shard journals into the identical table.
+        whole group must then drain by itself.  ``--resume`` reads the
+        cells the sweep journal checkpointed and reruns only the rest, into
+        the identical table.
         """
         journal = tmp_path / "sweep.jsonl"
         driver = (
@@ -415,10 +318,9 @@ class TestKilledSweepResume:
         )
         deadline = time.monotonic() + 120.0
         try:
-            # Kill as soon as any shard journal holds a completed cell.
+            # Kill as soon as the sweep journal holds a completed cell.
             while time.monotonic() < deadline:
-                leftovers = existing_shard_journals(journal)
-                if any(p.stat().st_size > 0 for p in leftovers):
+                if RunJournal(journal).load():
                     break
                 if proc.poll() is not None:
                     break
@@ -442,9 +344,8 @@ class TestKilledSweepResume:
                 pass
             proc.kill()
             proc.wait()
-        checkpointed = sum(
-            len(RunJournal(p).load()) for p in existing_shard_journals(journal)
-        ) + len(RunJournal(journal).load())
+        checkpointed = len(RunJournal(journal).load())
+        assert checkpointed >= 1
         with make_backend("inprocess") as backend:
             resumed = run_specs_sharded(specs, backend, journal=journal, resume=True)
         assert resumed.resumed == checkpointed
@@ -454,7 +355,37 @@ class TestKilledSweepResume:
         assert [_signature(r) for r in resumed.results] == [
             _signature(r) for r in reference.results
         ]
-        assert not existing_shard_journals(journal)
+        assert sorted(os.listdir(tmp_path)) == ["specs.pkl", "sweep.jsonl"]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="the pool forks only on Linux"
+)
+def test_pool_survives_a_forkserver_default(tiny_device, tmp_path):
+    """A ``forkserver`` default start method must not break the pool.
+
+    Under ``forkserver`` a worker's parent is the fork server, not the
+    driver, which the pool's orphan guard would read as a dead driver.
+    """
+    driver = (
+        "import multiprocessing, pickle, sys\n"
+        "multiprocessing.set_start_method('forkserver', force=True)\n"
+        "from repro.perf.runtime import run_specs_resilient\n"
+        "specs = pickle.load(open(sys.argv[1], 'rb'))\n"
+        "outcome = run_specs_resilient(specs, backend='pool:workers=2')\n"
+        "print(outcome.failure_summary())\n"
+        "sys.exit(1 if outcome.failures else 0)\n"
+    )
+    specs_path = tmp_path / "specs.pkl"
+    specs_path.write_bytes(pickle.dumps(_specs(tiny_device, count=2), protocol=4))
+    env = dict(os.environ)
+    src_root = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", driver, str(specs_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestBackendTrace:

@@ -312,6 +312,20 @@ class TestJournalResume:
         assert resumed.resumed == 1
         assert resumed.completed == 2
 
+    def test_torn_tail_does_not_eat_the_next_record(self, tiny_device, tmp_path):
+        # A killed run can leave its last record half-written with no
+        # newline; the first record appended on resume must not join it.
+        specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
+        journal = tmp_path / "sweep.jsonl"
+        run_specs_resilient(specs[:2], workers=1, journal=journal)
+        lines = journal.read_text().splitlines()
+        journal.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+        first = run_specs_resilient(specs, workers=1, journal=journal, resume=True)
+        assert first.resumed == 1
+        assert first.completed == 3
+        second = run_specs_resilient(specs, workers=1, journal=journal, resume=True)
+        assert second.resumed == 3
+
     def test_wrong_schema_rejected(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         journal.write_text(

@@ -82,8 +82,8 @@ class TestDag:
         assert is_import_allowed("perf", "link")
 
     def test_perf_sits_above_link(self):
-        # The executor/cache/backends orchestrate link runs; the link layer only
-        # accepts injected planners/runners and must never import perf.
+        # The executor and backends orchestrate link runs; the link layer only
+        # accepts an injected runner and must never import perf.
         assert layer_of("repro.perf.executor") == "perf"
         assert is_import_allowed("perf", "link")
         assert is_import_allowed("perf", "core")  # transitive, via link
