@@ -47,12 +47,16 @@ Plans are memoized process-wide keyed on the *exact RNG state* plus the
 draw-plan spec: sweep cells sharing a seed (paper grids, resilience sweeps)
 draw their noise once, and a cache hit restores the generator to the same
 end state a miss would have left, so cache state can never change results.
+The memo is least-recently-used and keeps at most two plans and at most
+128 MB (a larger plan is returned but not kept).  A miss evicts before it
+draws, so a draw never coexists with the plan it displaces.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -103,6 +107,19 @@ class DrawPlanSpec:
                 f"draw plan needs positive dimensions, got {self}"
             )
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan this spec draws, known before drawing it."""
+        frames, rows, cols = self.frame_count, self.rows, self.cols
+        pixel = np.dtype(PIXEL_DTYPE).itemsize
+        total = 2 * frames * np.dtype(np.float64).itemsize  # jitter, drift
+        total += frames * rows * cols * 3 * pixel  # shot
+        if self.prnu > 0:
+            total += rows * cols * 3 * pixel
+        if self.row_noise > 0:
+            total += frames * rows * 3 * pixel
+        return total
+
 
 class CaptureDrawPlan:
     """All RNG draws for one recording, in the canonical order.
@@ -131,14 +148,6 @@ class CaptureDrawPlan:
         for array in (jitter, drift, prnu_gain, shot, row_gain):
             if array is not None:
                 array.flags.writeable = False
-
-    @property
-    def nbytes(self) -> int:
-        total = 0
-        for array in (self.jitter, self.drift, self.prnu_gain, self.shot, self.row_gain):
-            if array is not None:
-                total += array.nbytes
-        return total
 
 
 def draw_capture_plan(
@@ -182,11 +191,15 @@ def draw_prnu_gain(
     return gain
 
 
-#: Process-wide plan memo: (bit-generator state, spec) -> (plan, end state).
-#: Sweeps reuse one seed across cells, so every cell after the first gets
-#: its draws for free; restoring the stored end state on a hit makes the
-#: cache observationally invisible to the generator.
-_PLAN_CACHE: Dict[Tuple, Tuple[CaptureDrawPlan, dict]] = {}
+#: Process-wide plan memo: (bit-generator state, spec) -> (plan, end state),
+#: least recently used first.  Sweeps reuse one seed across cells, so every
+#: cell after the first gets its draws for free; restoring the stored end
+#: state on a hit makes the memo observationally invisible to the generator.
+#: Two plans, not one: a session set-up that re-records two streams in turn
+#: would otherwise miss on every stream.  Plans from an earlier sweep can
+#: never hit again, so the memo keeps no more than that.
+_PLAN_CACHE: OrderedDict[Tuple, Tuple[CaptureDrawPlan, dict]] = OrderedDict()
+_PLAN_CACHE_MAX_PLANS = 2
 _PLAN_CACHE_MAX_BYTES = 128_000_000
 
 
@@ -203,17 +216,23 @@ def cached_capture_plan(
     key = _plan_cache_key(spec, rng)
     hit = _PLAN_CACHE.get(key)
     if hit is not None:
+        _PLAN_CACHE.move_to_end(key)
         plan, end_state = hit
         rng.bit_generator.state = end_state
         return plan
+    nbytes = spec.nbytes
+    keep = nbytes <= _PLAN_CACHE_MAX_BYTES
+    # Evict before drawing, so the new plan is never drawn while the plan
+    # it displaces is still held (no local may keep an evicted plan alive).
+    while keep and _PLAN_CACHE and (
+        len(_PLAN_CACHE) >= _PLAN_CACHE_MAX_PLANS
+        or sum(kept.nbytes for _, kept in _PLAN_CACHE) + nbytes
+        > _PLAN_CACHE_MAX_BYTES
+    ):
+        del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
     plan = draw_capture_plan(spec, rng)
-    end_state = rng.bit_generator.state
-    if plan.nbytes <= _PLAN_CACHE_MAX_BYTES:
-        used = sum(entry[0].nbytes for entry in _PLAN_CACHE.values())
-        while _PLAN_CACHE and used + plan.nbytes > _PLAN_CACHE_MAX_BYTES:
-            evicted, _ = _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-            used -= evicted.nbytes
-        _PLAN_CACHE[key] = (plan, end_state)
+    if keep:
+        _PLAN_CACHE[key] = (plan, rng.bit_generator.state)
     return plan
 
 

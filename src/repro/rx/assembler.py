@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.csk.demodulator import DecisionKind
-from repro.exceptions import FramingError
+from repro.exceptions import DemodulationError, FramingError
 from repro.packet.framing import (
     CALIBRATION_FLAG,
     DATA_FLAG,
@@ -104,6 +104,11 @@ class AssemblerStats:
         self.symbols_lost_in_gaps = 0
         self.gaps_inserted = 0
         self.max_gap_symbols = 0
+
+
+#: Symbol periods from ``t = 0`` within which float64 band times still
+#: resolve one symbol (the float64 significand has 52 fraction bits).
+_MAX_CLOCK_SYMBOLS = 2.0**52
 
 
 class PreambleScanner:
@@ -189,6 +194,28 @@ class PacketAssembler:
         self.stats = AssemblerStats()
 
     # -- stream stitching ------------------------------------------------
+
+    def check_frame_clock(self, frame) -> None:
+        """Reject a frame whose band times the symbol clock cannot resolve.
+
+        Stitching counts lost symbols as ``round(dt / T)``.  Beyond
+        ``2**52`` symbol periods from ``t = 0`` a float64 time no longer
+        resolves one period, so such a count would be meaningless (or, for
+        an infinite ``dt``, raise).  Every band of the frame lies between
+        its first row's exposure start and its last row's exposure end.
+        """
+        limit = _MAX_CLOCK_SYMBOLS / self.symbol_rate
+        end = (
+            frame.start_time
+            + frame.rows * frame.row_period
+            + frame.exposure.exposure_s
+        )
+        if not (abs(frame.start_time) <= limit and abs(end) <= limit):
+            raise DemodulationError(
+                f"frame {frame.index} spans t = {frame.start_time:g} .. "
+                f"{end:g} s, beyond the {limit:g} s the "
+                f"{self.symbol_rate:g} Hz symbol clock resolves"
+            )
 
     def stitch(
         self, per_frame_bands: Sequence[Sequence[ReceivedBand]]

@@ -286,14 +286,19 @@ class ColorBarsReceiver:
 
         Whole recordings share one pixel shape, so preprocessing runs as a
         single stacked pass (bitwise identical to per-frame conversion).
-        Frames in a group whose batched conversion raises — or mixed-shape
-        inputs — fall back to ``None`` entries, which ``_segment_frame``
-        preprocesses individually under its per-frame containment.
+        Frames in a group whose batched conversion raises, and frames whose
+        pixels cannot be read at all, fall back to ``None`` entries, which
+        ``_segment_frame`` preprocesses individually under its per-frame
+        containment (recording the failure).
         """
         results: List[Optional[np.ndarray]] = [None] * len(frames)
         groups: dict = {}
         for position, frame in enumerate(frames):
-            groups.setdefault(frame.pixels.shape, []).append(position)
+            try:
+                shape = frame.pixels.shape
+            except ColorBarsError:
+                continue
+            groups.setdefault(shape, []).append(position)
         for positions in groups.values():
             try:
                 labs = frames_to_scanline_lab([frames[p] for p in positions])
@@ -423,6 +428,7 @@ class ColorBarsReceiver:
             # band.
             smear_rows = frame.exposure.exposure_s / frame.row_period
             stage = "segment"
+            self.assembler.check_frame_clock(frame)
             bands = self.segmenter.segment(scanlines, smear_rows=smear_rows)
             if self.equalize and bands:
                 from repro.rx.equalizer import deconvolve_frame

@@ -6,13 +6,15 @@ aborts the session.  Errors outside the ColorBarsError hierarchy are bugs,
 not channel conditions, and must still propagate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.camera.auto_exposure import ExposureSettings
 from repro.camera.frame import CapturedFrame
 from repro.core.config import SystemConfig
-from repro.core.system import make_receiver
+from repro.core.system import make_receiver, make_streaming_receiver
 from repro.csk.calibration import CalibrationTable
 from repro.exceptions import DemodulationError
 from repro.link.simulator import LinkSimulator
@@ -167,3 +169,46 @@ class TestFramesShorterThanSmoothing:
         assert report.frames_processed == 3
         assert [f.frame_index for f in report.frame_failures] == [1]
         assert report.frame_failures[0].error_type == "DemodulationError"
+
+
+class TestFrameOffTheSymbolClock:
+    """A frame timed where float64 no longer resolves a symbol period fails
+    as data on both paths.  Stitching it used to raise ``OverflowError``
+    (an infinite ``dt``) or count ~1e300 symbols lost in one gap."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"start_time": 1.7e308},
+            {"start_time": -1e308},
+            {"row_period": 1e300},
+            {"exposure": ExposureSettings(exposure_s=1e300, iso=100.0)},
+        ],
+        ids=["start-max", "start-min", "row-period", "exposure"],
+    )
+    def test_batch_and_streaming_record_segment_failure(
+        self, tiny_device, changes
+    ):
+        config = SystemConfig(
+            csk_order=4,
+            symbol_rate=1000,
+            design_loss_ratio=tiny_device.timing.gap_fraction,
+            frame_rate=tiny_device.timing.frame_rate,
+        )
+        simulator = LinkSimulator(
+            config, tiny_device, simulated_columns=32, seed=3
+        )
+        _, frames, _ = simulator.record_session(duration_s=0.6)
+        frames[5] = dataclasses.replace(frames[5], **changes)
+        batch = make_receiver(config, tiny_device.timing).process_frames(frames)
+        streaming = make_streaming_receiver(config, tiny_device.timing)
+        for frame in frames:
+            streaming.feed(frame)
+        streaming.finish()
+        for report in (batch, streaming.report):
+            assert [
+                (f.frame_index, f.stage, f.error_type)
+                for f in report.frame_failures
+            ] == [(5, "segment", "DemodulationError")]
+            assert report.symbols_lost_in_gaps < 10_000
+            assert report.packets_decoded > 0

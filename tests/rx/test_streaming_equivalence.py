@@ -11,6 +11,7 @@ out-of-order lifecycle error paths: feed-after-finish and double-finish.
 import numpy as np
 import pytest
 
+from repro.camera.devices import generic_device
 from repro.core.config import SystemConfig
 from repro.core.system import make_receiver, make_streaming_receiver
 from repro.exceptions import StreamingStateError
@@ -18,6 +19,7 @@ from repro.faults import make_injector
 from repro.faults.injectors import FAULT_REGISTRY
 from repro.link.simulator import LinkSimulator
 from repro.rx.streaming import StreamingReceiver
+from repro.serve.soak import PoisonFrame
 
 #: Counter fields of ReceiverReport compared one by one (its band list holds
 #: numpy payloads, so dataclass equality cannot be used wholesale).
@@ -98,6 +100,22 @@ class TestStreamingEquivalence:
         streaming = make_streaming_receiver(config, tiny_device.timing)
         _stream(streaming, frames)
         assert_reports_identical(streaming.report, batch)
+
+    def test_unreadable_frame_matches_batch(self):
+        """A frame whose pixels cannot be read is one contained failure on
+        both paths; batch decode must not abort while grouping frames."""
+        device = generic_device()
+        config = _config(device)
+        frames = _recording(device, config, seed=1, duration_s=0.5)
+        frames[5] = PoisonFrame(5)
+        batch = make_receiver(config, device.timing).process_frames(frames)
+        streaming = make_streaming_receiver(config, device.timing)
+        _stream(streaming, frames)
+        assert_reports_identical(streaming.report, batch)
+        assert [
+            (f.frame_index, f.stage, f.error_type) for f in batch.frame_failures
+        ] == [(5, "preprocess", "CameraError")]
+        assert batch.packets_decoded > 0
 
     def test_calibrated_session_emits_at_codeword_close(self, tiny_device):
         # Bootstrap both receivers on one recording, then stream a second:
