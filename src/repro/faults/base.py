@@ -1,16 +1,26 @@
 """Fault-injection contract: injector protocol, schedule, intensity rules.
 
 Injectors wrap the simulated recording between camera and receiver: each one
-consumes a list of :class:`~repro.camera.frame.CapturedFrame` and returns a
-(possibly shorter, possibly perturbed) list, recording exactly what it did in
-a :class:`FaultSchedule` — the ground truth the robustness tests assert
-against.
+consumes a sequence of :class:`~repro.camera.frame.CapturedFrame` and yields a
+(possibly shorter, possibly perturbed) stream of frames, recording exactly
+what it did in a :class:`FaultSchedule` — the ground truth the robustness
+tests assert against.
+
+Every injector implements one generator, ``_stream``.  ``stream`` yields its
+frames lazily, so a damaged copy exists only from the moment it is yielded
+until its consumer lets go of it; ``inject`` is ``list(stream(...))``, for
+callers that want the whole damaged recording at once.  A stream owns its
+generator from its first frame until it is exhausted: it draws its random
+budget when the first frame is requested and further draws as later frames
+are, so two streams must never share a generator while both are live.
+Chained injectors go through ``inject``, one after the other: each sizes
+its budget by the length of the whole recording it is given.
 
 Two contract rules make fault sweeps meaningful:
 
-* **Zero is a no-op.**  ``inject`` at ``intensity == 0.0`` returns the input
-  frames unchanged, so a zero-intensity run is byte-identical to a no-fault
-  run.
+* **Zero is a no-op.**  ``stream`` and ``inject`` at ``intensity == 0.0``
+  yield the input frames unchanged and draw nothing, so a zero-intensity run
+  is byte-identical to a no-fault run.
 * **Common random numbers.**  An injector draws a *fixed* per-frame random
   budget that does not depend on its intensity, then scales the damage
   deterministically.  Two runs that differ only in intensity therefore
@@ -25,7 +35,7 @@ All randomness flows through generators built by :mod:`repro.util.rng`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -128,9 +138,9 @@ def validate_intensity(intensity: float, name: str) -> float:
 class FaultInjector:
     """Base class every injector extends.
 
-    Subclasses set ``name`` and implement :meth:`_apply`; the public
-    :meth:`inject` enforces the zero-is-a-no-op contract so subclasses never
-    need to special-case it.
+    Subclasses set ``name`` and implement the generator :meth:`_stream`; the
+    public :meth:`stream` enforces the zero-is-a-no-op contract so subclasses
+    never need to special-case it.
     """
 
     name: str = ""
@@ -138,25 +148,34 @@ class FaultInjector:
     def __init__(self, intensity: float) -> None:
         self.intensity = validate_intensity(intensity, type(self).__name__)
 
+    def stream(
+        self,
+        frames: Sequence[CapturedFrame],
+        rng: np.random.Generator,
+        schedule: FaultSchedule,
+    ) -> Iterator[CapturedFrame]:
+        """Yield this fault's frames one at a time; record ground truth."""
+        if self.intensity == 0.0:
+            return iter(frames)
+        return self._stream(frames, rng, schedule)
+
     def inject(
         self,
         frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
     ) -> List[CapturedFrame]:
-        """Apply this fault to a recording; record ground truth in ``schedule``."""
-        if self.intensity == 0.0:
-            return list(frames)
-        return self._apply(list(frames), rng, schedule)
+        """Apply this fault to a whole recording at once."""
+        return list(self.stream(frames, rng, schedule))
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         raise FaultInjectionError(
-            f"{type(self).__name__} does not implement _apply"
+            f"{type(self).__name__} does not implement _stream"
         )
 
     def __repr__(self) -> str:

@@ -2,16 +2,15 @@
 
 Each injector models one impairment class real LED-to-camera links exhibit
 (occlusion, saturation, exposure spikes, dropped/corrupted frames, clock
-drift, slow channel drift) as a seeded transform over the captured-frame
-list.  See
-:mod:`repro.faults.base` for the two contract rules every injector obeys
+drift, slow channel drift) as a seeded generator over the captured frames.
+See :mod:`repro.faults.base` for the two contract rules every injector obeys
 (zero-is-a-no-op, fixed per-frame random budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple, Type
+from typing import Dict, Iterator, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -30,20 +29,18 @@ class FrameDropInjector(FaultInjector):
 
     name = "frame-drop"
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         draws = rng.random(len(frames))
-        kept: List[CapturedFrame] = []
         for frame, draw in zip(frames, draws):
             if draw < self.intensity:
                 schedule.record(self.name, frame.index, 1.0, "frame dropped")
             else:
-                kept.append(frame)
-        return kept
+                yield frame
 
 
 class ScanlineCorruptionInjector(FaultInjector):
@@ -60,15 +57,14 @@ class ScanlineCorruptionInjector(FaultInjector):
     #: Fraction of a frame's rows the burst may reach at intensity 1.0.
     max_burst_fraction = 0.5
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         # Fixed budget first (intensity-independent), noise content after.
         budget = rng.random((len(frames), 2))
-        out: List[CapturedFrame] = []
         for frame, (start_draw, length_draw) in zip(frames, budget):
             burst = int(
                 round(
@@ -79,7 +75,7 @@ class ScanlineCorruptionInjector(FaultInjector):
                 )
             )
             if burst <= 0:
-                out.append(frame)
+                yield frame
                 continue
             start = int(start_draw * (frame.rows - burst))
             pixels = frame.pixels.copy()
@@ -93,8 +89,7 @@ class ScanlineCorruptionInjector(FaultInjector):
                 float(burst),
                 f"rows {start}..{start + burst - 1} torn",
             )
-            out.append(replace(frame, pixels=pixels))
-        return out
+            yield replace(frame, pixels=pixels)
 
 
 class OcclusionInjector(FaultInjector):
@@ -113,18 +108,17 @@ class OcclusionInjector(FaultInjector):
     #: 8-bit value occluded pixels take (dark, below any OFF threshold).
     blocked_level = 2
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         center_draw = float(rng.random())
-        out: List[CapturedFrame] = []
         for frame in frames:
             cover = int(round(frame.rows * self.max_cover_fraction * self.intensity))
             if cover <= 0:
-                out.append(frame)
+                yield frame
                 continue
             center = center_draw * frame.rows
             start = int(np.clip(center - cover / 2, 0, frame.rows - cover))
@@ -136,8 +130,7 @@ class OcclusionInjector(FaultInjector):
                 cover / frame.rows,
                 f"rows {start}..{start + cover - 1} occluded",
             )
-            out.append(replace(frame, pixels=pixels))
-        return out
+            yield replace(frame, pixels=pixels)
 
 
 class SaturationInjector(FaultInjector):
@@ -153,17 +146,16 @@ class SaturationInjector(FaultInjector):
     #: Radiometric gain applied to a spiked frame before clipping.
     spike_gain = 2.5
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         draws = rng.random(len(frames))
-        out: List[CapturedFrame] = []
         for frame, draw in zip(frames, draws):
             if draw >= self.intensity:
-                out.append(frame)
+                yield frame
                 continue
             hot = np.clip(
                 frame.pixels.astype(np.float64) * self.spike_gain, 0, 255
@@ -175,8 +167,7 @@ class SaturationInjector(FaultInjector):
                 self.spike_gain,
                 f"exposure spike x{self.spike_gain} ({clipped:.0%} clipped)",
             )
-            out.append(replace(frame, pixels=hot))
-        return out
+            yield replace(frame, pixels=hot)
 
 
 class TimingJitterInjector(FaultInjector):
@@ -195,15 +186,14 @@ class TimingJitterInjector(FaultInjector):
     #: Per-frame drift-step standard deviation at intensity 1.0, seconds.
     max_step_s = 4e-4
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         steps = rng.normal(0.0, 1.0, size=len(frames))
         drift = np.cumsum(steps) * self.max_step_s * self.intensity
-        out: List[CapturedFrame] = []
         for frame, offset in zip(frames, drift):
             schedule.record(
                 self.name,
@@ -211,8 +201,7 @@ class TimingJitterInjector(FaultInjector):
                 float(offset),
                 f"start_time shifted {offset * 1e3:+.3f} ms",
             )
-            out.append(replace(frame, start_time=frame.start_time + float(offset)))
-        return out
+            yield replace(frame, start_time=frame.start_time + float(offset))
 
 
 class DriftInjector(FaultInjector):
@@ -240,19 +229,18 @@ class DriftInjector(FaultInjector):
     #: Std of the per-frame multiplicative gain ripple at intensity 1.0.
     gain_ripple = 0.02
 
-    def _apply(
+    def _stream(
         self,
-        frames: List[CapturedFrame],
+        frames: Sequence[CapturedFrame],
         rng: np.random.Generator,
         schedule: FaultSchedule,
-    ) -> List[CapturedFrame]:
+    ) -> Iterator[CapturedFrame]:
         # Fixed budget first (intensity-independent), then deterministic
         # scaling: the ramp depth moves with intensity, the ripple pattern
         # does not.
         ripple = rng.normal(0.0, 1.0, size=len(frames))
         span = max(len(frames) - 1, 1)
         cast = np.asarray(self.ambient_rgb, dtype=np.float64)
-        out: List[CapturedFrame] = []
         for position, (frame, wobble) in enumerate(zip(frames, ripple)):
             progress = position / span
             gain = 1.0 - self.max_gain_fade * self.intensity * progress
@@ -267,8 +255,7 @@ class DriftInjector(FaultInjector):
                 gain,
                 f"gain x{gain:.3f}, ambient +{ambient:.1f}",
             )
-            out.append(replace(frame, pixels=pixels))
-        return out
+            yield replace(frame, pixels=pixels)
 
 
 #: Canonical name -> injector class, the vocabulary of ``--fault NAME:INTENSITY``.

@@ -11,10 +11,11 @@ evaluation section needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.camera.auto_exposure import ExposureSettings
 from repro.camera.frame import CapturedFrame
 from repro.color.cielab import JND_DELTA_E
 from repro.csk.calibration import CalibrationTable
@@ -182,17 +183,31 @@ class ReceiverReport:
         return counts
 
 
+class _FrameClock(NamedTuple):
+    """The part of a frame classification reads: its index and band clock.
+
+    :meth:`SymbolDetector.detect` stamps each band with a time from these
+    fields alone, so a segmented frame keeps this record, never its pixels.
+    """
+
+    index: int
+    start_time: float
+    row_period: float
+    exposure: ExposureSettings
+
+
 @dataclass
 class _SegmentedFrame:
     """One frame's calibration-independent pipeline state, computed once.
 
-    Either ``bands`` (the pre-detect segmentation, possibly empty) or
-    ``failure`` (the contained pre-detect error) is set.  Both passes of
-    :meth:`ColorBarsReceiver.process_frames` classify from this record
-    instead of re-running preprocess/segment.
+    Either ``clock`` and ``bands`` (the pre-detect segmentation, possibly
+    empty) or ``failure`` (the contained pre-detect error) is set.  Both
+    passes of :meth:`ColorBarsReceiver.process_frames` classify from this
+    record instead of re-running preprocess/segment, and a buffering
+    streaming session holds one per fed frame until ``finish()``.
     """
 
-    frame: CapturedFrame
+    clock: Optional[_FrameClock] = None
     bands: list = field(default_factory=list)
     failure: Optional[FrameFailure] = None
 
@@ -440,10 +455,12 @@ class ColorBarsReceiver:
                     smear_rows,
                     preserve_dark_below=self.demodulator.off_lightness,
                 )
-            return _SegmentedFrame(frame=frame, bands=bands)
+            clock = _FrameClock(
+                frame.index, frame.start_time, frame.row_period, frame.exposure
+            )
+            return _SegmentedFrame(clock=clock, bands=bands)
         except ColorBarsError as exc:
             return _SegmentedFrame(
-                frame=frame,
                 failure=FrameFailure(
                     frame_index=frame.index,
                     stage=stage,
@@ -463,12 +480,12 @@ class ColorBarsReceiver:
                 failures.append(segmented.failure)
             return []
         try:
-            return self.detector.detect(segmented.frame, segmented.bands)
+            return self.detector.detect(segmented.clock, segmented.bands)
         except ColorBarsError as exc:
             if failures is not None:
                 failures.append(
                     FrameFailure(
-                        frame_index=segmented.frame.index,
+                        frame_index=segmented.clock.index,
                         stage="detect",
                         error_type=type(exc).__name__,
                         message=str(exc),

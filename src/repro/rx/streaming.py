@@ -30,9 +30,14 @@ alone (though ``tests/rx/test_streaming_equivalence.py`` gates it):
 
 A receiver that *starts uncalibrated* cannot stream: the batch bootstrap
 pass is non-causal (it scans the entire recording for calibration packets
-before classifying frame 0).  In that case frames are buffered and the
-whole pipeline — via the same ``_process_segmented`` the batch path runs —
-executes at ``finish()``, which then emits every packet event at once.
+before classifying frame 0).  In that case each frame is segmented as it is
+fed and only what the replay reads is buffered — the frame's bands and its
+clock (index, start time, row period, exposure), never its pixels — and the
+rest of the pipeline, via the same ``_process_segmented`` the batch path
+runs, executes at ``finish()``, which then emits every packet event at once.
+A buffering session therefore grows by a few hundred bytes per band (about
+9 KB for a 1920-row frame of 25 bands, whose pixels take 184 KB at 32
+columns), and the caller's frames are free to be collected once fed.
 
 Between preambles the consumed prefix of the stitched stream is pruned, so
 a calibrated session holds O(window) state no matter how long it runs —
@@ -124,8 +129,8 @@ class StreamingReceiver:
         self._pending: Optional[tuple] = None
         self._calibrations: List[CalibrationEvent] = []
         #: An uncalibrated receiver cannot classify causally (the batch
-        #: bootstrap scans the whole recording first): buffer segmented
-        #: frames and run the shared batch path at ``finish()``.
+        #: bootstrap scans the whole recording first): buffer each frame's
+        #: bands and clock and run the shared batch path at ``finish()``.
         self._buffering = not receiver.calibration.is_calibrated
         self._segmented: List = []
         self._finished = False

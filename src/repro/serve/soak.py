@@ -23,7 +23,7 @@ derive from ``SoakSpec.seed`` via :mod:`repro.util.rng`, and time is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.camera.devices import DeviceProfile, generic_device
 from repro.core.config import SystemConfig
@@ -123,6 +123,7 @@ class SoakSpec:
             ("chaos_fraction", self.chaos_fraction),
             ("poison_fraction", self.poison_fraction),
             ("stall_fraction", self.stall_fraction),
+            ("fault_intensity", self.fault_intensity),
         ):
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
@@ -237,19 +238,25 @@ def _base_recordings(
 
 def _session_frames(
     spec: SoakSpec, index: int, role: str, recordings: List[list]
-) -> list:
-    """This session's frame stream — its shared recording, warped by role."""
-    frames = list(recordings[index % spec.distinct_recordings])
+) -> Iterator:
+    """This session's frame stream — its shared recording, warped by role.
+
+    Lazy: a chaotic session's damaged copy of a frame is made only when the
+    scheduler asks for that frame.
+    """
+    frames = recordings[index % spec.distinct_recordings]
     if role == ROLE_POISON:
-        return [PoisonFrame(frame.index) for frame in frames]
+        return (PoisonFrame(frame.index) for frame in frames)
+    if role == ROLE_STALL:
+        return iter(frames[:_STALL_AFTER_FRAMES])
     if role == ROLE_CHAOS:
         names = sorted(FAULT_REGISTRY)
         injector = make_injector(
             names[index % len(names)], spec.fault_intensity
         )
         rng = derive_rng(make_rng(spec.seed), f"soak:chaos:{index}")
-        return injector.inject(frames, rng, FaultSchedule())
-    return frames
+        return injector.stream(frames, rng, FaultSchedule())
+    return iter(frames)
 
 
 def run_soak(
@@ -287,7 +294,12 @@ def run_soak(
     recordings = _base_recordings(spec, config, device)
 
     roles: Dict[str, str] = {}
-    pending: Dict[str, list] = {}
+    # Every session reads its frames from an iterator with one frame of
+    # lookahead: ``upcoming[sid]`` is its next frame, or ``None`` once it has
+    # none left to send.  A damaged copy therefore lives only from its
+    # injection until it is fed, not for the whole soak.
+    streams: Dict[str, Iterator] = {}
+    upcoming: Dict[str, object] = {}
     for index in range(spec.sessions):
         session_id = f"session-{index:04d}"
         role = _draw_role(spec, index)
@@ -297,29 +309,27 @@ def run_soak(
             report.rejected.append((session_id, exc.reason))
             continue
         roles[session_id] = role
-        frames = _session_frames(spec, index, role, recordings)
-        if role == ROLE_STALL:
-            frames = frames[:_STALL_AFTER_FRAMES]
-        pending[session_id] = frames
+        stream = _session_frames(spec, index, role, recordings)
+        streams[session_id] = stream
+        upcoming[session_id] = next(stream, None)
 
     # Round-robin scheduler: every round each live session submits a small
     # batch, the manager pumps, the virtual clock ticks, idlers fall off.
-    cursor: Dict[str, int] = {session_id: 0 for session_id in pending}
     while any(
-        cursor[sid] < len(pending[sid])
-        and manager.sessions[sid].is_active
-        for sid in pending
+        upcoming[sid] is not None and manager.sessions[sid].is_active
+        for sid in streams
     ):
-        for session_id, frames in pending.items():
+        for session_id, stream in streams.items():
             session = manager.sessions[session_id]
-            if not session.is_active:
-                continue
-            start = cursor[session_id]
-            for frame in frames[start : start + _FRAMES_PER_ROUND]:
-                manager.submit_frame(session_id, frame)
+            for _ in range(_FRAMES_PER_ROUND):
                 if not session.is_active:
+                    upcoming[session_id] = None
                     break
-            cursor[session_id] = min(start + _FRAMES_PER_ROUND, len(frames))
+                frame = upcoming[session_id]
+                if frame is None:
+                    break
+                manager.submit_frame(session_id, frame)
+                upcoming[session_id] = next(stream, None)
         manager.pump()
         clock.advance(_ROUND_SECONDS)
         report.evicted.extend(manager.evict_idle())

@@ -53,3 +53,30 @@ class TestSweepGuard:
         )
         assert code == 0
         assert "band < 10 px" in capsys.readouterr().out
+
+
+class TestServeGuard:
+    @pytest.mark.parametrize("chaos", ["0.0", "1.0"])
+    @pytest.mark.parametrize("intensity", ["2", "-0.5", "nan", "inf"])
+    def test_out_of_range_fault_intensity_is_a_clean_error(
+        self, capsys, chaos, intensity
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(
+                [
+                    "serve",
+                    "--device", "generic",
+                    "--order", "4",
+                    "--rate", "1000",
+                    "--sessions", "4",
+                    "--duration", "0.3",
+                    "--recordings", "1",
+                    "--seed", "5",
+                    "--chaos-sessions", chaos,
+                    "--fault-intensity", intensity,
+                ]
+            )
+        assert str(exc_info.value.code).startswith(
+            "colorbars: fault_intensity must be in [0, 1]"
+        )
+        assert "serve  :" not in capsys.readouterr().out

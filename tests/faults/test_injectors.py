@@ -5,6 +5,8 @@ damage, making the schedule trustworthy ground truth for the link-level
 robustness tests.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,112 @@ class TestContract:
         for frame, pixels, start in zip(frames, originals, times):
             assert np.array_equal(frame.pixels, pixels)
             assert frame.start_time == start
+
+
+def frame_record(frame):
+    """Everything an injector may change about a frame, comparable by ``==``."""
+    return (frame.pixels.tobytes(), frame.index, frame.start_time, frame.exposure)
+
+
+def run_stream(cls, intensity, frames, seed, eager):
+    """One injector pass; ``(frame records, schedule events, final RNG state)``."""
+    schedule = FaultSchedule()
+    rng = np.random.default_rng(seed)
+    injector = cls(intensity)
+    if eager:
+        out = injector.inject(frames, rng, schedule)
+    else:
+        out = list(injector.stream(frames, rng, schedule))
+    return [frame_record(f) for f in out], schedule.events, rng.bit_generator.state
+
+
+#: sha256 of each injector's output on ``make_frames(count=12)`` with
+#: ``default_rng(2024)``: frame pixels and timing, the schedule, and the
+#: generator's final state.  Pins the draws, their order and the damage.
+INJECT_GOLDEN = {
+    ("drift", 0.3): "e1364889987075c101b86b8c99dbb5092c95580c3b73307575806dcc31170009",
+    ("drift", 1.0): "2a3c11bbd0e250585ab117e0cf8d9d8e9f3f35fc8e75ffe7d0afe86de4eb3420",
+    ("frame-drop", 0.3): "7f53e3fc0b846740d24f94ff46810895394425f0f632dd357389429c976f2eb8",
+    ("frame-drop", 1.0): "abc62f265ca1006faf923d8fb83b128de99a63e53869db166e2890a70d0d33fc",
+    ("occlusion", 0.3): "e7c201b8db6320a1378ee5bdbb880ca32fe9db5c2fe21df513f0513c2dfc6e8c",
+    ("occlusion", 1.0): "57ea2b8eed3b0ecf5d2d7422209fac167257550144860f8b989dbd7865040974",
+    ("saturation", 0.3): "f4fc79d04ca29b56cf3f358fea4e56ea3c5d6973aeef9a4dcd0d43892f1002b3",
+    ("saturation", 1.0): "3bb8f4689e747cda7864501cc96bd5831368322f47b285440673b1b4e03aa46a",
+    ("scanline-corruption", 0.3): "80a749a31b3597349b7d7cad4ba9870508da113e29f40696acf6cea7ccb19a13",
+    ("scanline-corruption", 1.0): "f4b815833d89e105c34038dd898ff560d4d6259ba41ecb506ba8974b83181509",
+    ("timing-jitter", 0.3): "cde7590f02aba5000fefe8e9e118fef149e7c7b048933f3ccb63c84edcd41bf1",
+    ("timing-jitter", 1.0): "ebecf8acd645a4f0d1c979388ef05d776153b5fc4c250c27e4a8062bbf8979ee",
+}
+
+
+class TestStream:
+    """``stream`` is the injector; ``inject`` is ``list(stream(...))``."""
+
+    @pytest.mark.parametrize("cls", ALL_INJECTOR_CLASSES)
+    @pytest.mark.parametrize("intensity", [0.0, 0.3, 1.0])
+    def test_stream_matches_inject(self, cls, intensity):
+        frames = make_frames(count=12)
+        assert run_stream(cls, intensity, frames, 9, eager=False) == run_stream(
+            cls, intensity, frames, 9, eager=True
+        )
+
+    @pytest.mark.parametrize("cls", ALL_INJECTOR_CLASSES)
+    def test_zero_intensity_stream_yields_inputs_and_draws_nothing(self, cls):
+        frames = make_frames()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        schedule = FaultSchedule()
+        out = list(cls(0.0).stream(frames, rng, schedule))
+        assert all(a is b for a, b in zip(out, frames)) and len(out) == len(frames)
+        assert rng.bit_generator.state == before
+        assert len(schedule) == 0
+
+    @pytest.mark.parametrize("cls", ALL_INJECTOR_CLASSES)
+    @pytest.mark.parametrize("intensity", [0.0, 0.3, 1.0])
+    def test_interleaved_streams_match_streams_consumed_alone(
+        self, cls, intensity
+    ):
+        first, second = make_frames(count=9, seed=1), make_frames(count=7, seed=2)
+        alone = [
+            run_stream(cls, intensity, first, 11, eager=False)[:2],
+            run_stream(cls, intensity, second, 12, eager=False)[:2],
+        ]
+        schedules = [FaultSchedule(), FaultSchedule()]
+        streams = [
+            cls(intensity).stream(first, np.random.default_rng(11), schedules[0]),
+            cls(intensity).stream(second, np.random.default_rng(12), schedules[1]),
+        ]
+        outputs = [[], []]
+        live = [0, 1]
+        while live:
+            for which in list(live):
+                frame = next(streams[which], None)
+                if frame is None:
+                    live.remove(which)
+                else:
+                    outputs[which].append(frame_record(frame))
+        assert [
+            (outputs[0], schedules[0].events),
+            (outputs[1], schedules[1].events),
+        ] == [tuple(a) for a in alone]
+
+    @pytest.mark.parametrize("key", sorted(INJECT_GOLDEN))
+    def test_inject_output_pinned(self, key):
+        name, intensity = key
+        schedule = FaultSchedule()
+        rng = np.random.default_rng(2024)
+        out = FAULT_REGISTRY[name](intensity).inject(
+            make_frames(count=12), rng, schedule
+        )
+        digest = hashlib.sha256()
+        for f in out:
+            digest.update(f.pixels.tobytes())
+            digest.update(
+                repr((f.index, f.start_time, f.row_period, f.exposure)).encode()
+            )
+        digest.update(repr(schedule.events).encode())
+        digest.update(repr(rng.bit_generator.state).encode())
+        assert digest.hexdigest() == INJECT_GOLDEN[key]
 
 
 class TestFrameDrop:

@@ -6,9 +6,13 @@ structured records, stalls must evict, and every healthy session must
 decode byte-identically to the same soak with chaos switched off.
 """
 
+import math
+
 import pytest
 
 from tests.conftest import make_tiny_device
+
+from repro.exceptions import ConfigurationError
 
 from repro.serve import (
     ROLE_HEALTHY,
@@ -124,3 +128,21 @@ class TestChaosSoak:
         again = run_soak(_CHAOS_SPEC, device=soak_device, policy=_POLICY)
         assert again.as_dict() == chaos_report.as_dict()
         assert again.payloads_by_session() == chaos_report.payloads_by_session()
+
+
+class TestSoakSpecValidation:
+    @pytest.mark.parametrize(
+        "intensity", [2.0, 1.0 + 1e-9, -0.1, math.nan, math.inf, -math.inf]
+    )
+    def test_fault_intensity_outside_unit_interval_rejected(self, intensity):
+        spec = SoakSpec(sessions=2, chaos_fraction=1.0, fault_intensity=intensity)
+        with pytest.raises(ConfigurationError, match="fault_intensity"):
+            spec.validate()
+        # Rejected before the first session opens, even with no chaos role.
+        calm = SoakSpec(sessions=2, fault_intensity=intensity)
+        with pytest.raises(ConfigurationError, match="fault_intensity"):
+            run_soak(calm)
+
+    @pytest.mark.parametrize("intensity", [0.0, 0.3, 1.0])
+    def test_fault_intensity_in_unit_interval_accepted(self, intensity):
+        SoakSpec(chaos_fraction=1.0, fault_intensity=intensity).validate()
