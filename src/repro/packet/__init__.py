@@ -21,7 +21,6 @@ from repro.packet.framing import (
     DATA_FLAG,
     DELIMITER,
     PacketKind,
-    find_preambles,
     preamble_symbols,
 )
 from repro.packet.packetizer import (
@@ -35,7 +34,6 @@ __all__ = [
     "DATA_FLAG",
     "DELIMITER",
     "PacketKind",
-    "find_preambles",
     "preamble_symbols",
     "PacketConfig",
     "Packetizer",

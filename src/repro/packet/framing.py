@@ -1,21 +1,22 @@
-"""Preamble sequences and their detection in received symbol streams.
+"""Preamble sequences: the delimiter and the data and calibration flags.
 
 The delimiter and flags are built from OFF ('o') and WHITE ('w') symbols
 only, so a receiver can spot packet boundaries before it has any color
 calibration (paper §6.2: the calibration flag's o/w alternation lets a new
 receiver latch onto the very first calibration packet).
 
-Detection operates on the compact character stream produced by the
-demodulator ('o' / 'w' / decimal index per band) and is tolerant of data
-symbols that happen to decode near white: a preamble must match the full
-delimiter + flag sequence, and the longest flag wins at any position.
+This module only defines the sequences.  Detection lives in the receiver:
+:class:`repro.rx.assembler.PreambleScanner` matches them on the dark/lit
+skeleton of the received bands (a lit band matches a preamble's 'w'
+whatever color it decoded as), trying the calibration flag before the data
+flag it extends, and :class:`repro.rx.assembler.PacketFold` runs that scan
+as frames arrive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence
+from typing import List
 
 from repro.phy.symbols import LogicalSymbol, symbols_from_string
 
@@ -50,53 +51,3 @@ def flag_for(kind: PacketKind) -> str:
 def preamble_symbols(kind: PacketKind) -> List[LogicalSymbol]:
     """Delimiter + flag as logical symbols, ready for transmission."""
     return symbols_from_string(DELIMITER + flag_for(kind))
-
-
-@dataclass(frozen=True)
-class PreambleMatch:
-    """One detected preamble: where it starts, its kind, and its length."""
-
-    start: int
-    kind: PacketKind
-
-    @property
-    def length(self) -> int:
-        return len(DELIMITER) + len(flag_for(self.kind))
-
-    @property
-    def body_start(self) -> int:
-        """Index of the first symbol after the preamble."""
-        return self.start + self.length
-
-
-def find_preambles(chars: Sequence[str]) -> List[PreambleMatch]:
-    """Locate every preamble in a received symbol-character stream.
-
-    ``chars`` is the per-band compact notation ('o', 'w', or a decimal data
-    index).  At each position the *calibration* preamble is tried before the
-    data preamble because its flag extends the data flag ("owowowo" begins
-    with "owowo"); without longest-match-first every calibration packet would
-    be mistaken for a data packet with a corrupt body.  Matches never overlap:
-    scanning resumes after a match's preamble.
-    """
-    stream = "".join("o" if c == "o" else ("w" if c == "w" else "d") for c in chars)
-    calibration = DELIMITER + CALIBRATION_FLAG
-    data = DELIMITER + DATA_FLAG
-    matches: List[PreambleMatch] = []
-    position = 0
-    end = len(stream)
-    while position < end:
-        if stream.startswith(calibration, position):
-            matches.append(PreambleMatch(position, PacketKind.CALIBRATION))
-            position += len(calibration)
-        elif stream.startswith(data, position):
-            matches.append(PreambleMatch(position, PacketKind.DATA))
-            position += len(data)
-        else:
-            position += 1
-    return matches
-
-
-def strip_char_stream(symbols: Sequence[LogicalSymbol]) -> List[str]:
-    """Compact character rendering of a logical symbol stream (TX-side tests)."""
-    return [s.to_char() for s in symbols]

@@ -10,7 +10,10 @@ the loss into byte erasures at known positions for the Reed-Solomon decoder
 
 The assembler consumes the per-frame band streams and emits
 :class:`ReceivedPacket` objects carrying the reconstructed codeword bytes
-and their erasure positions, plus calibration events.
+and their erasure positions, plus calibration events.  :class:`PacketFold`
+is the receiver's one back half: it takes a frame's bands at a time and
+returns the packets whose windows closed, for a live stream and a whole
+recording alike.
 """
 
 from __future__ import annotations
@@ -85,7 +88,10 @@ class CalibrationEvent:
 
 @dataclass
 class AssemblerStats:
-    """Counters the receiver reports (packet accounting of §8)."""
+    """One pass's packet-accounting counters (§8).
+
+    Each :class:`PacketFold` starts its own from zero.
+    """
 
     preambles_seen: int = 0
     data_packets_ok: int = 0
@@ -98,13 +104,6 @@ class AssemblerStats:
     gaps_inserted: int = 0
     max_gap_symbols: int = 0
 
-    def reset_stream_counters(self) -> None:
-        """Zero the per-pass stitching counters (kept across extract calls)."""
-        self.symbols_consumed = 0
-        self.symbols_lost_in_gaps = 0
-        self.gaps_inserted = 0
-        self.max_gap_symbols = 0
-
 
 #: Symbol periods from ``t = 0`` within which float64 band times still
 #: resolve one symbol (the float64 significand has 52 fraction bits).
@@ -114,19 +113,21 @@ _MAX_CLOCK_SYMBOLS = 2.0**52
 class PreambleScanner:
     """Greedy left-to-right preamble matcher, resumable across feeds.
 
-    The batch matcher scans the whole stitched character stream once; this
-    class is that same scan with an explicit cursor so a streaming receiver
-    can resume it as new symbols arrive.  ``scan(chars, final=False)``
-    *waits* (stops without deciding) at any position where the available
-    suffix is still a proper prefix of a preamble skeleton — deciding there
-    could contradict what the batch pass would conclude once the rest of the
-    pattern arrived.  A ``final=True`` scan applies exact batch semantics
-    (a partial prefix at end-of-stream is not a match), so the concatenated
-    match list over any feed split equals the batch match list by
-    construction.  Calibration is tried before data at every position,
-    mirroring the batch matcher's priority.  Positions whose symbol starts
-    neither skeleton are skipped with ``str.find``: at those positions the
-    scan could only step past, so skipping them decides exactly the same.
+    One scan of the stitched character stream with an explicit cursor, so
+    a :class:`PacketFold` can resume it as new symbols arrive.
+    ``scan(chars, final=False)`` *waits* (stops without deciding) at any
+    position where the available suffix is still a proper prefix of a
+    preamble skeleton — deciding there could contradict what a scan of the
+    whole stream would conclude once the rest of the pattern arrived.  A
+    ``final=True`` scan decides everything (a partial prefix at
+    end-of-stream is not a match), so the concatenated match list over any
+    feed split equals the whole-stream match list by construction.
+    Calibration is tried before data at every position: its skeleton
+    extends the data skeleton, so trying data first would read every
+    calibration packet as a data packet with a corrupt body.  Positions
+    whose symbol starts neither skeleton are skipped with ``str.find``: at
+    those positions the scan could only step past, so skipping them decides
+    exactly the same.
     """
 
     def __init__(self, calibration: str, data: str) -> None:
@@ -242,11 +243,11 @@ class PacketAssembler:
     ) -> Optional[ReceivedBand]:
         """Fold one frame's bands onto a stitched stream, in place.
 
-        The incremental form of :meth:`stitch` (which is a fold over this
-        method, so batch and streaming stitching cannot diverge): the caller
+        The incremental form of :meth:`stitch` (a fold over this method)
+        that :class:`PacketFold` pushes each frame through: the caller
         carries ``previous_band`` across calls and gap markers are inserted
-        exactly where the batch pass would put them.  Returns the new
-        ``previous_band``.
+        exactly where a whole-recording stitch would put them.  Returns the
+        new ``previous_band``.
         """
         period = 1.0 / self.symbol_rate
         stats = self.stats
@@ -300,22 +301,21 @@ class PacketAssembler:
             data=self._skeleton(DELIMITER + DATA_FLAG),
         )
 
-    def _find_preambles(self, chars: str) -> List[tuple]:
-        return self.make_scanner().scan(chars, final=True)
-
     # -- packet extraction -------------------------------------------------
 
     def extract(
         self, items: List[StreamItem]
     ) -> tuple:
-        """Locate packets in a stitched stream.
+        """Locate packets in a whole stitched stream.
 
         Returns ``(packets, calibration_events)``.  Data packets whose
         header (size field) was damaged or whose advertised size is
-        impossible are dropped, as the paper specifies.
+        impossible are dropped, as the paper specifies.  The receiver
+        decodes through :class:`PacketFold`, which closes the same windows
+        a frame at a time.
         """
         chars = self._classify_chars(items)
-        matches = self._find_preambles(chars)
+        matches = self.make_scanner().scan(chars, final=True)
         self.stats.preambles_seen += len(matches)
 
         packets: List[ReceivedPacket] = []
@@ -341,9 +341,9 @@ class PacketAssembler:
         """Extract the one packet whose preamble matched at ``start``.
 
         The window runs from the preamble to ``limit`` (the next preamble's
-        start, or the end of the stream).  Both the batch :meth:`extract`
-        loop and the streaming receiver's codeword-close path call this, so
-        per-window extraction cannot diverge between them.  Returns a
+        start, or the end of the stream).  Both :meth:`extract` and
+        :class:`PacketFold` close windows through this, so per-window
+        extraction cannot diverge between them.  Returns a
         :class:`ReceivedPacket`, a :class:`CalibrationEvent`, or ``None``
         for a dropped packet; stats are updated either way.
         """
@@ -595,3 +595,91 @@ class PacketAssembler:
             if mask
         ]
         return codeword, erasures
+
+
+class PacketFold:
+    """The receive back half as a fold: one frame's bands in, packets out.
+
+    :meth:`push` stitches a frame onto the stream
+    (:meth:`PacketAssembler.stitch_into`), classifies the new items onto the
+    OFF skeleton, advances a :class:`PreambleScanner` and closes every
+    window the scan has decided through
+    :meth:`PacketAssembler.extract_window`.  A window closes when the next
+    preamble matches, or at :meth:`close`, which flushes the tail.  Both
+    return the data packets whose windows closed; calibration events are
+    kept on :attr:`calibrations` for the caller to absorb once the pass is
+    over.  Because the scanner decides a position only once a whole-stream
+    scan would decide it the same way, any split of a recording into
+    pushes closes the same windows.
+
+    Between preambles the consumed prefix of the stitched stream is
+    pruned, so a fold holds O(window) state however long it runs.  Each
+    fold owns a fresh :class:`PacketAssembler`, so :attr:`stats` count this
+    pass alone.
+    """
+
+    def __init__(self, packetizer: Packetizer, symbol_rate: float) -> None:
+        self.assembler = PacketAssembler(packetizer, symbol_rate)
+        self.stats = self.assembler.stats
+        self.calibrations: List[CalibrationEvent] = []
+        self._scanner = self.assembler.make_scanner()
+        self._items: List[StreamItem] = []
+        self._chars = ""
+        self._previous_band: Optional[ReceivedBand] = None
+        #: The last matched, not-yet-closed preamble: ``(start, kind)``.
+        self._pending: Optional[tuple] = None
+
+    def push(self, bands: Sequence[ReceivedBand]) -> List[ReceivedPacket]:
+        """Fold one frame's bands in; return the packets that closed."""
+        grown_from = len(self._items)
+        self._previous_band = self.assembler.stitch_into(
+            self._items, bands, self._previous_band
+        )
+        self._chars += self.assembler._classify_chars(self._items[grown_from:])
+        return self._drain(final=False)
+
+    def close(self) -> List[ReceivedPacket]:
+        """End the stream: decide the scan's tail and close the last window."""
+        return self._drain(final=True)
+
+    def _drain(self, final: bool) -> List[ReceivedPacket]:
+        """Advance the preamble scan; close every decided window."""
+        packets: List[ReceivedPacket] = []
+        for start, kind in self._scanner.scan(self._chars, final):
+            if self._pending is not None:
+                self._close_window(self._pending, start, packets)
+            self.stats.preambles_seen += 1
+            self._pending = (start, kind)
+        if final:
+            if self._pending is not None:
+                self._close_window(self._pending, len(self._items), packets)
+                self._pending = None
+            self._items = []
+            self._chars = ""
+            self._scanner.position = 0
+            return packets
+        # Everything before the open window (or, with no window open,
+        # before the scan cursor) can never be read again: extraction only
+        # looks inside [match start, next match).
+        if self._pending is not None:
+            cut, kind = self._pending
+            self._pending = (0, kind)
+        else:
+            cut = self._scanner.position
+        if cut > 0:
+            del self._items[:cut]
+            self._chars = self._chars[cut:]
+            self._scanner.position -= cut
+        return packets
+
+    def _close_window(
+        self, match: tuple, limit: int, packets: List[ReceivedPacket]
+    ) -> None:
+        start, kind = match
+        result = self.assembler.extract_window(self._items, start, kind, limit)
+        if result is None:
+            return
+        if kind is PacketKind.CALIBRATION:
+            self.calibrations.append(result)
+        else:
+            packets.append(result)

@@ -1,17 +1,20 @@
 """The complete ColorBars receiver: frames in, payload bytes out.
 
 Composes the per-frame pipeline (preprocess -> segment -> detect) with the
-cross-frame assembler, calibration handling, and Reed-Solomon decoding,
-mirroring the paper's two-threaded phone app in a single deterministic
-object.  Feed it the frames of a recording and it returns a
+cross-frame back half (:class:`repro.rx.assembler.PacketFold`: stitch ->
+preamble scan -> window close), calibration handling, and Reed-Solomon
+decoding, mirroring the paper's two-threaded phone app in a single
+deterministic object.  Feed it the frames of a recording and it returns a
 :class:`ReceiverReport` with the delivered payloads and every counter the
-evaluation section needs.
+evaluation section needs.  A recording is pushed through the fold a frame
+at a time, exactly as :class:`repro.rx.streaming.StreamingReceiver` pushes
+live frames, so batch and streaming decode share one back half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +45,12 @@ from repro.obs.schema import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.packet.packetizer import Packetizer
-from repro.rx.assembler import CalibrationEvent, PacketAssembler, ReceivedPacket
+from repro.rx.assembler import (
+    CalibrationEvent,
+    PacketAssembler,
+    PacketFold,
+    ReceivedPacket,
+)
 from repro.rx.detector import ReceivedBand, SymbolDetector
 from repro.rx.preprocess import frame_to_scanline_lab, frames_to_scanline_lab
 from repro.rx.segmentation import BandSegmenter
@@ -259,6 +267,8 @@ class ColorBarsReceiver:
             allow_no_plateau=equalize,
         )
         self.detector = SymbolDetector(self.demodulator)
+        #: The assembler of the latest back-half pass (see ``_new_fold``);
+        #: its ``stats`` count that pass alone.
         self.assembler = PacketAssembler(packetizer, symbol_rate)
         #: ISI equalization: re-estimate band colors by exposure
         #: deconvolution (repro.rx.equalizer) before classification.
@@ -292,7 +302,8 @@ class ColorBarsReceiver:
         for frame, lab in zip(frames, scanlines):
             with self.tracer.span(SPAN_SEGMENT, frame=frame.index):
                 segmented.append(self._segment_frame(frame, scanlines=lab))
-        return self._process_segmented(segmented, report)
+        self._process_segmented(segmented, report)
+        return report
 
     def _preprocess_recording(
         self, frames: Sequence[CapturedFrame]
@@ -324,31 +335,35 @@ class ColorBarsReceiver:
         return results
 
     def _process_segmented(
-        self,
-        segmented: Sequence["_SegmentedFrame"],
-        report: ReceiverReport,
-        collect: Optional[list] = None,
-    ) -> ReceiverReport:
+        self, segmented: Sequence["_SegmentedFrame"], report: ReceiverReport
+    ) -> List[tuple]:
         """Everything after segmentation: bootstrap, classify, assemble, FEC.
 
-        Shared verbatim by :meth:`process_frames` and the buffered-bootstrap
-        path of :class:`repro.rx.streaming.StreamingReceiver` (which must
-        replay the non-causal bootstrap pass at ``finish()``), so the two
-        cannot diverge.  ``collect``, when given, receives one
-        ``(packet, outcome)`` tuple per seen packet — ``outcome`` is the
-        decoded payload bytes or the :class:`FecFailure` — for callers that
-        need per-packet events on top of the aggregate report.
+        An uncalibrated receiver first pushes the recording, classified
+        with the bootstrap table, through a fresh :class:`PacketFold` to
+        find calibration packets (the pass is non-causal: it reads the whole
+        recording before classifying frame 0).  Then every frame is
+        classified against the table and pushed through a second fresh
+        fold, and the data packets whose windows closed are FEC-decoded.
+        Shared by :meth:`process_frames` and the buffering path of
+        :class:`repro.rx.streaming.StreamingReceiver`, which runs it at
+        ``finish()``.  Returns one ``(packet, outcome)`` tuple per seen
+        packet — ``outcome`` is the decoded payload bytes or the
+        :class:`FecFailure` — for callers that emit per-packet events.
         """
         if not self.calibration.is_calibrated:
             with self.tracer.span(SPAN_CALIBRATE) as span:
-                self._bootstrap_calibration(segmented, report)
+                fold, _ = self._assemble(
+                    self._classify_frame(seg) for seg in segmented
+                )
+                self._absorb_calibrations(fold.calibrations, report)
                 span.set("calibrated", self.calibration.is_calibrated)
                 span.set("updates", report.calibration_updates)
             if not self.calibration.is_calibrated:
                 # Never saw a usable calibration packet: nothing decodable.
                 report.frames_processed = len(segmented)
                 self._record_report_metrics(report)
-                return report
+                return []
 
         with self.tracer.span(SPAN_DEMOD) as span:
             per_frame_bands = [
@@ -365,29 +380,40 @@ class ColorBarsReceiver:
             span.set("frames_failed", report.frames_failed)
 
         with self.tracer.span(SPAN_ASSEMBLE) as span:
-            items = self.assembler.stitch(per_frame_bands)
-            packets, calibrations = self.assembler.extract(items)
-            report.symbols_lost_in_gaps = (
-                self.assembler.stats.symbols_lost_in_gaps
-            )
+            fold, packets = self._assemble(per_frame_bands)
+            report.symbols_lost_in_gaps = fold.stats.symbols_lost_in_gaps
             span.set("packets", len(packets))
-            span.set("calibrations", len(calibrations))
+            span.set("calibrations", len(fold.calibrations))
             span.set("symbols_lost_in_gaps", report.symbols_lost_in_gaps)
 
-        self._absorb_calibrations(calibrations, report)
+        self._absorb_calibrations(fold.calibrations, report)
 
         with self.tracer.span(SPAN_FEC) as span:
-            erasure_histogram = self.metrics.histogram(M_PACKET_ERASURES)
-            for packet in packets:
-                report.packets_seen += 1
-                erasure_histogram.observe(len(packet.erasure_positions))
-                outcome = self._decode_packet(packet, report)
-                if collect is not None:
-                    collect.append((packet, outcome))
+            outcomes = [
+                (packet, self._decode_packet(packet, report))
+                for packet in packets
+            ]
             span.set("decoded", report.packets_decoded)
             span.set("failed", report.packets_failed_fec)
         self._record_report_metrics(report)
-        return report
+        return outcomes
+
+    def _new_fold(self) -> PacketFold:
+        """A fresh back-half pass; its assembler becomes ``self.assembler``."""
+        fold = PacketFold(self.packetizer, self.symbol_rate)
+        self.assembler = fold.assembler
+        return fold
+
+    def _assemble(
+        self, per_frame_bands: Iterable[Sequence[ReceivedBand]]
+    ) -> Tuple[PacketFold, List[ReceivedPacket]]:
+        """Push a whole recording through a fresh fold and close it."""
+        fold = self._new_fold()
+        packets: List[ReceivedPacket] = []
+        for bands in per_frame_bands:
+            packets.extend(fold.push(bands))
+        packets.extend(fold.close())
+        return fold, packets
 
     # -- internals -------------------------------------------------------
 
@@ -402,21 +428,6 @@ class ColorBarsReceiver:
         metrics.counter(M_PACKETS_FAILED_FEC).inc(report.packets_failed_fec)
         metrics.counter(M_CALIBRATION_UPDATES).inc(report.calibration_updates)
         metrics.counter(M_CALIBRATION_REJECTED).inc(report.calibration_rejected)
-
-    def _detect_frame(
-        self,
-        frame: CapturedFrame,
-        failures: Optional[List[FrameFailure]] = None,
-    ) -> List[ReceivedBand]:
-        """One frame through preprocess -> segment -> detect, with containment.
-
-        Any :class:`ColorBarsError` a stage raises is converted into a
-        :class:`FrameFailure` on ``failures`` (when given) and the frame
-        yields no bands — downstream, the assembler's timing-based stitching
-        then treats it exactly like a full inter-frame gap, so one bad frame
-        can never abort the session.
-        """
-        return self._classify_frame(self._segment_frame(frame), failures)
 
     def _segment_frame(
         self,
@@ -493,17 +504,6 @@ class ColorBarsReceiver:
                 )
             return []
 
-    def _bootstrap_calibration(
-        self, segmented: Sequence["_SegmentedFrame"], report: ReceiverReport
-    ) -> None:
-        """First pass: find calibration packets with the bootstrap detector."""
-        per_frame_bands = [self._classify_frame(seg) for seg in segmented]
-        items = self.assembler.stitch(per_frame_bands)
-        _, calibrations = self.assembler.extract(items)
-        self._absorb_calibrations(calibrations, report)
-        # Reset assembler counters: the decode pass recounts from scratch.
-        self.assembler.stats.reset_stream_counters()
-
     def _absorb_calibrations(
         self, events: Sequence[CalibrationEvent], report: ReceiverReport
     ) -> None:
@@ -555,12 +555,16 @@ class ColorBarsReceiver:
         return residual is None or residual <= CALIBRATION_RESIDUAL_LIMIT_DELTA_E
 
     def _decode_packet(self, packet: ReceivedPacket, report: ReceiverReport):
-        """Decode one packet into ``report``; return the per-packet outcome.
+        """Count and decode one packet into ``report``; return its outcome.
 
         The outcome — the decoded payload ``bytes`` on success, the recorded
         :class:`FecFailure` otherwise — lets the streaming facade emit a
         packet event without re-deriving what happened from counter deltas.
         """
+        report.packets_seen += 1
+        self.metrics.histogram(M_PACKET_ERASURES).observe(
+            len(packet.erasure_positions)
+        )
         expected_n = self.codec.n
         parity = self.codec.num_parity
 

@@ -1,4 +1,4 @@
-"""Unit tests for preamble framing."""
+"""Unit tests for preamble framing and its detection by the receiver."""
 
 import pytest
 
@@ -7,11 +7,27 @@ from repro.packet.framing import (
     DATA_FLAG,
     DELIMITER,
     PacketKind,
-    find_preambles,
     flag_for,
     preamble_symbols,
-    strip_char_stream,
 )
+from repro.packet.packetizer import PacketConfig, Packetizer
+from repro.rx.assembler import PacketAssembler
+
+
+def skeleton(symbols):
+    """The dark/lit skeleton the receiver scans: 'o' stays, all else 'x'."""
+    return "".join("o" if c == "o" else "x" for c in symbols)
+
+
+DATA_PREAMBLE = skeleton(DELIMITER + DATA_FLAG)
+CALIBRATION_PREAMBLE = skeleton(DELIMITER + CALIBRATION_FLAG)
+
+
+@pytest.fixture
+def scan(mapper8):
+    """Whole-stream scan with the receiver's preamble scanner."""
+    assembler = PacketAssembler(Packetizer(mapper8, PacketConfig()), 1000.0)
+    return lambda chars: assembler.make_scanner().scan(chars, final=True)
 
 
 class TestConstants:
@@ -21,7 +37,7 @@ class TestConstants:
         assert CALIBRATION_FLAG == "owowowo"
 
     def test_calibration_extends_data_flag(self):
-        # The longest-match-first rule in find_preambles relies on this.
+        # The scanner's calibration-first rule relies on this.
         assert CALIBRATION_FLAG.startswith(DATA_FLAG)
 
 
@@ -42,39 +58,28 @@ class TestPreambleSymbols:
 
 
 class TestFindPreambles:
-    def test_single_data_preamble(self):
-        chars = list("12" + DELIMITER + DATA_FLAG + "3456")
-        matches = find_preambles(chars)
-        assert len(matches) == 1
-        assert matches[0].kind is PacketKind.DATA
-        assert matches[0].start == 2
-        assert matches[0].body_start == 10
+    """Preamble detection through the receiver's ``PreambleScanner``."""
 
-    def test_calibration_wins_longest_match(self):
-        chars = list(DELIMITER + CALIBRATION_FLAG + "12")
-        matches = find_preambles(chars)
-        assert len(matches) == 1
-        assert matches[0].kind is PacketKind.CALIBRATION
+    def test_single_data_preamble(self, scan):
+        matches = scan("xx" + DATA_PREAMBLE + "xxxx")
+        assert matches == [(2, PacketKind.DATA)]
+        body_start = matches[0][0] + len(DELIMITER + DATA_FLAG)
+        assert body_start == 10
 
-    def test_multiple_packets(self):
-        stream = (
-            DELIMITER + CALIBRATION_FLAG + "01234567"
-            + DELIMITER + DATA_FLAG + "777"
-        )
-        matches = find_preambles(list(stream))
-        assert [m.kind for m in matches] == [
+    def test_calibration_wins_longest_match(self, scan):
+        # The data skeleton is a prefix of the calibration skeleton.
+        assert CALIBRATION_PREAMBLE.startswith(DATA_PREAMBLE)
+        assert scan(CALIBRATION_PREAMBLE + "xx") == [
+            (0, PacketKind.CALIBRATION)
+        ]
+
+    def test_multiple_packets(self, scan):
+        matches = scan(CALIBRATION_PREAMBLE + "x" * 8 + DATA_PREAMBLE + "xxx")
+        assert [kind for _, kind in matches] == [
             PacketKind.CALIBRATION,
             PacketKind.DATA,
         ]
 
-    def test_no_preamble_in_data(self):
-        assert find_preambles(list("0123456701234567")) == []
-
-    def test_data_symbols_break_pattern(self):
-        # 'd' characters at 'w' positions must not match.
-        chars = list("o1o" + DATA_FLAG)
-        assert find_preambles(chars) == []
-
-    def test_strip_char_stream(self):
-        symbols = preamble_symbols(PacketKind.DATA)
-        assert strip_char_stream(symbols) == list(DELIMITER + DATA_FLAG)
+    def test_no_preamble_in_data(self, scan):
+        assert scan("x" * 16) == []
+        assert scan("xx_xxxx_xxx") == []

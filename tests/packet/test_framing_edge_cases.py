@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.csk.demodulator import DecisionKind, SymbolDecision
-from repro.packet.framing import PacketKind, find_preambles, preamble_symbols
+from repro.packet.framing import PacketKind, preamble_symbols
 from repro.packet.packetizer import PacketConfig, Packetizer
 from repro.rx.assembler import PacketAssembler
 from repro.rx.detector import ReceivedBand
@@ -77,12 +77,13 @@ class TestPreambleEdges:
         assert len(packets) == 1
         assert packets[0].codeword == b"\x11\x22"
 
-    def test_find_preambles_overlapping_suffix(self):
+    def test_find_preambles_overlapping_suffix(self, assembler):
         # "owoowo" + "owowo": a truncated preamble prefix followed by a
-        # complete one must yield exactly the complete match.
-        chars = list("owo" + "owo" + "owowo")  # delimiter, delimiter, flag
-        matches = find_preambles(chars)
-        assert len(matches) == 1
+        # complete one must yield exactly the complete match.  The scanner
+        # reads the dark/lit skeleton: every 'w' is a lit 'x'.
+        chars = "oxo" + "oxo" + "oxoxo"  # delimiter, delimiter, flag
+        matches = assembler.make_scanner().scan(chars, final=True)
+        assert matches == [(3, PacketKind.DATA)]
 
 
 class TestSizeFieldEdges:
