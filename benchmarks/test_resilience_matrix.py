@@ -73,8 +73,8 @@ MatrixResults = Dict[Tuple[str, float], LinkResult]
 @pytest.fixture(scope="module")
 def matrix() -> Tuple[LinkResult, MatrixResults]:
     # The whole fault x intensity grid (plus the no-fault baseline) runs
-    # through the perf executor; COLORBARS_WORKERS parallelizes it and the
-    # shared plan cache builds the identical broadcast exactly once.
+    # through the sweep runtime; COLORBARS_WORKERS parallelizes it.  Every
+    # cell plans its own broadcast: there is no cross-cell plan cache.
     keys = [
         (name, intensity)
         for name in sorted(FAULT_REGISTRY)

@@ -13,7 +13,7 @@ random drift so consecutive frames are never parameter-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,9 +85,6 @@ class AutoExposure:
         if settings is not None:
             self._settings = settings
         self.locked = True
-
-    def unlock(self) -> None:
-        self.locked = False
 
     def observe_frame(
         self, mean_linear_level: float, rng: np.random.Generator

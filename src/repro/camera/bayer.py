@@ -81,11 +81,6 @@ def demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
     return out
 
 
-def mosaic_roundtrip(image: np.ndarray) -> np.ndarray:
-    """Mosaic + demosaic in one call — the sensor pipeline's CFA stage."""
-    return demosaic_bilinear(bayer_mosaic(image))
-
-
 # -- batched (leading-axes) variants --------------------------------------
 #
 # The vectorized capture engine (camera.capture) runs the CFA stage over a
@@ -354,4 +349,3 @@ def demosaic_bilinear_nd(mosaic: np.ndarray) -> np.ndarray:
     if rows % 2 == 0 and cols % 2 == 0 and rows >= 4 and cols >= 4:
         return _parity_fill_nd(mosaic, presence, counts)
     return _generic_fill_nd(mosaic, presence, counts, has_holes)
-

@@ -70,16 +70,6 @@ class ColorResponse:
         ideal = xyz_to_linear_rgb(xyz)
         return ideal @ self.effective_matrix.T
 
-    def apply_to_linear(self, linear_rgb: np.ndarray) -> np.ndarray:
-        """Apply the device response to already-linear scene RGB."""
-        linear_rgb = np.asarray(linear_rgb, dtype=float)
-        return linear_rgb @ self.effective_matrix.T
-
-
-def ideal_response(name: str = "ideal") -> ColorResponse:
-    """A colorimetrically perfect camera (identity response)."""
-    return ColorResponse(name=name, matrix=np.eye(3), fidelity=1.0)
-
 
 def perturbed_response(
     name: str,

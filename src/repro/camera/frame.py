@@ -58,20 +58,3 @@ class CapturedFrame:
     def readout_duration(self) -> float:
         """Time from the first row's exposure start to the last row's."""
         return self.rows * self.row_period
-
-    def row_exposure_window(self, row: int) -> tuple:
-        """The ``(start, stop)`` exposure interval of one scanline."""
-        if not 0 <= row < self.rows:
-            raise CameraError(f"row {row} outside frame of {self.rows} rows")
-        start = self.start_time + row * self.row_period
-        return (start, start + self.exposure.exposure_s)
-
-    def row_mid_times(self) -> np.ndarray:
-        """Exposure-window midpoints of every scanline — the band clock."""
-        starts = self.start_time + np.arange(self.rows) * self.row_period
-        return starts + self.exposure.exposure_s / 2.0
-
-    def time_to_row(self, time: float) -> int:
-        """The scanline whose exposure midpoint is closest to ``time``."""
-        mids = self.row_mid_times()
-        return int(np.argmin(np.abs(mids - time)))

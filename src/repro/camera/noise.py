@@ -45,31 +45,6 @@ class SensorNoise:
         if not 0 <= self.row_noise < 0.5:
             raise CameraError(f"row_noise must be in [0, 0.5), got {self.row_noise}")
 
-    def apply_row_noise(
-        self, linear_signal: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Row-correlated multiplicative chroma noise.
-
-        Phone video pipelines add scanline-scale chroma disturbances —
-        4:2:0 chroma subsampling, block-quantization of the codec, ISP
-        denoising — that are *correlated along a scanline*, so the
-        receiver's column averaging cannot remove them.  This is the noise
-        floor that makes narrow bands (few scanlines per symbol) harder to
-        demodulate than wide ones, i.e. the SER-vs-frequency trend of
-        Fig 9.  Modelled as an independent per-(row, channel) gain error.
-        """
-        if self.row_noise == 0:
-            return linear_signal
-        signal = np.asarray(linear_signal, dtype=float)
-        if signal.ndim != 3:
-            raise CameraError(
-                f"expected (rows, cols, 3) image, got shape {signal.shape}"
-            )
-        gains = 1.0 + rng.normal(
-            0.0, self.row_noise, (signal.shape[0], 1, signal.shape[2])
-        )
-        return np.clip(signal * gains, 0.0, 1.0)
-
     def apply(
         self,
         linear_signal: np.ndarray,
@@ -102,21 +77,6 @@ class SensorNoise:
 
         out = noisy_electrons * iso_gain / self.full_well_electrons
         return np.clip(out, 0.0, 1.0)
-
-    def chroma_noise_floor(self, iso: float, pixels_averaged: int) -> float:
-        """Rough post-averaging relative noise at mid-signal (for analysis)."""
-        if pixels_averaged <= 0:
-            raise CameraError("pixels_averaged must be positive")
-        iso_gain = iso / self.reference_iso
-        electrons = 0.5 * self.full_well_electrons / iso_gain
-        per_pixel = np.sqrt(electrons + self.read_noise_electrons**2) / electrons
-        return float(per_pixel / np.sqrt(pixels_averaged))
-
-
-def quantize_8bit(srgb: np.ndarray) -> np.ndarray:
-    """Quantize gamma-encoded values in [0, 1] to uint8 levels."""
-    srgb = np.clip(np.asarray(srgb, dtype=float), 0.0, 1.0)
-    return np.round(srgb * 255.0).astype(np.uint8)
 
 
 def dequantize_8bit(pixels: np.ndarray) -> np.ndarray:

@@ -25,12 +25,7 @@ from repro.exceptions import (
     TraceError,
 )
 from repro.faults import CHAOS_REGISTRY, FAULT_REGISTRY, parse_chaos_specs, parse_fault_specs
-from repro.link.adapt import (
-    EXEC_BATCH,
-    EXEC_STREAMING,
-    adaptive_vs_fixed,
-    simulate_adaptive,
-)
+from repro.link.adapt import adaptive_vs_fixed
 from repro.link.channel import ChannelTrajectory
 from repro.link.simulator import RunSpec
 from repro.link.workloads import text_payload
@@ -396,7 +391,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 
     device = _device(args.device)
     trajectory = ChannelTrajectory.drift_demo(segment_s=args.segment)
-    execution = EXEC_STREAMING if args.execution == "streaming" else EXEC_BATCH
     tracer = Tracer() if args.trace else None
     registry = MetricsRegistry() if args.metrics else None
     print(f"device : {device.name}")
@@ -411,7 +405,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             symbol_rate=args.rate,
             seed=args.seed,
             simulated_columns=args.columns,
-            execution=execution,
             tracer=tracer,
             metrics=registry,
         )
@@ -441,22 +434,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         f"verdict: adaptive {verdict} best fixed rung {best_index} "
         f"({adaptive.payload_bytes} vs {best.payload_bytes} bytes)"
     )
-    if args.execution == "both":
-        other = simulate_adaptive(
-            trajectory,
-            device,
-            symbol_rate=args.rate,
-            seed=args.seed,
-            simulated_columns=args.columns,
-            execution=EXEC_STREAMING,
-        )
-        identical = other.trace() == adaptive.trace()
-        print(
-            "shapes : batch and streaming decision traces "
-            + ("identical" if identical else "DIVERGED")
-        )
-        if not identical:
-            return 2
     if args.trace:
         write_trace(args.trace, tracer.spans())
         print(f"trace  : wrote {len(tracer.spans())} span(s) to {args.trace}")
@@ -729,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     adapt_p.add_argument(
         "--segment", type=float, default=0.8, metavar="SECONDS",
         help="trajectory segment length (default 0.8)",
-    )
-    adapt_p.add_argument(
-        "--execution", choices=("batch", "streaming", "both"), default="batch",
-        help="decode shape; 'both' also verifies the decision traces match",
     )
     adapt_p.add_argument(
         "--output", default=None, metavar="PATH",

@@ -9,7 +9,7 @@ this triangle, implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
@@ -171,35 +171,3 @@ class GamutTriangle:
             f"G=({self.green.x:.3f},{self.green.y:.3f}), "
             f"B=({self.blue.x:.3f},{self.blue.y:.3f}))"
         )
-
-
-def max_min_distance_subset(
-    candidates: List[ChromaticityPoint],
-    count: int,
-    anchors: Tuple[ChromaticityPoint, ...] = (),
-) -> List[ChromaticityPoint]:
-    """Greedy max-min-distance selection of ``count`` points from ``candidates``.
-
-    Starts from the ``anchors`` (always included, e.g. the three primaries)
-    and repeatedly adds the candidate farthest from the current set.  Used to
-    derive higher-order constellations on the triangular lattice.
-    """
-    require(count >= 1, f"count must be >= 1, got {count}")
-    require(
-        len(candidates) + len(anchors) >= count,
-        f"cannot choose {count} points from {len(candidates)} candidates",
-    )
-    chosen: List[ChromaticityPoint] = list(anchors)
-    remaining = [c for c in candidates if all(c.distance_to(a) > 1e-12 for a in chosen)]
-    if not chosen and remaining:
-        chosen.append(remaining.pop(0))
-    while len(chosen) < count:
-        best_idx = -1
-        best_dist = -1.0
-        for idx, candidate in enumerate(remaining):
-            nearest = min(candidate.distance_to(p) for p in chosen)
-            if nearest > best_dist:
-                best_dist = nearest
-                best_idx = idx
-        chosen.append(remaining.pop(best_idx))
-    return chosen[:count]

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,16 +48,28 @@ def align_ground_truth(
     bands: Sequence[ReceivedBand],
     symbols: Sequence[LogicalSymbol],
     waveform: OpticalWaveform,
+    *,
+    start_offsets: Optional[Mapping[int, float]] = None,
 ) -> List[GroundTruthMatch]:
     """Pair each received band with the transmitted symbol at its mid-time.
 
     The link simulator knows the cyclic transmitted stream; a band's
     exposure midpoint indexes into it.  Bands whose midpoint falls outside a
     non-cyclic waveform are skipped.
+
+    A band's ``mid_time`` comes from its frame's *claimed* start time.
+    ``start_offsets`` maps a frame index to how far that claim sits from the
+    frame's true start (claimed minus true), as a timing fault leaves it;
+    each band is scored at its true on-air time.  Frames not in the map
+    have no offset.
     """
     if not bands:
         return []
     mid_times = np.array([band.mid_time for band in bands])
+    if start_offsets:
+        mid_times -= np.array(
+            [start_offsets.get(band.frame_index, 0.0) for band in bands]
+        )
     indices = waveform.symbol_index_at(mid_times)
     return [
         GroundTruthMatch(band=band, truth=symbols[index])

@@ -9,7 +9,7 @@ calibration packets injected at the configured cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.camera.sensor import SensorTiming
 from repro.core.config import SystemConfig
@@ -107,12 +107,6 @@ class ColorBarsTransmitter:
     def payload_bytes_per_packet(self) -> int:
         """k: payload bytes carried per data packet."""
         return self.codec.k
-
-    def airtime_per_packet(self) -> float:
-        """Seconds one data packet occupies on air."""
-        return (
-            self.packetizer.packet_length(self.codec.n) / self.config.symbol_rate
-        )
 
 
 def make_receiver(

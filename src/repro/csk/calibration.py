@@ -15,7 +15,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.color.cielab import JND_DELTA_E
 from repro.csk.constellation import Constellation
 from repro.exceptions import CalibrationError
 
@@ -249,19 +248,3 @@ class CalibrationTable:
             distances, indices[..., np.newaxis], axis=-1
         )[..., 0]
         return indices, best
-
-    def separation_margin(self) -> float:
-        """Smallest pairwise distance between references.
-
-        When this falls toward :data:`~repro.color.cielab.JND_DELTA_E`, the
-        constellation order is too high for the current channel.
-        """
-        refs = self.references
-        deltas = refs[:, np.newaxis, :] - refs[np.newaxis, :, :]
-        distances = np.sqrt(np.sum(deltas**2, axis=-1))
-        np.fill_diagonal(distances, np.inf)
-        return float(distances.min())
-
-    def is_reliable(self, factor: float = 2.0) -> bool:
-        """Heuristic: references separated by at least ``factor`` JNDs."""
-        return self.separation_margin() >= factor * JND_DELTA_E

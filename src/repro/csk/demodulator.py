@@ -163,10 +163,6 @@ class CskDemodulator:
             )
         return decisions
 
-    def decision_string(self, lab: np.ndarray) -> str:
-        """Compact 'o'/'w'/index rendering of a decision stream (debugging)."""
-        return ",".join(d.to_char() for d in self.decide_stream(lab))
-
 
 def nominal_calibration(
     constellation,

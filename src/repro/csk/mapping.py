@@ -16,7 +16,7 @@ import numpy as np
 from repro.csk.constellation import Constellation
 from repro.exceptions import ModulationError
 from repro.phy.symbols import LogicalSymbol, data_symbol
-from repro.util.bitstream import bits_to_int, chunk_bits, int_to_bits
+from repro.util.bitstream import bits_to_int, chunk_bits
 
 
 def _hamming(a: int, b: int) -> int:
@@ -106,24 +106,6 @@ class SymbolMapper:
             symbols.append(data_symbol(self._index_of_label[label]))
         return symbols
 
-    def symbols_to_bits(self, symbols: Sequence[LogicalSymbol]) -> List[int]:
-        """Recover the bit sequence from DATA symbols."""
-        bits: List[int] = []
-        for position, symbol in enumerate(symbols):
-            if not symbol.is_data:
-                raise ModulationError(
-                    f"symbol at position {position} is {symbol.kind.name}, "
-                    "expected DATA"
-                )
-            if symbol.index >= self.constellation.order:
-                raise ModulationError(
-                    f"symbol index {symbol.index} outside "
-                    f"{self.constellation.order}-CSK constellation"
-                )
-            label = self._label_of_index[symbol.index]
-            bits.extend(int_to_bits(label, self.bits_per_symbol))
-        return bits
-
     def label_of_index(self, index: int) -> int:
         """The bit label assigned to a constellation index."""
         if not 0 <= index < self.constellation.order:
@@ -132,15 +114,6 @@ class SymbolMapper:
                 "constellation"
             )
         return self._label_of_index[index]
-
-    def index_of_label(self, label: int) -> int:
-        """The constellation index carrying a bit label."""
-        if not 0 <= label < self.constellation.order:
-            raise ModulationError(
-                f"label {label} outside {self.constellation.order}-CSK "
-                "constellation"
-            )
-        return self._index_of_label[label]
 
     def symbols_for_payload(self, payload_bits: int) -> int:
         """How many DATA symbols a payload of ``payload_bits`` bits needs."""

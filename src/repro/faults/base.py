@@ -75,9 +75,6 @@ class FaultSchedule:
             )
         )
 
-    def events_for(self, injector: str) -> List[FaultEvent]:
-        return [e for e in self.events if e.injector == injector]
-
     def frames_affected(self, injector: Optional[str] = None) -> List[int]:
         """Sorted distinct frame indices touched (optionally by one injector)."""
         return sorted(

@@ -46,13 +46,6 @@ class GFPolynomial:
     def one(cls) -> "GFPolynomial":
         return cls([1])
 
-    @classmethod
-    def monomial(cls, coefficient: int, degree: int) -> "GFPolynomial":
-        """``coefficient * x^degree``."""
-        if degree < 0:
-            raise GaloisFieldError(f"degree must be non-negative, got {degree}")
-        return cls([coefficient] + [0] * degree)
-
     # -- inspection --------------------------------------------------------
 
     @property

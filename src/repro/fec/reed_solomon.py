@@ -238,23 +238,6 @@ class ReedSolomonCodec:
         corrected = self._correct(codeword, syndromes, erasures)
         return bytes(corrected[: self.k])
 
-    def decode_blocks(
-        self,
-        blocks: Sequence[bytes],
-        erasure_map: Optional[Sequence[Sequence[int]]] = None,
-    ) -> bytes:
-        """Decode a sequence of codewords and concatenate the payloads."""
-        if erasure_map is not None and len(erasure_map) != len(blocks):
-            raise ReedSolomonError(
-                "erasure_map must align one entry per block "
-                f"({len(erasure_map)} != {len(blocks)})"
-            )
-        out = bytearray()
-        for index, block in enumerate(blocks):
-            erasures = erasure_map[index] if erasure_map is not None else None
-            out.extend(self.decode(bytes(block), erasures))
-        return bytes(out)
-
     # -- decoder internals ---------------------------------------------------
     #
     # Inside the decoder, polynomials are plain lists indexed by power

@@ -5,8 +5,8 @@ a static channel; the paper's own distance/ISO sweeps show the operating
 point that works at 30 cm fails at 2 m.  This module closes the loop:
 
 * **Channel-quality windows** — :class:`WindowStats` condenses one
-  adaptation window (a trajectory segment in batch execution, a packet
-  boundary in streaming/serve execution) into the three estimates the
+  adaptation window (a trajectory segment here, a packet boundary in the
+  serve path) into the three estimates the
   receive path now surfaces on :class:`~repro.rx.receiver.ReceiverReport`:
   a calibration-symbol SER proxy, the mean ΔE margin to the runner-up
   reference, and the erasure fraction.  Undefined estimates stay ``None``
@@ -27,15 +27,16 @@ point that works at 30 cm fails at 2 m.  This module closes the loop:
   :func:`optimized_rung_config` additionally reuses
   :mod:`repro.csk.optimizer` to re-separate a rung's constellation in a
   device's received space.
-* **Both execution shapes** — :func:`simulate_adaptive` replays a
+* **Trajectory replay** — :func:`simulate_adaptive` replays a
   :class:`~repro.link.channel.ChannelTrajectory` segment by segment,
   re-planning the transmitter at the controller's rung between segments
-  (batch or streaming decode per segment; the PR 7 byte-identity contract
-  makes the decision trace identical across shapes), and
+  and decoding each segment with the batch receiver, and
   :func:`adaptive_vs_fixed` produces the reproducible adaptive-vs-fixed
-  goodput comparison ``colorbars adapt`` prints.  The serve-side wiring
-  (packet boundaries, downshift-before-quarantine) lives in
-  :class:`repro.serve.manager.SessionManager`.
+  goodput comparison ``colorbars adapt`` prints.  Batch and streaming
+  decode run the same packet fold, so a segment's report does not depend
+  on the decode shape (``tests/rx/test_streaming_equivalence.py``).  The
+  serve-side wiring (packet boundaries, downshift-before-quarantine) lives
+  in :class:`repro.serve.manager.SessionManager`.
 
 Everything here is deterministic: no clocks, no entropy — segment seeds
 derive from the run seed and segment index, and the controller is pure.
@@ -49,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.camera.devices import DeviceProfile
 from repro.color.cielab import JND_DELTA_E
 from repro.core.config import SystemConfig
-from repro.core.system import make_receiver, make_streaming_receiver
+from repro.core.system import make_receiver
 from repro.exceptions import AdaptationError
 from repro.faults.injectors import DriftInjector
 from repro.flicker.threshold import FlickerModel
@@ -72,11 +73,6 @@ ACTION_HOLD = "hold"
 ACTION_UPSHIFT = "upshift"
 ACTION_DOWNSHIFT = "downshift"
 ACTION_QUARANTINE = "quarantine"
-
-#: Execution shapes of :func:`simulate_adaptive`.
-EXEC_BATCH = "batch"
-EXEC_STREAMING = "streaming"
-EXECUTION_SHAPES = (EXEC_BATCH, EXEC_STREAMING)
 
 
 # -- the modulation ladder -------------------------------------------------
@@ -557,8 +553,8 @@ class LinkAdaptationController:
     """Stateful wrapper around :func:`advance`, with a decision log.
 
     Observability is injected; decisions recorded through
-    :meth:`_record_decision` feed the ``colorbars.adapt.*`` metrics in both
-    execution shapes.
+    :meth:`_record_decision` feed the ``colorbars.adapt.*`` metrics on the
+    trajectory and serve paths alike.
     """
 
     def __init__(
@@ -644,7 +640,7 @@ class LinkAdaptationController:
         return decision
 
 
-# -- trajectory execution (both shapes) ------------------------------------
+# -- trajectory replay -----------------------------------------------------
 
 
 def _segment_seed(seed, index: int) -> int:
@@ -683,7 +679,6 @@ class TrajectoryRunResult:
     """An adaptive (or fixed-baseline) run over one trajectory."""
 
     label: str
-    execution: str
     duration_s: float
     payload_bytes: int
     segments: List[SegmentOutcome] = field(default_factory=list)
@@ -703,7 +698,6 @@ class TrajectoryRunResult:
     def as_dict(self) -> Dict[str, object]:
         return {
             "label": self.label,
-            "execution": self.execution,
             "duration_s": self.duration_s,
             "payload_bytes": self.payload_bytes,
             "goodput_bps": self.goodput_bps,
@@ -719,14 +713,8 @@ def _decode_segment_report(
     segment: TrajectorySegment,
     seed: int,
     simulated_columns: int,
-    execution: str,
 ) -> ReceiverReport:
-    """Record one segment and decode it in the requested execution shape.
-
-    The two shapes produce byte-identical reports (the PR 7 streaming
-    contract), which is what makes controller decision traces identical
-    across them — asserted by tests, relied on by the CI soak.
-    """
+    """Record one segment and decode it with the batch receiver."""
     faults = ()
     if segment.drift_intensity > 0:
         faults = (DriftInjector(segment.drift_intensity),)
@@ -739,37 +727,23 @@ def _decode_segment_report(
         faults=faults,
     )
     _, frames, _ = simulator.record_session(duration_s=segment.duration_s)
-    if execution == EXEC_STREAMING:
-        streaming = make_streaming_receiver(config, device.timing)
-        for frame in frames:
-            streaming.feed(frame)
-        streaming.finish()
-        return streaming.report
-    receiver = make_receiver(config, device.timing)
-    return receiver.process_frames(frames)
+    return make_receiver(config, device.timing).process_frames(frames)
 
 
 def _run_trajectory(
     trajectory: ChannelTrajectory,
     device: DeviceProfile,
     label: str,
-    execution: str,
     seed,
     simulated_columns: int,
     config_for_segment,
     on_report=None,
     tracer=None,
-    metrics=None,
 ) -> TrajectoryRunResult:
     """Shared segment loop of the adaptive and fixed runs."""
-    if execution not in EXECUTION_SHAPES:
-        raise AdaptationError(
-            f"execution must be one of {EXECUTION_SHAPES}, got {execution!r}"
-        )
     tracer = tracer if tracer is not None else NULL_TRACER
     result = TrajectoryRunResult(
         label=label,
-        execution=execution,
         duration_s=trajectory.total_duration_s,
         payload_bytes=0,
     )
@@ -791,7 +765,6 @@ def _run_trajectory(
                 segment,
                 _segment_seed(seed, index),
                 simulated_columns,
-                execution,
             )
             stats = WindowStats.from_report(report)
             span.set("stats", stats.describe())
@@ -821,7 +794,6 @@ def simulate_adaptive(
     symbol_rate: float = 1500.0,
     seed=0,
     simulated_columns: int = 48,
-    execution: str = EXEC_BATCH,
     initial_rung: int = 0,
     tracer=None,
     metrics=None,
@@ -829,7 +801,7 @@ def simulate_adaptive(
     """Run the closed loop over a trajectory: one segment = one window.
 
     Each segment is transmitted at the controller's current rung and
-    decoded (batch or streaming); the resulting window stats drive the
+    decoded; the resulting window stats drive the
     next decision, so the transmitter re-plans at rung changes exactly at
     segment boundaries — the simulation analogue of renegotiating at
     packet boundaries.  A quarantine decision ends the run (graceful
@@ -861,13 +833,11 @@ def simulate_adaptive(
         trajectory,
         device,
         label="adaptive",
-        execution=execution,
         seed=seed,
         simulated_columns=simulated_columns,
         config_for_segment=config_for_segment,
         on_report=on_report,
         tracer=tracer,
-        metrics=metrics,
     )
     result.decisions = list(controller.decisions)
     result.quarantined = state["quarantined"]
@@ -881,21 +851,17 @@ def simulate_fixed(
     label: Optional[str] = None,
     seed=0,
     simulated_columns: int = 48,
-    execution: str = EXEC_BATCH,
     tracer=None,
-    metrics=None,
 ) -> TrajectoryRunResult:
     """A fixed-configuration baseline over the same trajectory and seeds."""
     return _run_trajectory(
         trajectory,
         device,
         label=label if label is not None else config.describe(),
-        execution=execution,
         seed=seed,
         simulated_columns=simulated_columns,
         config_for_segment=lambda index: (config, -1),
         tracer=tracer,
-        metrics=metrics,
     )
 
 
@@ -941,7 +907,6 @@ def adaptive_vs_fixed(
     symbol_rate: float = 1500.0,
     seed=0,
     simulated_columns: int = 48,
-    execution: str = EXEC_BATCH,
     tracer=None,
     metrics=None,
 ) -> AdaptiveComparison:
@@ -960,7 +925,6 @@ def adaptive_vs_fixed(
         symbol_rate=symbol_rate,
         seed=seed,
         simulated_columns=simulated_columns,
-        execution=execution,
         tracer=tracer,
         metrics=metrics,
     )
@@ -974,7 +938,6 @@ def adaptive_vs_fixed(
             label=f"fixed:{rung.label()}",
             seed=seed,
             simulated_columns=simulated_columns,
-            execution=execution,
             tracer=tracer,
         )
     return AdaptiveComparison(

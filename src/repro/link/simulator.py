@@ -72,10 +72,6 @@ class LinkResult:
     #: run was not observed.
     obs_metrics: Optional[Dict] = field(default=None, compare=False)
 
-    def delivered_payload(self) -> bytes:
-        """Concatenation of every successfully decoded packet payload."""
-        return b"".join(self.report.payloads)
-
     def recovered_broadcast(self) -> Optional[bytes]:
         """The original payload, if at least one full cycle was recovered.
 
@@ -155,7 +151,9 @@ class LinkSimulator:
             rate=float(self.config.symbol_rate),
             seed=str(self.seed),
         ) as cell:
-            plan, waveform, frames, schedule = self._record(payload, duration_s)
+            plan, waveform, frames, schedule, true_starts = self._record(
+                payload, duration_s
+            )
             receiver = make_receiver(
                 self.config,
                 self.device.timing,
@@ -165,8 +163,16 @@ class LinkSimulator:
             with self.tracer.span(SPAN_DECODE):
                 report = receiver.process_frames(frames)
             with self.tracer.span(SPAN_METRICS):
+                start_offsets = {
+                    frame.index: frame.start_time - true_starts[frame.index]
+                    for frame in frames
+                    if frame.start_time != true_starts[frame.index]
+                }
                 matches = align_ground_truth(
-                    report.bands, plan.symbols, waveform
+                    report.bands,
+                    plan.symbols,
+                    waveform,
+                    start_offsets=start_offsets,
                 )
                 metrics = compute_link_metrics(
                     report=report,
@@ -203,13 +209,18 @@ class LinkSimulator:
         service, live examples) obtain a recording to feed a
         :class:`~repro.rx.streaming.StreamingReceiver` frame by frame.
         """
-        plan, _, frames, schedule = self._record(payload, duration_s)
+        plan, _, frames, schedule, _ = self._record(payload, duration_s)
         return plan, frames, schedule
 
     def _record(
         self, payload: Optional[bytes], duration_s: float
-    ) -> Tuple[TransmissionPlan, OpticalWaveform, list, FaultSchedule]:
-        """Plan, record and fault-inject one broadcast, each in its span."""
+    ) -> Tuple[TransmissionPlan, OpticalWaveform, list, FaultSchedule, Dict]:
+        """Plan, record and fault-inject one broadcast, each in its span.
+
+        Also returns each recorded frame's true ``start_time`` by frame
+        index, taken before the injectors run: a timing fault moves only a
+        frame's claimed clock, and scoring needs the one that was on air.
+        """
         require_positive(duration_s, "duration_s")
         if payload is None:
             payload = text_payload(3 * self.config.rs_params().k, seed=self.seed)
@@ -244,11 +255,12 @@ class LinkSimulator:
                 f"duration {duration_s}s too short for one frame at "
                 f"{profile.timing.frame_rate} fps"
             )
+        true_starts = {frame.index: frame.start_time for frame in frames}
         with self.tracer.span(SPAN_INJECT) as span:
             frames, schedule = self._inject_faults(frames)
             for key, value in schedule.span_attributes().items():
                 span.set(key, value)
-        return plan, waveform, frames, schedule
+        return plan, waveform, frames, schedule, true_starts
 
     def _inject_faults(self, frames) -> tuple:
         """Run every configured injector over the recording, in order.

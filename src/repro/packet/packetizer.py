@@ -11,7 +11,7 @@ lost in the inter-frame gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.csk.mapping import SymbolMapper
 from repro.exceptions import PacketError, PacketTooLargeError
@@ -163,25 +163,3 @@ class Packetizer:
             + self.config.size_field_symbols
             + self.body_slots_for_codeword(codeword_bytes)
         )
-
-    def calibration_packet_length(self) -> int:
-        """Total on-air symbols of a calibration packet."""
-        return (
-            len(preamble_symbols(PacketKind.CALIBRATION))
-            + self.mapper.constellation.order
-        )
-
-    # -- RX ------------------------------------------------------------------
-
-    def decode_size(self, symbols: Sequence[LogicalSymbol]) -> int:
-        """Recover the codeword byte length from the size-field symbols."""
-        if len(symbols) != self.config.size_field_symbols:
-            raise PacketError(
-                f"size field needs {self.config.size_field_symbols} symbols, "
-                f"got {len(symbols)}"
-            )
-        bits = self.mapper.symbols_to_bits(list(symbols))
-        value = 0
-        for bit in bits:
-            value = (value << 1) | bit
-        return value

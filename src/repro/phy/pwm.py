@@ -11,13 +11,13 @@ This module models the two artifacts that matter at symbol rates:
   reprogram the channels is a configuration error, not a channel impairment.
 
 The PWM carrier itself (tens of kHz) is far above any camera exposure window,
-so its average — not its switching waveform — is what the optics integrate;
-``PwmChannel.effective_level`` returns exactly that average.
+so its average — not its switching waveform — is what the optics integrate:
+the quantized duty cycle itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -46,29 +46,12 @@ class PwmChannel:
         )
         require_positive(self.carrier_hz, "carrier_hz")
         self._levels = 1 << self.resolution_bits
-        self._duty = 0.0
-
-    @property
-    def duty(self) -> float:
-        """The quantized duty cycle currently programmed."""
-        return self._duty
-
-    def set_duty(self, duty: float) -> float:
-        """Program a duty cycle; returns the quantized value actually applied."""
-        require_in_range(duty, "duty", 0.0, 1.0)
-        steps = round(duty * (self._levels - 1))
-        self._duty = steps / (self._levels - 1)
-        return self._duty
 
     def quantize(self, duty: float) -> float:
-        """Quantization without state change (for planning/analysis)."""
+        """The duty cycle the compare register actually applies."""
         require_in_range(duty, "duty", 0.0, 1.0)
         steps = round(duty * (self._levels - 1))
         return steps / (self._levels - 1)
-
-    def effective_level(self) -> float:
-        """Average optical drive over any window >> 1/carrier_hz."""
-        return self._duty
 
 
 class PwmController:
@@ -101,16 +84,7 @@ class PwmController:
                 f"maximum color-update rate {self.max_update_hz} Hz"
             )
 
-    def set_duties(self, duties: Sequence[float]) -> List[float]:
-        """Program all three channels; returns the quantized duties."""
-        require(len(duties) == 3, f"need 3 duty cycles, got {len(duties)}")
-        return [ch.set_duty(d) for ch, d in zip(self.channels, duties)]
-
     def quantize_duties(self, duties: Sequence[float]) -> List[float]:
-        """Quantize a duty triple without programming the channels."""
+        """Quantize a duty triple, one channel per primary."""
         require(len(duties) == 3, f"need 3 duty cycles, got {len(duties)}")
         return [ch.quantize(d) for ch, d in zip(self.channels, duties)]
-
-    def effective_levels(self) -> List[float]:
-        """Current average drive levels of the three primaries."""
-        return [ch.effective_level() for ch in self.channels]

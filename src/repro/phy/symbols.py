@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.exceptions import ModulationError
 
@@ -111,13 +111,3 @@ def symbols_from_string(spec: str) -> List[LogicalSymbol]:
 def count_data_symbols(symbols: Iterable[LogicalSymbol]) -> int:
     """Number of DATA symbols in a stream (throughput accounting)."""
     return sum(1 for s in symbols if s.is_data)
-
-
-def validate_indices(symbols: Sequence[LogicalSymbol], order: int) -> None:
-    """Check every DATA index fits the given constellation order."""
-    for position, symbol in enumerate(symbols):
-        if symbol.is_data and symbol.index >= order:
-            raise ModulationError(
-                f"symbol at position {position} has index {symbol.index}, "
-                f"outside {order}-CSK constellation"
-            )

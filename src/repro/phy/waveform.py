@@ -91,15 +91,6 @@ class OpticalWaveform:
         outside = (times < 0) | (indices >= self.num_symbols)
         return np.where(outside, -1, np.clip(indices, 0, self.num_symbols - 1))
 
-    def xyz_at(self, times: np.ndarray) -> np.ndarray:
-        """Instantaneous XYZ emission at each time; OFF outside the stream."""
-        times = np.asarray(times, dtype=float)
-        indices = self.symbol_index_at(times)
-        out = np.zeros(times.shape + (3,))
-        valid = indices >= 0
-        out[valid] = self._xyz[indices[valid]]
-        return out
-
     # -- integration ---------------------------------------------------------
 
     def _cumulative_at(self, times: np.ndarray) -> np.ndarray:

@@ -67,7 +67,6 @@ from repro.obs.schema import (
 from repro.obs.trace import NULL_TRACER
 from repro.rx.streaming import StreamingReceiver
 from repro.serve.session import (
-    STATE_ACTIVE,
     STATE_CLOSED,
     STATE_EVICTED,
     STATE_QUARANTINED,
@@ -183,10 +182,6 @@ class SessionManager:
         self._peak_queue_depth = 0
 
     # -- admission -------------------------------------------------------
-
-    @property
-    def active_sessions(self) -> int:
-        return self._active
 
     @property
     def peak_queue_depth(self) -> int:

@@ -91,15 +91,6 @@ class ReceiverSession:
         return len(self.queue)
 
     @property
-    def recommended_rung(self) -> Optional[int]:
-        """The controller's current ladder rung, or ``None`` if unmanaged.
-
-        The service cannot re-plan a remote transmitter itself; this is
-        the rung a feedback channel would carry back to it.
-        """
-        return self.controller.rung if self.controller is not None else None
-
-    @property
     def is_active(self) -> bool:
         return self.state == STATE_ACTIVE
 

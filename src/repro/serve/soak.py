@@ -174,9 +174,6 @@ class SoakReport:
     def quarantined(self) -> List[SessionOutcome]:
         return [o for o in self.outcomes if o.failure is not None]
 
-    def payloads_by_session(self) -> Dict[str, List[bytes]]:
-        return {o.session_id: o.payloads for o in self.outcomes}
-
     def roles(self) -> Dict[str, str]:
         return {o.session_id: o.role for o in self.outcomes}
 

@@ -1,8 +1,6 @@
 """Shared utilities: bitstream packing, RNG plumbing, and validation helpers."""
 
 from repro.util.bitstream import (
-    BitReader,
-    BitWriter,
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
@@ -19,8 +17,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",

@@ -108,72 +108,3 @@ def _check_bits(bits: Iterable[int]) -> None:
     for index, bit in enumerate(bits):
         if bit not in (0, 1):
             raise ConfigurationError(f"element {index} is {bit!r}, expected 0 or 1")
-
-
-class BitWriter:
-    """Incrementally build a bit sequence.
-
-    Used by the packet layer to assemble headers field by field::
-
-        writer = BitWriter()
-        writer.write_int(packet_size, width=9)
-        writer.write_bits(payload_bits)
-        bits = writer.bits()
-    """
-
-    def __init__(self) -> None:
-        self._bits: List[int] = []
-
-    def write_bit(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ConfigurationError(f"bit must be 0 or 1, got {bit!r}")
-        self._bits.append(bit)
-
-    def write_bits(self, bits: Sequence[int]) -> None:
-        _check_bits(bits)
-        self._bits.extend(bits)
-
-    def write_int(self, value: int, width: int) -> None:
-        self._bits.extend(int_to_bits(value, width))
-
-    def write_bytes(self, data: bytes) -> None:
-        self._bits.extend(bytes_to_bits(data))
-
-    def bits(self) -> List[int]:
-        """Return a copy of the accumulated bits."""
-        return list(self._bits)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-
-class BitReader:
-    """Consume a bit sequence field by field; the mirror of :class:`BitWriter`."""
-
-    def __init__(self, bits: Sequence[int]) -> None:
-        _check_bits(bits)
-        self._bits = list(bits)
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._bits) - self._pos
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)[0]
-
-    def read_bits(self, count: int) -> List[int]:
-        require(count >= 0, f"count must be non-negative, got {count}")
-        if count > self.remaining:
-            raise ConfigurationError(
-                f"requested {count} bits but only {self.remaining} remain"
-            )
-        out = self._bits[self._pos : self._pos + count]
-        self._pos += count
-        return out
-
-    def read_int(self, width: int) -> int:
-        return bits_to_int(self.read_bits(width))
-
-    def read_bytes(self, count: int) -> bytes:
-        return bits_to_bytes(self.read_bits(count * 8))

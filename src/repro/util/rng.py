@@ -9,7 +9,7 @@ subsystems stay statistically independent.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -38,18 +38,3 @@ def derive_rng(parent: np.random.Generator, label: str) -> np.random.Generator:
         entropy=[int(parent.integers(0, 2**63)), digest]
     )
     return np.random.default_rng(seed_seq)
-
-
-def spawn_rngs(seed: RngLike, *labels: str) -> dict:
-    """Create a root generator and one derived child per label.
-
-    Returns a mapping ``{label: Generator}``; convenient for wiring a
-    multi-component simulation from a single scalar seed.
-    """
-    root = make_rng(seed)
-    return {label: derive_rng(root, label) for label in labels}
-
-
-def optional_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
-    """Return ``rng`` if given, else a fresh unseeded generator."""
-    return rng if rng is not None else np.random.default_rng()

@@ -76,9 +76,6 @@ class TestController:
         ae.lock(manual)
         ae.observe_frame(0.01, rng)
         assert ae.settings == manual
-        ae.unlock()
-        ae.observe_frame(0.01, rng)
-        assert ae.settings != manual
 
     def test_drift_changes_settings(self):
         ae = AutoExposure(drift_sigma=0.1)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.camera.color_filter import (
     ColorResponse,
-    ideal_response,
     perturbed_response,
 )
 from repro.color.srgb import linear_rgb_to_xyz
@@ -31,14 +30,20 @@ class TestValidation:
 
 
 class TestIdealResponse:
+    """An identity matrix at full fidelity is a colorimetrically perfect camera."""
+
+    @staticmethod
+    def _ideal():
+        return ColorResponse(name="ideal", matrix=np.eye(3), fidelity=1.0)
+
     def test_identity_behaviour(self):
-        response = ideal_response()
+        response = self._ideal()
         rgb = np.random.default_rng(0).random((10, 3))
         xyz = linear_rgb_to_xyz(rgb)
         assert np.allclose(response.scene_xyz_to_camera_linear(xyz), rgb)
 
     def test_effective_matrix_identity(self):
-        assert np.allclose(ideal_response().effective_matrix, np.eye(3))
+        assert np.allclose(self._ideal().effective_matrix, np.eye(3))
 
 
 class TestPerturbedResponse:
@@ -51,7 +56,7 @@ class TestPerturbedResponse:
     def test_crosstalk_mixes_channels(self):
         response = perturbed_response("x", crosstalk=0.2, fidelity=0.0)
         pure_red = np.array([1.0, 0.0, 0.0])
-        out = response.apply_to_linear(pure_red)
+        out = pure_red @ response.effective_matrix.T
         assert out[1] > 0.05 and out[2] > 0.05
 
     def test_deterministic_without_rng(self):

@@ -60,21 +60,3 @@ class TestTiming:
 
     def test_readout_duration(self, frame):
         assert frame.readout_duration == pytest.approx(100 * 1e-5)
-
-    def test_row_exposure_window(self, frame):
-        start, stop = frame.row_exposure_window(10)
-        assert start == pytest.approx(1.0 + 10 * 1e-5)
-        assert stop - start == pytest.approx(1e-4)
-
-    def test_row_out_of_range(self, frame):
-        with pytest.raises(CameraError):
-            frame.row_exposure_window(100)
-
-    def test_row_mid_times_monotone(self, frame):
-        mids = frame.row_mid_times()
-        assert len(mids) == 100
-        assert np.all(np.diff(mids) > 0)
-
-    def test_time_to_row_inverse(self, frame):
-        mids = frame.row_mid_times()
-        assert frame.time_to_row(mids[42]) == 42

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.camera.noise import SensorNoise, dequantize_8bit, quantize_8bit
+from repro.camera.noise import SensorNoise, dequantize_8bit
 from repro.exceptions import CameraError
 
 
@@ -58,45 +58,9 @@ class TestApply:
             SensorNoise().apply(np.zeros((2, 2)), iso=0, rng=rng)
 
 
-class TestRowNoise:
-    def test_rows_correlated_columns_identical(self, rng):
-        noise = SensorNoise(row_noise=0.1)
-        signal = np.full((50, 40, 3), 0.5)
-        out = noise.apply_row_noise(signal, rng)
-        # Within a row, all columns move together.
-        assert np.allclose(out.std(axis=1), 0.0)
-        # Across rows, levels differ.
-        assert out[:, 0, 0].std() > 0.01
-
-    def test_disabled_is_identity(self, rng):
-        noise = SensorNoise(row_noise=0.0)
-        signal = np.full((10, 10, 3), 0.5)
-        assert np.array_equal(noise.apply_row_noise(signal, rng), signal)
-
-    def test_rejects_bad_shape(self, rng):
-        with pytest.raises(CameraError):
-            SensorNoise(row_noise=0.1).apply_row_noise(np.zeros((5, 5)), rng)
-
-
-class TestChromaFloor:
-    def test_more_pixels_less_noise(self):
-        noise = SensorNoise()
-        assert noise.chroma_noise_floor(100, 1000) < noise.chroma_noise_floor(100, 10)
-
-    def test_invalid_pixels(self):
-        with pytest.raises(CameraError):
-            SensorNoise().chroma_noise_floor(100, 0)
-
-
-class TestQuantization:
-    def test_roundtrip_within_half_level(self):
-        values = np.linspace(0, 1, 100)
-        back = dequantize_8bit(quantize_8bit(values))
-        assert np.all(np.abs(back - values) <= 0.5 / 255 + 1e-12)
-
-    def test_dtype(self):
-        assert quantize_8bit(np.array([0.5])).dtype == np.uint8
-
-    def test_extremes(self):
-        assert quantize_8bit(np.array([0.0]))[0] == 0
-        assert quantize_8bit(np.array([1.0]))[0] == 255
+class TestDequantization:
+    def test_levels_map_to_unit_interval(self):
+        pixels = np.arange(256, dtype=np.uint8)
+        values = dequantize_8bit(pixels)
+        assert values[0] == 0.0 and values[-1] == 1.0
+        assert np.allclose(np.diff(values), 1 / 255)

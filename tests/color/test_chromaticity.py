@@ -8,7 +8,6 @@ from repro.color.chromaticity import (
     ChromaticityPoint,
     GamutTriangle,
     barycentric_coordinates,
-    max_min_distance_subset,
     point_in_triangle,
 )
 from repro.exceptions import ConfigurationError, GamutError
@@ -124,21 +123,3 @@ class TestLattice:
         points = triangle.grid_points(2)
         d = triangle.min_pairwise_distance(points)
         assert d > 0
-
-
-class TestMaxMinSubset:
-    def test_anchors_kept(self, triangle):
-        candidates = triangle.grid_points(4)
-        anchors = (triangle.red, triangle.green)
-        chosen = max_min_distance_subset(candidates, 6, anchors=anchors)
-        assert chosen[0] is triangle.red
-        assert chosen[1] is triangle.green
-        assert len(chosen) == 6
-
-    def test_count_respected(self, triangle):
-        chosen = max_min_distance_subset(triangle.grid_points(4), 8)
-        assert len(chosen) == 8
-
-    def test_insufficient_candidates(self, triangle):
-        with pytest.raises(ConfigurationError):
-            max_min_distance_subset(triangle.grid_points(1), 10)

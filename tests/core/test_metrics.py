@@ -57,6 +57,19 @@ class TestAlignment:
         matches = align_ground_truth([band], symbols, waveform)
         assert matches[0].truth.index == 1
 
+    def test_start_offsets_score_the_true_time(self, stream_and_waveform):
+        symbols, waveform = stream_and_waveform
+        period = waveform.symbol_period
+        # Frame 1 claims to start one period late: its band's claimed
+        # mid-time lands on symbol 1, but symbol 0 was on air.
+        late = make_band(DecisionKind.DATA, 1, mid_time=1.5 * period, frame=1)
+        on_time = make_band(DecisionKind.WHITE, None, mid_time=1.5 * period)
+        matches = align_ground_truth(
+            [late, on_time], symbols, waveform, start_offsets={1: period}
+        )
+        assert matches[0].truth == symbols[0] and matches[0].correct
+        assert matches[1].truth == symbols[1] and matches[1].correct
+
 
 class TestCorrectness:
     def test_kind_mismatch_incorrect(self, stream_and_waveform):

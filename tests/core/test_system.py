@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import ColorBarsTransmitter, make_receiver
 from repro.exceptions import ConfigurationError
+from repro.packet.framing import PacketKind, preamble_symbols
 from repro.phy.waveform import EXTEND_CYCLE
 
 
@@ -48,7 +49,11 @@ class TestPlan:
 
     def test_stream_symbols_consistent(self, transmitter):
         plan = transmitter.plan(bytes(transmitter.codec.k))
-        calibration_len = transmitter.packetizer.calibration_packet_length()
+        # A calibration packet is its preamble plus one symbol per color.
+        calibration_len = (
+            len(preamble_symbols(PacketKind.CALIBRATION))
+            + transmitter.config.csk_order
+        )
         data_len = transmitter.packetizer.packet_length(transmitter.codec.n)
         assert plan.num_symbols == calibration_len + data_len
 
@@ -63,14 +68,6 @@ class TestWaveform:
     def test_waveform_from_bytes(self, transmitter):
         waveform = transmitter.waveform(b"payload bytes")
         assert waveform.num_symbols > 0
-
-    def test_airtime_per_packet(self, transmitter, config):
-        airtime = transmitter.airtime_per_packet()
-        expected = (
-            transmitter.packetizer.packet_length(transmitter.codec.n)
-            / config.symbol_rate
-        )
-        assert airtime == pytest.approx(expected)
 
     def test_payload_bytes_per_packet(self, transmitter):
         assert transmitter.payload_bytes_per_packet() == transmitter.codec.k

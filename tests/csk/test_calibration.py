@@ -118,14 +118,3 @@ class TestMatching:
     def test_match_before_calibration_raises(self, table):
         with pytest.raises(CalibrationError):
             table.match(np.zeros(2))
-
-    def test_separation_margin(self, table, constellation8):
-        table.update(nominal_chroma(constellation8))
-        assert table.separation_margin() > 0
-
-    def test_reliability_heuristic(self, table, constellation8):
-        table.update(nominal_chroma(constellation8, scale=200.0))
-        assert table.is_reliable()
-        squeezed = CalibrationTable(constellation8)
-        squeezed.update(nominal_chroma(constellation8, scale=1.0))
-        assert not squeezed.is_reliable()

@@ -72,12 +72,6 @@ class TestDecisions:
         ]
         assert decisions[2].index == 3
 
-    def test_decision_string(self, demodulator, calibrated_table):
-        _, chroma = calibrated_table
-        lab = np.array([[5.0, 0.0, 0.0], lab_row(70.0, chroma[1])])
-        rendered = demodulator.decision_string(lab)
-        assert rendered.startswith("o,")
-
     def test_bad_shape_rejected(self, demodulator):
         with pytest.raises(DemodulationError):
             demodulator.decide_stream(np.zeros((3, 2)))
@@ -98,7 +92,9 @@ class TestNominalCalibration:
 
     def test_nominal_references_distinct(self, constellation8, modulator8):
         table = nominal_calibration(constellation8, modulator8)
-        assert table.separation_margin() > 2.0
+        refs = table.references
+        distances = np.linalg.norm(refs[:, np.newaxis] - refs[np.newaxis], axis=-1)
+        assert distances[~np.eye(len(refs), dtype=bool)].min() > 2.0
 
 
 class TestDarkShortCircuit:

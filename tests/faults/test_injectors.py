@@ -365,7 +365,8 @@ class TestSchedule:
         counts = schedule.counts_by_injector()
         assert set(counts) == {"frame-drop", "occlusion"}
         assert "frame-drop" in schedule.summary()
-        assert len(schedule.events_for("occlusion")) == len(frames)
+        occlusions = [e for e in schedule.events if e.injector == "occlusion"]
+        assert len(occlusions) == len(frames)
 
     def test_empty_summary(self):
         assert FaultSchedule().summary() == "no faults injected"
@@ -373,7 +374,7 @@ class TestSchedule:
 
 class TestDrift:
     def _gains(self, schedule):
-        return [event.magnitude for event in schedule.events_for("drift")]
+        return [e.magnitude for e in schedule.events if e.injector == "drift"]
 
     def test_gain_fades_monotonically_to_the_ramp_floor(self):
         frames = make_frames(count=20)

@@ -51,14 +51,6 @@ class TestInverseDivision:
         with pytest.raises(GaloisFieldError):
             GF256.inverse(0)
 
-    @given(element, nonzero)
-    def test_division_inverts_multiplication(self, a, b):
-        assert GF256.div(GF256.mul(a, b), b) == a
-
-    def test_division_by_zero_raises(self):
-        with pytest.raises(GaloisFieldError):
-            GF256.div(5, 0)
-
 
 class TestPowLog:
     def test_generator_order(self):
@@ -70,26 +62,6 @@ class TestPowLog:
     @given(nonzero)
     def test_log_exp_roundtrip(self, a):
         assert GF256.exp(GF256.log(a)) == a
-
-    @given(element, st.integers(min_value=0, max_value=1000))
-    def test_pow_matches_repeated_multiplication(self, base, exponent):
-        expected = 1
-        for _ in range(exponent % 255 if base else exponent):
-            expected = GF256.mul(expected, base)
-        if base == 0 and exponent > 0:
-            expected = 0
-        assert GF256.pow(base, exponent % 255 if base else exponent) == expected
-
-    def test_pow_negative_exponent(self):
-        a = 37
-        assert GF256.mul(GF256.pow(a, -1), a) == 1
-
-    def test_zero_pow_zero(self):
-        assert GF256.pow(0, 0) == 1
-
-    def test_zero_negative_pow_raises(self):
-        with pytest.raises(GaloisFieldError):
-            GF256.pow(0, -1)
 
     def test_log_zero_raises(self):
         with pytest.raises(GaloisFieldError):

@@ -20,16 +20,6 @@ class TestConstruction:
         assert GFPolynomial([0, 0]).is_zero()
         assert GFPolynomial.zero().degree == 0
 
-    def test_monomial(self):
-        poly = GFPolynomial.monomial(5, 3)
-        assert poly.degree == 3
-        assert poly.coefficient(3) == 5
-        assert poly.coefficient(0) == 0
-
-    def test_monomial_negative_degree_raises(self):
-        with pytest.raises(GaloisFieldError):
-            GFPolynomial.monomial(1, -1)
-
     def test_bad_coefficient_rejected(self):
         with pytest.raises(GaloisFieldError):
             GFPolynomial([256])

@@ -185,12 +185,7 @@ class TestDecodeBlocks:
     def test_roundtrip(self, codec):
         data = bytes(range(120))
         blocks = codec.encode_blocks(data)
-        assert codec.decode_blocks(blocks) == data
-
-    def test_erasure_map_alignment(self, codec):
-        blocks = codec.encode_blocks(bytes(80))
-        with pytest.raises(ReedSolomonError):
-            codec.decode_blocks(blocks, erasure_map=[[]])
+        assert b"".join(codec.decode(block) for block in blocks) == data
 
 
 class TestRsParamsForLoss:

@@ -1,5 +1,6 @@
 """Integration tests for the calibration lifecycle across recordings."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
@@ -64,4 +65,6 @@ class TestCalibrationLifecycle:
         frames = camera.record(waveform, duration=2.0)
         receiver = make_receiver(config, tiny_device.timing)
         receiver.process_frames(frames)
-        assert receiver.calibration.separation_margin() > 2.3
+        refs = receiver.calibration.references
+        distances = np.linalg.norm(refs[:, np.newaxis] - refs[np.newaxis], axis=-1)
+        assert distances[~np.eye(len(refs), dtype=bool)].min() > 2.3

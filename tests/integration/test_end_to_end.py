@@ -33,7 +33,7 @@ class TestFullChain:
         result = LinkSimulator(config, tiny_device, seed=4).run(
             payload=padded[:k], duration_s=3.0
         )
-        delivered = result.delivered_payload()
+        delivered = b"".join(result.report.payloads)
         assert padded[:k] in delivered
 
     def test_low_order_near_zero_ser(self, tiny_device):

@@ -3,10 +3,11 @@
 The hysteresis state machine (:func:`repro.link.adapt.advance`) is a pure
 function, so its behavior is pinned with golden decision traces — scripted
 window sequences whose exact (action, reason, rung) progression must never
-change silently.  Trajectory execution is covered with a monkeypatched
+change silently.  Trajectory replay is covered with a monkeypatched
 decode seam (fast, fully scripted channels) plus two real-simulation
-checks: common-random-numbers equality against the fixed baseline and the
-batch↔streaming decision-trace identity the CI soak relies on.
+checks: common-random-numbers equality against the fixed baseline, and
+equal window stats from batch and streaming decode of a drift-injected
+segment.
 """
 
 from dataclasses import replace
@@ -14,8 +15,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import SystemConfig
+from repro.core.system import make_receiver, make_streaming_receiver
 from repro.exceptions import AdaptationError
+from repro.faults.injectors import DriftInjector
 from repro.link.adapt import (
     ACTION_DOWNSHIFT,
     ACTION_HOLD,
@@ -33,9 +35,9 @@ from repro.link.adapt import (
     advance,
     optimized_rung_config,
     simulate_adaptive,
-    simulate_fixed,
 )
 from repro.link.channel import ChannelTrajectory, TrajectorySegment
+from repro.link.simulator import LinkSimulator
 from repro.obs import MetricsRegistry
 from repro.obs.schema import (
     M_ADAPT_DECISIONS,
@@ -434,8 +436,8 @@ def _script_decode(monkeypatch, script):
     """Replace the decode seam with a scripted per-(segment, order) channel."""
     calls = []
 
-    def fake(config, device, segment, seed, simulated_columns, execution):
-        calls.append((segment, config.csk_order, seed, execution))
+    def fake(config, device, segment, seed, simulated_columns):
+        calls.append((segment, config.csk_order, seed))
         return script(segment, config)
 
     monkeypatch.setattr("repro.link.adapt._decode_segment_report", fake)
@@ -532,15 +534,10 @@ class TestScriptedTrajectories:
         # three segments each; common random numbers means every run sees
         # the same per-segment seed sequence.
         assert len(calls) == 9
-        seed_runs = [[seed for _, _, seed, _ in calls[i : i + 3]] for i in (0, 3, 6)]
+        seed_runs = [[seed for _, _, seed in calls[i : i + 3]] for i in (0, 3, 6)]
         assert seed_runs[0] == seed_runs[1] == seed_runs[2]
         assert len(set(seed_runs[0])) == 3
         assert comparison.best_fixed()[0] == 0  # ties go to the faster rung
-
-    def test_invalid_execution_shape_rejected(self):
-        config = SystemConfig(csk_order=4, symbol_rate=1000.0)
-        with pytest.raises(AdaptationError, match="execution"):
-            simulate_fixed(_trajectory(1), STUB_DEVICE, config, execution="bogus")
 
 
 # -- real-simulation checks (small, but end to end) ------------------------
@@ -584,30 +581,33 @@ class TestSimulatedTrajectories:
         assert outcomes(comparison.adaptive) == outcomes(fixed)
 
     def test_batch_and_streaming_traces_identical(self, tiny_device):
-        trajectory = ChannelTrajectory(
-            segments=(
-                TrajectorySegment(duration_s=0.5),
-                TrajectorySegment(duration_s=0.5, drift_intensity=0.4),
-            )
+        # The controller's input is a segment's window stats; batch and
+        # streaming decode of the same drift-injected frames must agree.
+        config = self._ladder(tiny_device).config(
+            0, 1000.0, tiny_device.timing.frame_rate
         )
-        ladder = self._ladder(tiny_device)
-        runs = {
-            execution: simulate_adaptive(
-                trajectory,
-                tiny_device,
-                ladder=ladder,
-                symbol_rate=1000.0,
-                seed=3,
-                simulated_columns=32,
-                execution=execution,
-            )
-            for execution in ("batch", "streaming")
-        }
-        assert runs["batch"].trace() == runs["streaming"].trace()
-        assert runs["batch"].payload_bytes == runs["streaming"].payload_bytes
-        assert [s.as_dict() for s in runs["batch"].segments] == [
-            s.as_dict() for s in runs["streaming"].segments
-        ]
+        segment = TrajectorySegment(duration_s=0.5, drift_intensity=0.4)
+        simulator = LinkSimulator(
+            config,
+            tiny_device,
+            channel=segment.conditions(),
+            simulated_columns=32,
+            seed=_segment_seed(3, 1),
+            faults=(DriftInjector(segment.drift_intensity),),
+        )
+        _, frames, schedule = simulator.record_session(
+            duration_s=segment.duration_s
+        )
+        assert schedule.events  # the drift really reached the frames
+        batch = make_receiver(config, tiny_device.timing).process_frames(frames)
+        streaming = make_streaming_receiver(config, tiny_device.timing)
+        for frame in frames:
+            streaming.feed(frame)
+        streaming.finish()
+        assert batch.packets_seen > 0
+        assert WindowStats.from_report(batch) == WindowStats.from_report(
+            streaming.report
+        )
 
 
 class TestDriftDemoTrajectory:

@@ -49,7 +49,7 @@ class TestRun:
     def test_delivered_payload_bytes(self, config, tiny_device):
         simulator = LinkSimulator(config, tiny_device, seed=0)
         result = simulator.run(duration_s=1.5)
-        assert len(result.delivered_payload()) == (
+        assert len(b"".join(result.report.payloads)) == (
             result.metrics.packets_decoded * result.config.rs_params().k
         )
 

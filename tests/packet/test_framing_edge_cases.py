@@ -90,10 +90,7 @@ class TestSizeFieldEdges:
     def test_zero_size_dropped(self, assembler, packetizer, mapper8):
         """A size field decoding to zero bytes is impossible: dropped."""
         symbols = preamble_symbols(PacketKind.DATA)
-        zero_label_index = mapper8.index_of_label(0)
-        from repro.phy.symbols import data_symbol
-
-        symbols += [data_symbol(zero_label_index)] * 3
+        symbols += mapper8.bits_to_symbols([0] * 9)  # three zero labels
         items = assembler.stitch([bands(symbols)])
         packets, _ = assembler.extract(items)
         assert packets == []

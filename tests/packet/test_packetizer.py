@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 from repro.csk.constellation import design_constellation
 from repro.csk.mapping import SymbolMapper
 from repro.exceptions import PacketError, PacketTooLargeError
-from repro.packet.framing import DATA_FLAG, DELIMITER, PacketKind
+from repro.packet.framing import DATA_FLAG, DELIMITER, PacketKind, preamble_symbols
 from repro.packet.packetizer import PacketConfig, Packetizer, white_schedule
 from repro.phy.led import typical_tri_led
-from repro.util.bitstream import bytes_to_bits
+from repro.util.bitstream import bytes_to_bits, int_to_bits
 
 
 @pytest.fixture
@@ -71,6 +71,14 @@ def max_run(layout):
     return longest
 
 
+def label_bits(mapper, symbols):
+    """The bits DATA symbols carry, read back through their labels."""
+    bits = []
+    for symbol in symbols:
+        bits += int_to_bits(mapper.label_of_index(symbol.index), mapper.bits_per_symbol)
+    return bits
+
+
 class TestDataPackets:
     def test_structure(self, packetizer):
         packet = packetizer.build_data_packet(b"\x01\x02\x03")
@@ -78,17 +86,17 @@ class TestDataPackets:
         assert chars == DELIMITER + DATA_FLAG
         assert len(packet) == packetizer.packet_length(3)
 
-    def test_size_field_roundtrip(self, packetizer):
+    def test_size_field_roundtrip(self, packetizer, mapper8):
         packet = packetizer.build_data_packet(bytes(37))
-        size_symbols = packet[8 : 8 + 3]
-        assert packetizer.decode_size(size_symbols) == 37
+        size_bits = label_bits(mapper8, packet[8 : 8 + 3])
+        assert int("".join(map(str, size_bits)), 2) == 37
 
     def test_body_carries_codeword_bits(self, packetizer, mapper8):
         codeword = b"\xde\xad\xbe\xef"
         packet = packetizer.build_data_packet(codeword)
         body = packet[8 + 3 :]
         data_symbols = [s for s in body if s.is_data]
-        bits = mapper8.symbols_to_bits(data_symbols)
+        bits = label_bits(mapper8, data_symbols)
         assert bits[: len(bytes_to_bits(codeword))] == bytes_to_bits(codeword)
 
     def test_white_ratio_in_body(self, packetizer):
@@ -125,7 +133,7 @@ class TestDataPackets:
 class TestCalibrationPackets:
     def test_structure(self, packetizer):
         packet = packetizer.build_calibration_packet()
-        assert len(packet) == packetizer.calibration_packet_length()
+        assert len(packet) == len(preamble_symbols(PacketKind.CALIBRATION)) + 8
         body = packet[10:]
         assert [s.index for s in body] == list(range(8))
 
@@ -133,18 +141,6 @@ class TestCalibrationPackets:
         packet = packetizer.build_calibration_packet()
         chars = "".join(s.to_char() for s in packet[:10])
         assert chars == "owoowowowo"
-
-
-class TestDecodeSize:
-    def test_wrong_symbol_count(self, packetizer, mapper8):
-        with pytest.raises(PacketError):
-            packetizer.decode_size(mapper8.bits_to_symbols([1, 0, 1]))
-
-    def test_roundtrip_many_sizes(self, packetizer):
-        for size in (1, 2, 17, 100, 255, 511):
-            packet = packetizer.build_data_packet(bytes(min(size, 511)))
-            decoded = packetizer.decode_size(packet[8:11])
-            assert decoded == min(size, 511)
 
 
 class TestPacketConfig:

@@ -19,16 +19,10 @@ class TestPwmChannel:
         channel = PwmChannel(resolution_bits=16)
         assert channel.quantize(0.123456) == pytest.approx(0.123456, abs=1e-4)
 
-    def test_set_duty_updates_state(self):
-        channel = PwmChannel()
-        applied = channel.set_duty(0.25)
-        assert channel.duty == applied
-        assert channel.effective_level() == applied
-
     def test_duty_out_of_range(self):
         channel = PwmChannel()
         with pytest.raises(ConfigurationError):
-            channel.set_duty(1.5)
+            channel.quantize(1.5)
 
     def test_invalid_resolution(self):
         with pytest.raises(ConfigurationError):
@@ -50,16 +44,12 @@ class TestPwmController:
         with pytest.raises(ConfigurationError):
             controller.check_symbol_rate(BEAGLEBONE_MAX_UPDATE_HZ + 1)
 
-    def test_set_duties(self):
-        controller = PwmController()
-        applied = controller.set_duties([0.1, 0.5, 0.9])
-        assert applied == controller.effective_levels()
+    def test_quantize_duties(self):
+        controller = PwmController(resolution_bits=2)
+        assert controller.quantize_duties([0.0, 1 / 3, 1.0]) == pytest.approx(
+            [0.0, 1 / 3, 1.0]
+        )
 
-    def test_set_duties_wrong_count(self):
+    def test_quantize_duties_wrong_count(self):
         with pytest.raises(ConfigurationError):
-            PwmController().set_duties([0.1, 0.2])
-
-    def test_quantize_duties_stateless(self):
-        controller = PwmController()
-        controller.quantize_duties([0.3, 0.3, 0.3])
-        assert controller.effective_levels() == [0.0, 0.0, 0.0]
+            PwmController().quantize_duties([0.1, 0.2])

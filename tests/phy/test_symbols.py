@@ -10,7 +10,6 @@ from repro.phy.symbols import (
     data_symbol,
     off_symbol,
     symbols_from_string,
-    validate_indices,
     white_symbol,
 )
 
@@ -64,10 +63,3 @@ class TestStreamHelpers:
     def test_count_data_symbols(self):
         stream = [data_symbol(0), white_symbol(), data_symbol(1), off_symbol()]
         assert count_data_symbols(stream) == 2
-
-    def test_validate_indices_passes(self):
-        validate_indices([data_symbol(7), white_symbol()], order=8)
-
-    def test_validate_indices_rejects(self):
-        with pytest.raises(ModulationError):
-            validate_indices([data_symbol(8)], order=8)

@@ -35,18 +35,14 @@ class TestConstruction:
 
 
 class TestSampling:
-    def test_xyz_at_mid_symbol(self, simple):
-        xyz = simple.xyz_at(np.array([0.0005, 0.0015, 0.0025]))
-        assert np.allclose(xyz, np.eye(3))
-
     def test_off_extension_dark(self, simple):
-        assert np.allclose(simple.xyz_at(np.array([0.0100])), 0.0)
-        assert np.allclose(simple.xyz_at(np.array([-0.001])), 0.0)
+        indices = simple.symbol_index_at(np.array([0.0100, -0.001]))
+        assert np.array_equal(indices, [-1, -1])
 
     def test_cyclic_extension_wraps(self):
         wf = make_waveform([[1, 0, 0], [0, 1, 0]], extend=EXTEND_CYCLE)
-        xyz = wf.xyz_at(np.array([0.0025]))  # 2.5 ms -> symbol 0 again
-        assert np.allclose(xyz, [1, 0, 0])
+        # 2.5 ms -> symbol 0 again
+        assert wf.symbol_index_at(np.array([0.0025]))[0] == 0
 
     def test_symbol_index_cyclic(self):
         wf = make_waveform([[1, 0, 0], [0, 1, 0]], extend=EXTEND_CYCLE)

@@ -121,7 +121,7 @@ class TestUnmanagedDefault:
         assert session.controller is None
         assert session.window_tracker is None
         assert session.adapt_decisions == []
-        assert session.recommended_rung is None
+        assert session.controller is None
 
 
 class TestManagedSession:
@@ -146,7 +146,7 @@ class TestManagedSession:
         assert len(session.adapt_decisions) > 0
         # A healthy one-rung session can only ever hold.
         assert {d.action for d in session.adapt_decisions} == {ACTION_HOLD}
-        assert session.recommended_rung == 0
+        assert session.controller.rung == 0
         assert not manager.degraded
         # Controller metrics inherit the manager registry.
         assert session.controller.metrics is registry
@@ -174,7 +174,7 @@ class TestDownshiftBeforeQuarantine:
         session = manager.sessions["bad"]
         # First streak: averted by a forced downshift, session stays up.
         assert session.state != STATE_QUARANTINED
-        assert session.recommended_rung == 1
+        assert session.controller.rung == 1
         assert [d.action for d in session.adapt_decisions] == [ACTION_DOWNSHIFT]
         assert session.adapt_decisions[0].reason == "failure-streak"
         assert session.consecutive_failures == 0

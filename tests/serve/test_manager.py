@@ -72,7 +72,7 @@ class TestAdmission:
             manager.open_session("c")
         assert excinfo.value.reason == "capacity"
         assert manager.rejections == 1
-        assert manager.active_sessions == 2
+        assert sum(s.is_active for s in manager.sessions.values()) == 2
 
     def test_duplicate_rejection(self, tiny_device):
         manager = _manager(tiny_device)
@@ -86,7 +86,7 @@ class TestAdmission:
         manager.open_session("a")
         manager.close_session("a")
         manager.open_session("b")  # does not raise
-        assert manager.active_sessions == 1
+        assert sum(s.is_active for s in manager.sessions.values()) == 1
 
     def test_unknown_session_raises(self, tiny_device):
         manager = _manager(tiny_device)
@@ -299,7 +299,7 @@ class TestLifecycle:
                 manager.submit_frame(name, frame)
         closed = manager.close_all()
         assert [s.session_id for s in closed] == ["one", "two", "three"]
-        assert manager.active_sessions == 0
+        assert sum(s.is_active for s in manager.sessions.values()) == 0
 
     def test_submit_to_closed_session_raises(self, tiny_device, frames):
         manager = _manager(tiny_device)

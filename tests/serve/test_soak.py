@@ -106,7 +106,7 @@ class TestChaosSoak:
     def test_healthy_sessions_byte_identical_to_calm_soak(
         self, chaos_report, calm_report
     ):
-        calm_payloads = calm_report.payloads_by_session()
+        calm_payloads = {o.session_id: o.payloads for o in calm_report.outcomes}
         healthy = [
             o for o in chaos_report.outcomes if o.role == ROLE_HEALTHY
         ]
@@ -127,7 +127,9 @@ class TestChaosSoak:
     def test_soak_is_deterministic(self, soak_device, chaos_report):
         again = run_soak(_CHAOS_SPEC, device=soak_device, policy=_POLICY)
         assert again.as_dict() == chaos_report.as_dict()
-        assert again.payloads_by_session() == chaos_report.payloads_by_session()
+        assert [o.payloads for o in again.outcomes] == [
+            o.payloads for o in chaos_report.outcomes
+        ]
 
 
 class TestSoakSpecValidation:

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.util.bitstream import (
-    BitReader,
-    BitWriter,
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
@@ -82,37 +80,3 @@ class TestChunkAndPad:
 
     def test_pad_noop_when_aligned(self):
         assert pad_bits([1, 0, 1, 1], 4) == [1, 0, 1, 1]
-
-
-class TestBitWriterReader:
-    def test_writer_reader_roundtrip(self):
-        writer = BitWriter()
-        writer.write_int(300, 10)
-        writer.write_bits([1, 0, 1])
-        writer.write_bytes(b"\x42")
-        reader = BitReader(writer.bits())
-        assert reader.read_int(10) == 300
-        assert reader.read_bits(3) == [1, 0, 1]
-        assert reader.read_bytes(1) == b"\x42"
-        assert reader.remaining == 0
-
-    def test_reader_overflow(self):
-        reader = BitReader([1, 0])
-        with pytest.raises(ConfigurationError):
-            reader.read_bits(3)
-
-    def test_writer_rejects_bad_bit(self):
-        writer = BitWriter()
-        with pytest.raises(ConfigurationError):
-            writer.write_bit(2)
-
-    def test_len(self):
-        writer = BitWriter()
-        writer.write_int(7, 3)
-        assert len(writer) == 3
-
-    @given(st.binary(min_size=1, max_size=64))
-    def test_bytes_roundtrip_property(self, data):
-        writer = BitWriter()
-        writer.write_bytes(data)
-        assert BitReader(writer.bits()).read_bytes(len(data)) == data

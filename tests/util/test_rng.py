@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.util.rng import derive_rng, make_rng, optional_rng, spawn_rngs
+from repro.util.rng import derive_rng, make_rng
 
 
 class TestMakeRng:
@@ -31,29 +31,3 @@ class TestDeriveRng:
         parent2 = make_rng(3)
         b = derive_rng(parent2, "workload")
         assert not np.array_equal(a.integers(0, 10**9, 8), b.integers(0, 10**9, 8))
-
-
-class TestSpawnRngs:
-    def test_spawn_has_all_labels(self):
-        rngs = spawn_rngs(11, "a", "b", "c")
-        assert set(rngs) == {"a", "b", "c"}
-
-    def test_spawned_streams_independent(self):
-        rngs = spawn_rngs(11, "a", "b")
-        assert not np.array_equal(
-            rngs["a"].integers(0, 10**9, 8), rngs["b"].integers(0, 10**9, 8)
-        )
-
-    def test_spawn_deterministic(self):
-        first = spawn_rngs(11, "a")["a"].integers(0, 10**9, 8)
-        second = spawn_rngs(11, "a")["a"].integers(0, 10**9, 8)
-        assert np.array_equal(first, second)
-
-
-class TestOptionalRng:
-    def test_given_returned(self):
-        gen = np.random.default_rng(2)
-        assert optional_rng(gen) is gen
-
-    def test_none_creates(self):
-        assert isinstance(optional_rng(None), np.random.Generator)
