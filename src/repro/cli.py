@@ -100,25 +100,12 @@ def _observability(args) -> "tuple":
     return bool(trace_path) or bool(metrics_target), registry
 
 
-def _emit_trace(path, outcome, root_attributes, backend=None) -> None:
-    """Assemble per-cell traces (spec order) and write the JSONL file.
-
-    Sweeps with an explicit ``--backend`` group cells under per-shard
-    spans (root -> shard -> cell); otherwise cells hang directly under
-    the sweep root.
-    """
-    if backend is not None:
-        from repro.perf.backends import assemble_backend_trace
-
-        spans = assemble_backend_trace(
-            outcome, backend.name, backend.lanes,
-            root_attributes=root_attributes,
-        )
-    else:
-        spans = assemble_trace(
-            [getattr(result, "trace", None) for result in outcome.results],
-            root_attributes=root_attributes,
-        )
+def _emit_trace(path, outcome, root_attributes) -> None:
+    """Assemble per-cell traces (spec order) and write the JSONL file."""
+    spans = assemble_trace(
+        [getattr(result, "trace", None) for result in outcome.results],
+        root_attributes=root_attributes,
+    )
     write_trace(path, spans)
     print(f"trace  : wrote {len(spans)} span(s) to {path}")
 
@@ -231,48 +218,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 duration_s=args.duration,
             )
     observe, registry = _observability(args)
-    backend = None
-    if args.backend is not None:
-        from repro.perf.backends import make_backend
-
-        try:
-            backend = make_backend(
-                args.backend, policy=policy, workers=args.workers,
-                observe=observe,
-            )
-        except ConfigurationError as exc:
-            raise SystemExit(f"colorbars: bad --backend: {exc}")
-    try:
-        outcome = run_specs_resilient(
-            list(specs.values()),
-            workers=workers,
-            policy=policy,
-            journal=args.journal,
-            resume=args.resume,
-            observe=observe,
-            metrics=registry,
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    outcome = run_specs_resilient(
+        list(specs.values()),
+        workers=workers,
+        policy=policy,
+        journal=args.journal,
+        resume=args.resume,
+        observe=observe,
+        metrics=registry,
+    )
     if args.trace:
         _emit_trace(
-            args.trace, outcome, {"device": device.name, "workers": workers},
-            backend=backend,
+            args.trace, outcome, {"device": device.name, "workers": workers}
         )
     if registry is not None:
         _emit_metrics(registry, args.metrics)
     results = dict(zip(specs, outcome.results))
     failure_by_index = {failure.index: failure for failure in outcome.failures}
     keys = list(specs)
-    if backend is not None:
-        print(
-            f"device: {device.name} "
-            f"(backend: {backend.name}, lanes: {backend.lanes})"
-        )
-    else:
-        print(f"device: {device.name} (workers: {workers})")
+    print(f"device: {device.name} (workers: {workers})")
     print(f"{'order':>6} | {'rate':>6} | {'SER':>8} | {'tput kbps':>9} | {'good kbps':>9}")
     for order in orders:
         for rate in rates:
@@ -608,11 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--workers", type=int, default=None,
         help="parallel sweep processes (default: $COLORBARS_WORKERS or 1)",
-    )
-    sweep_p.add_argument(
-        "--backend", default=None, metavar="NAME[:OPTS]",
-        help="distributed sweep backend: inprocess | pool[:workers=N] "
-        "(default: inprocess at one worker without watchdog/chaos, else pool)",
     )
     resilience(sweep_p, journal=True)
     observability(sweep_p)

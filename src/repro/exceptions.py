@@ -201,12 +201,6 @@ class JournalError(ColorBarsError):
     """A sweep run journal is unreadable or violates its schema."""
 
 
-class BackendError(ColorBarsError):
-    """A distributed sweep backend violated its contract or was misused
-    (submit after close, a worker protocol frame the parent cannot parse,
-    a drain with nothing submitted that the backend cannot represent)."""
-
-
 class ObservabilityError(ColorBarsError):
     """The observability layer was misused (undeclared metric, bad export)."""
 

@@ -10,9 +10,9 @@ Sweeps are embarrassingly parallel: every cell derives all of its
 randomness from its own ``(seed, cell)`` tuple, so cells share no state.
 :class:`RunSpec` makes one cell a picklable value object, and :func:`sweep`
 accepts a ``runner`` — any callable mapping a spec list to the matching
-result list — so :func:`repro.perf.runtime.run_specs_resilient` can hand
-the grid to a sweep backend (``inprocess`` or ``pool``) while
-staying bit-identical to this serial code path.
+result list — so :func:`repro.perf.runtime.run_specs_resilient` can run
+the grid serially or on a process pool while staying bit-identical to
+this serial code path.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ class RunSpec:
 
     Cells built from specs are independent by construction — every stochastic
     component derives from ``seed`` — which is the determinism argument that
-    lets :func:`repro.perf.runtime.run_specs_resilient` hand specs to any
-    sweep backend (:mod:`repro.perf.backends`) and still produce
+    lets :func:`repro.perf.runtime.run_specs_resilient` run specs on the
+    process pool (:mod:`repro.perf.pool`) and still produce
     byte-identical results to a serial loop.
     """
 

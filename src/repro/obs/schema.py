@@ -31,7 +31,6 @@ KIND_HISTOGRAM = "histogram"
 # -- span names ------------------------------------------------------------
 
 SPAN_SWEEP = "sweep"
-SPAN_SHARD = "shard"
 SPAN_CELL = "cell"
 SPAN_TX_PLAN = "tx-plan"
 SPAN_WAVEFORM = "waveform"
@@ -85,7 +84,6 @@ M_ADAPT_DOWNSHIFTS = "colorbars.adapt.downshifts"
 M_ADAPT_RUNG = "colorbars.adapt.rung"
 M_ADAPT_MARGIN = "colorbars.adapt.margin_delta_e"
 M_ADAPT_QUARANTINES_AVERTED = "colorbars.adapt.quarantines_averted"
-M_BACKEND_CELLS = "colorbars.backend.cells"
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,6 @@ SPANS: Tuple[SpanEntry, ...] = (
         SPAN_SWEEP, "(root)", "repro.obs.trace",
         "One assembled sweep trace; every per-cell trace is re-parented "
         "under it in spec order (a `colorbars run` is a one-cell sweep).",
-    ),
-    SpanEntry(
-        SPAN_SHARD, SPAN_SWEEP, "repro.obs.trace",
-        "One backend shard of a sweep: the cells assigned to one parallel "
-        "lane, adopted in spec order (in backend-driven sweeps `cell` "
-        "spans nest here instead of directly under the sweep root); "
-        "backend name, shard index, and cell count as attributes.",
     ),
     SpanEntry(
         SPAN_CELL, SPAN_SWEEP, "repro.link.simulator",
@@ -254,25 +245,25 @@ METRICS: Tuple[MetricEntry, ...] = (
         "Calibration events rejected by the poison gates.",
     ),
     MetricEntry(
-        M_CELLS_COMPLETED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
+        M_CELLS_COMPLETED, KIND_COUNTER, "cells", "repro.perf.runtime",
         "Sweep cells that produced a result (including resumed cells).",
     ),
     MetricEntry(
-        M_CELLS_FAILED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
+        M_CELLS_FAILED, KIND_COUNTER, "cells", "repro.perf.runtime",
         "Sweep cells recorded as CellFailure after all attempts.",
     ),
     MetricEntry(
-        M_CELLS_RETRIED, KIND_COUNTER, "attempts", "repro.perf.backends.driver",
+        M_CELLS_RETRIED, KIND_COUNTER, "attempts", "repro.perf.runtime",
         "Retry attempts consumed across all cells (excludes innocent "
         "pool-mate resubmissions).",
     ),
     MetricEntry(
-        M_CELLS_RESUMED, KIND_COUNTER, "cells", "repro.perf.backends.driver",
+        M_CELLS_RESUMED, KIND_COUNTER, "cells", "repro.perf.runtime",
         "Cells satisfied from the resume journal without re-execution.",
     ),
     MetricEntry(
-        M_SWEEP_WORKERS, KIND_GAUGE, "processes", "repro.perf.backends.driver",
-        "Effective worker count (backend lanes, clamped to the cell "
+        M_SWEEP_WORKERS, KIND_GAUGE, "processes", "repro.perf.runtime",
+        "Effective worker count (the requested workers, clamped to the cell "
         "count) of the sweep that recorded into this registry (last "
         "sweep wins).",
     ),
@@ -353,11 +344,6 @@ METRICS: Tuple[MetricEntry, ...] = (
         "repro.serve.manager",
         "Failure streaks absorbed by a controller downshift instead of "
         "quarantine (quarantine is the ladder's last rung).",
-    ),
-    MetricEntry(
-        M_BACKEND_CELLS, KIND_COUNTER, "cells", "repro.perf.backends.driver",
-        "Cells executed through the sweep backend (excludes cells spliced "
-        "from a resume journal).",
     ),
 )
 

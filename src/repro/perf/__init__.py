@@ -8,10 +8,10 @@ Two pieces (DESIGN.md §5d-§5e, §5k):
   timeouts (``COLORBARS_CELL_TIMEOUT`` / ``--cell-timeout``), crash
   containment into structured :class:`~repro.exceptions.CellFailure`
   records, bounded seed-stable retry, and a JSONL checkpoint journal with
-  ``--resume``.  It resolves the policy and a backend, then hands the
-  sweep to the driver in :mod:`repro.perf.backends`, whose ``inprocess``
-  and ``pool`` backends execute the cells — bit-identically, since each
-  cell derives all randomness from its own seed.
+  ``--resume``.  It runs the cells serially in-process at one worker,
+  or else on the supervised process pool of :mod:`repro.perf.pool`;
+  both give identical results, since each cell derives all randomness
+  from its own seed.
 * :mod:`repro.perf.executor` — worker-count resolution
   (``COLORBARS_WORKERS`` / ``--workers``; 1 is serial) and
   :func:`run_specs` / :func:`make_runner`, thin wrappers that give the

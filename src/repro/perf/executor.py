@@ -95,7 +95,7 @@ def run_specs(
     with a plain :class:`~repro.perf.runtime.RuntimePolicy` (no watchdog,
     no retry, no chaos).  ``workers=None`` consults
     :func:`default_workers`; ``1`` runs serially in-process, ``>= 2`` on
-    the process-pool backend; both produce byte-identical results.
+    the supervised process pool; both produce byte-identical results.
 
     Every cell runs even if an earlier one fails; after the sweep, the
     first failed cell raises :class:`~repro.exceptions.LinkError` carrying

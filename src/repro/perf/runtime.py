@@ -1,12 +1,11 @@
 """Resilient sweep runtime: watchdogs, crash containment, retry, journal.
 
 :func:`run_specs_resilient` is the one entry point every sweep goes
-through.  It resolves the :class:`RuntimePolicy` and the execution backend
-and hands the sweep to the backend driver
-(:func:`repro.perf.backends.run_specs_sharded`), which owns
-fingerprinting and resume splicing; the backends execute the cells and
-append each one to the sweep journal as it completes.  This module
-defines what those layers share:
+through.  It fingerprints the cells, splices journaled ones on resume,
+and runs the rest through one of two loops — serially in this process,
+or on the supervised process pool (:func:`repro.perf.pool.run_pool`) —
+each appending every completed cell to the sweep journal as it
+finishes.  What both loops share:
 
 * **Watchdog timeouts** — every cell runs under a deadline
   (``cell_timeout_s``, or the ``COLORBARS_CELL_TIMEOUT`` environment
@@ -29,9 +28,8 @@ defines what those layers share:
 
 Process-level chaos (:mod:`repro.faults.chaos`) tests all of this: because
 a ``worker-crash`` in-process would take the caller down, a policy with
-chaos or a watchdog always runs on the ``pool`` backend, even at one
-worker.  A plain ``workers=1`` run with neither stays in-process on the
-``inprocess`` backend.
+chaos or a watchdog always runs on the pool, even at one worker.  A plain
+``workers=1`` run with neither stays in-process.
 """
 
 from __future__ import annotations
@@ -41,15 +39,23 @@ import hashlib
 import json
 import os
 import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.camera.devices import DeviceProfile
 from repro.exceptions import CellFailure, ConfigurationError, JournalError
 from repro.faults.chaos import ProcessChaos
 from repro.link.multi import FleetReport, fleet_report_from_results, fleet_specs
 from repro.link.simulator import LinkResult, RunSpec
+from repro.obs.schema import (
+    M_CELLS_COMPLETED,
+    M_CELLS_FAILED,
+    M_CELLS_RESUMED,
+    M_CELLS_RETRIED,
+    M_SWEEP_WORKERS,
+)
 from repro.perf.executor import resolve_workers
 from repro.util.rng import derive_rng, make_rng
 
@@ -62,6 +68,10 @@ JOURNAL_SCHEMA_VERSION = 1
 
 #: Pickle protocol pinned for stable fingerprints and journal payloads.
 _PICKLE_PROTOCOL = 4
+
+#: Delay before the first retry, seconds; each later retry doubles it.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_FACTOR = 2.0
 
 
 def default_cell_timeout() -> Optional[float]:
@@ -106,8 +116,6 @@ class RuntimePolicy:
 
     cell_timeout_s: Optional[float] = None
     max_attempts: int = 1
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     chaos: Tuple[ProcessChaos, ...] = ()
 
     def __post_init__(self) -> None:
@@ -119,14 +127,6 @@ class RuntimePolicy:
             raise ConfigurationError(
                 f"max_attempts must be a positive integer, got {self.max_attempts!r}"
             )
-        if self.backoff_base_s < 0:
-            raise ConfigurationError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s!r}"
-            )
-        if self.backoff_factor < 1:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
 
     def needs_isolation(self) -> bool:
         """Whether cells must run in worker processes even at ``workers=1``.
@@ -137,7 +137,7 @@ class RuntimePolicy:
         return self.cell_timeout_s is not None or bool(self.chaos)
 
 
-def backoff_delay_s(policy: RuntimePolicy, spec_seed: int, attempt: int) -> float:
+def backoff_delay_s(spec_seed: int, attempt: int) -> float:
     """Seed-stable delay before retry ``attempt`` (attempt numbering from 2).
 
     Exponential in the attempt number with a deterministic jitter derived
@@ -145,9 +145,7 @@ def backoff_delay_s(policy: RuntimePolicy, spec_seed: int, attempt: int) -> floa
     same schedule, and cells with different seeds desynchronize instead of
     thundering back in lockstep.
     """
-    if policy.backoff_base_s <= 0.0:
-        return 0.0
-    delay = policy.backoff_base_s * policy.backoff_factor ** max(0, attempt - 2)
+    delay = _BACKOFF_BASE_S * _BACKOFF_FACTOR ** max(0, attempt - 2)
     jitter = derive_rng(
         make_rng(spec_seed), f"runtime:backoff:attempt:{attempt}"
     ).random()
@@ -259,8 +257,6 @@ class RuntimeResult:
     results: List[Optional[LinkResult]]
     failures: List[CellFailure] = field(default_factory=list)
     resumed: int = 0
-    #: Per spec, the backend shard that ran it (``None`` for resumed cells).
-    shard_of: List[Optional[int]] = field(default_factory=list)
 
     @property
     def degraded(self) -> bool:
@@ -286,6 +282,14 @@ class RuntimeResult:
         )
 
 
+class SweepCell(NamedTuple):
+    """One pending sweep cell: its spec position, journal identity, spec."""
+
+    index: int
+    fingerprint: str
+    spec: RunSpec
+
+
 def _annotate_trace(result: LinkResult, index: int, attempt: int) -> LinkResult:
     """Stamp cell position/attempt onto an observed result's root span.
 
@@ -299,6 +303,52 @@ def _annotate_trace(result: LinkResult, index: int, attempt: int) -> LinkResult:
     return result
 
 
+def _run_serial(
+    cells: Sequence[SweepCell],
+    policy: RuntimePolicy,
+    journal: Optional[RunJournal],
+    observe: bool,
+) -> Tuple[Dict[int, LinkResult], List[CellFailure], int]:
+    """Run ``cells`` one at a time in this process; same returns as the pool.
+
+    The reference loop: no process boundary, so it can enforce no
+    watchdog and host no chaos (the caller routes such policies to the
+    pool), but it contains and retries cell exceptions per ``policy``.
+    """
+    results: Dict[int, LinkResult] = {}
+    failures: List[CellFailure] = []
+    retried = 0
+    for cell in cells:
+        attempt = 1
+        while True:
+            try:
+                result = _annotate_trace(
+                    cell.spec.execute(observe=observe), cell.index, attempt
+                )
+            except Exception as exc:
+                if attempt < policy.max_attempts:
+                    time.sleep(backoff_delay_s(cell.spec.seed, attempt + 1))
+                    attempt += 1
+                    retried += 1
+                    continue
+                failures.append(
+                    CellFailure(
+                        fingerprint=cell.fingerprint,
+                        index=cell.index,
+                        cause="error",
+                        attempts=attempt,
+                        error_type=type(exc).__name__,
+                        message=str(exc),
+                    )
+                )
+                break
+            if journal is not None:
+                journal.append(cell.fingerprint, result)
+            results[cell.index] = result
+            break
+    return results, failures, retried
+
+
 def run_specs_resilient(
     specs: Sequence[RunSpec],
     workers: Optional[int] = None,
@@ -307,7 +357,7 @@ def run_specs_resilient(
     resume: bool = False,
     observe: bool = False,
     metrics=None,
-    backend=None,
+    backend: Optional[str] = None,
 ) -> RuntimeResult:
     """Execute ``specs`` with watchdogs, containment, retry, and journaling.
 
@@ -316,7 +366,7 @@ def run_specs_resilient(
     ``COLORBARS_CELL_TIMEOUT``.  ``journal`` is a path or :class:`RunJournal`;
     without ``resume`` an existing journal file is discarded first, with
     ``resume`` its cells are spliced into the results unrun.  Successful
-    cells are byte-identical whatever the worker count or backend —
+    cells are byte-identical whatever the worker count or loop —
     resilience only changes what happens to the unsuccessful ones.
 
     ``observe=True`` records each executed cell into a cell-local tracer
@@ -327,38 +377,69 @@ def run_specs_resilient(
     it, plus the runtime's own counters (cells completed/failed/retried/
     resumed, worker gauge).
 
-    Execution always goes through the sweep driver
-    (:func:`repro.perf.backends.run_specs_sharded`).  ``backend`` is a
-    backend name spec (``"pool:workers=4"``, constructed and closed here)
-    or a live :class:`~repro.perf.backends.base.SweepBackend` (caller
-    keeps ownership).  ``backend=None`` picks ``inprocess`` when the
-    resolved worker count is 1 and the policy needs no isolation (no
-    watchdog, no chaos), and ``pool`` otherwise.
+    Pending cells run serially in this process when the resolved worker
+    count is 1 and the policy needs no isolation (no watchdog, no chaos),
+    and on the supervised pool (:func:`repro.perf.pool.run_pool`)
+    otherwise; ``backend="pool"`` forces the pool.
     """
+    if backend not in (None, "pool"):
+        raise ConfigurationError(
+            f"backend must be None or 'pool', got {backend!r}"
+        )
     specs = list(specs)
     if metrics is not None:
         observe = True
     if policy is None:
         policy = RuntimePolicy(cell_timeout_s=default_cell_timeout())
-    # Imported lazily: repro.perf.backends imports this module.
-    from repro.perf.backends import make_backend, run_specs_sharded
+    workers = resolve_workers(workers, cell_count=len(specs))
+    if journal is not None and not isinstance(journal, RunJournal):
+        journal = RunJournal(journal)
 
-    if backend is None:
-        workers = resolve_workers(workers, cell_count=len(specs))
-        serial = workers == 1 and not policy.needs_isolation()
-        backend = "inprocess" if serial else "pool"
-    if isinstance(backend, str):
-        with make_backend(
-            backend, policy=policy, workers=workers, observe=observe
-        ) as owned:
-            return run_specs_sharded(
-                specs, owned, journal=journal, resume=resume,
-                observe=observe, metrics=metrics,
-            )
-    return run_specs_sharded(
-        specs, backend, journal=journal, resume=resume,
-        observe=observe, metrics=metrics,
-    )
+    journaled: Dict[str, LinkResult] = {}
+    if journal is not None:
+        if resume:
+            journaled = journal.load()
+        else:
+            journal.discard()
+
+    results: List[Optional[LinkResult]] = [None] * len(specs)
+    resumed = 0
+    pending: List[SweepCell] = []
+    for index, spec in enumerate(specs):
+        fingerprint = spec_fingerprint(spec)
+        prior = journaled.get(fingerprint)
+        if prior is not None:
+            results[index] = prior
+            resumed += 1
+        else:
+            pending.append(SweepCell(index, fingerprint, spec))
+
+    if backend is None and workers == 1 and not policy.needs_isolation():
+        ran, failures, retried = _run_serial(pending, policy, journal, observe)
+    else:
+        # Imported lazily: repro.perf.pool imports this module.
+        from repro.perf import pool
+
+        ran, failures, retried = pool.run_pool(
+            pending, workers, policy, journal, observe
+        )
+    for index, result in ran.items():
+        results[index] = result
+    failures.sort(key=lambda failure: failure.index)
+
+    if metrics is not None:
+        metrics.gauge(M_SWEEP_WORKERS).set(workers)
+        metrics.counter(M_CELLS_COMPLETED).inc(
+            sum(1 for result in results if result is not None)
+        )
+        metrics.counter(M_CELLS_FAILED).inc(len(failures))
+        metrics.counter(M_CELLS_RETRIED).inc(retried)
+        metrics.counter(M_CELLS_RESUMED).inc(resumed)
+        for result in results:
+            exported = getattr(result, "obs_metrics", None)
+            if exported:
+                metrics.merge_export(exported)
+    return RuntimeResult(results=results, failures=failures, resumed=resumed)
 
 
 def resilient_fleet(

@@ -37,14 +37,12 @@ class PwmChannel:
     """
 
     resolution_bits: int = 12
-    carrier_hz: float = 25000.0
 
     def __post_init__(self) -> None:
         require(
             1 <= self.resolution_bits <= 24,
             f"resolution_bits must be in [1, 24], got {self.resolution_bits}",
         )
-        require_positive(self.carrier_hz, "carrier_hz")
         self._levels = 1 << self.resolution_bits
 
     def quantize(self, duty: float) -> float:
@@ -64,15 +62,14 @@ class PwmController:
     def __init__(
         self,
         resolution_bits: int = 12,
-        carrier_hz: float = 25000.0,
         max_update_hz: float = BEAGLEBONE_MAX_UPDATE_HZ,
     ) -> None:
         require_positive(max_update_hz, "max_update_hz")
         self.max_update_hz = max_update_hz
         self.channels: Tuple[PwmChannel, PwmChannel, PwmChannel] = (
-            PwmChannel(resolution_bits, carrier_hz),
-            PwmChannel(resolution_bits, carrier_hz),
-            PwmChannel(resolution_bits, carrier_hz),
+            PwmChannel(resolution_bits),
+            PwmChannel(resolution_bits),
+            PwmChannel(resolution_bits),
         )
 
     def check_symbol_rate(self, symbol_rate: float) -> None:

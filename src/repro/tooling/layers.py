@@ -10,7 +10,7 @@ architecture is a strict bottom-up chain through the optical pipeline::
 
 (``faults`` sits between ``camera`` and ``link``: injectors transform
 captured frames, and only the link layer composes them into runs;
-``perf`` sits above ``link`` — the executor and backends orchestrate
+``perf`` sits above ``link`` — the executor and the pool orchestrate
 link runs, while the link layer only *accepts* an injected runner and
 never imports ``perf``; ``obs`` sits at the bottom next to ``util`` —
 tracing/metrics are injected into camera/rx/link/perf, so instrumented

@@ -81,8 +81,6 @@ class TestPolicyValidation:
             {"cell_timeout_s": -1.0},
             {"max_attempts": 0},
             {"max_attempts": 1.5},
-            {"backoff_base_s": -0.1},
-            {"backoff_factor": 0.5},
         ],
     )
     def test_bad_policy_rejected(self, kwargs):
@@ -108,16 +106,10 @@ class TestDefaultCellTimeout:
 
 class TestBackoff:
     def test_deterministic(self):
-        policy = RuntimePolicy(max_attempts=3)
-        assert backoff_delay_s(policy, 7, 2) == backoff_delay_s(policy, 7, 2)
+        assert backoff_delay_s(7, 2) == backoff_delay_s(7, 2)
 
     def test_grows_with_attempt(self):
-        policy = RuntimePolicy(max_attempts=4, backoff_factor=2.0)
-        assert backoff_delay_s(policy, 7, 3) > backoff_delay_s(policy, 7, 2)
-
-    def test_zero_base_is_immediate(self):
-        policy = RuntimePolicy(max_attempts=3, backoff_base_s=0.0)
-        assert backoff_delay_s(policy, 7, 2) == 0.0
+        assert backoff_delay_s(7, 3) > backoff_delay_s(7, 2)
 
 
 class TestEquivalence:
@@ -202,9 +194,7 @@ class TestCrashContainment:
         outcome = run_specs_resilient(
             specs,
             workers=1,
-            policy=RuntimePolicy(
-                max_attempts=2, backoff_base_s=0.0, chaos=(chaos,)
-            ),
+            policy=RuntimePolicy(max_attempts=2, chaos=(chaos,)),
             metrics=registry,
         )
         assert not outcome.degraded
@@ -391,28 +381,27 @@ def _infeasible_spec(tiny_device):
 class TestBackendResolution:
     @pytest.fixture
     def pool_drains(self, monkeypatch):
-        from repro.perf.backends import pool
+        """The worker count of every :func:`run_pool` call, in call order."""
+        from repro.perf import pool
 
         calls = []
-        engine = pool._run_isolated
+        engine = pool.run_pool
 
-        def spy(shards, *args, **kwargs):
-            calls.append(len(shards))
-            return engine(shards, *args, **kwargs)
+        def spy(cells, workers, *args, **kwargs):
+            calls.append(workers)
+            return engine(cells, workers, *args, **kwargs)
 
-        monkeypatch.setattr(pool, "_run_isolated", spy)
+        monkeypatch.setattr(pool, "run_pool", spy)
         return calls
 
     def test_one_worker_runs_inprocess(self, tiny_device, pool_drains):
         specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
-        outcome = run_specs_resilient(specs, workers=1)
-        assert outcome.shard_of == [0, 0, 0]
+        run_specs_resilient(specs, workers=1)
         assert pool_drains == []
 
     def test_two_workers_run_on_pool(self, tiny_device, pool_drains):
         specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
-        outcome = run_specs_resilient(specs, workers=2)
-        assert outcome.shard_of == [0, 1, 0]
+        run_specs_resilient(specs, workers=2)
         assert pool_drains == [2]
 
     @pytest.mark.parametrize(
@@ -430,22 +419,17 @@ class TestBackendResolution:
             [_spec(tiny_device, seed=1)], workers=1, policy=policy
         )
         assert not outcome.degraded
-        assert outcome.shard_of == [0]
         assert pool_drains == [1]
 
     def test_explicit_backend_wins_over_workers(self, tiny_device, pool_drains):
         specs = [_spec(tiny_device, seed=s) for s in (1, 2, 3)]
-        inprocess = run_specs_resilient(specs, workers=2, backend="inprocess")
-        assert inprocess.shard_of == [0, 0, 0]
-        assert pool_drains == []
-        pooled = run_specs_resilient(specs, workers=1, backend="pool:workers=2")
-        assert pooled.shard_of == [0, 1, 0]
-        assert pool_drains == [2]
+        run_specs_resilient(specs, workers=1, backend="pool")
+        assert pool_drains == [1]
 
     def test_sweep_workers_gauge_is_effective_lane_count(self, tiny_device):
         registry = MetricsRegistry()
         specs = [_spec(tiny_device, seed=s) for s in (1, 2)]
-        run_specs_resilient(specs, backend="pool:workers=4", metrics=registry)
+        run_specs_resilient(specs, workers=4, backend="pool", metrics=registry)
         assert registry.export()["gauges"][M_SWEEP_WORKERS] == 2.0
 
 

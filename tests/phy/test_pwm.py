@@ -28,10 +28,6 @@ class TestPwmChannel:
         with pytest.raises(ConfigurationError):
             PwmChannel(resolution_bits=0)
 
-    def test_invalid_carrier(self):
-        with pytest.raises(ConfigurationError):
-            PwmChannel(carrier_hz=0)
-
 
 class TestPwmController:
     def test_three_channels(self):

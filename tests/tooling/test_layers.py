@@ -82,7 +82,7 @@ class TestDag:
         assert is_import_allowed("perf", "link")
 
     def test_perf_sits_above_link(self):
-        # The executor and backends orchestrate link runs; the link layer only
+        # The executor and the pool orchestrate link runs; the link layer only
         # accepts an injected runner and must never import perf.
         assert layer_of("repro.perf.executor") == "perf"
         assert is_import_allowed("perf", "link")
