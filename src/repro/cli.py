@@ -229,14 +229,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.trace:
         _emit_trace(
-            args.trace, outcome, {"device": device.name, "workers": workers}
+            args.trace,
+            outcome,
+            {
+                "device": device.name,
+                "workers": workers,
+                "effective_workers": outcome.workers,
+            },
         )
     if registry is not None:
         _emit_metrics(registry, args.metrics)
     results = dict(zip(specs, outcome.results))
     failure_by_index = {failure.index: failure for failure in outcome.failures}
     keys = list(specs)
-    print(f"device: {device.name} (workers: {workers})")
+    print(f"device: {device.name} (workers: {outcome.workers})")
     print(f"{'order':>6} | {'rate':>6} | {'SER':>8} | {'tput kbps':>9} | {'good kbps':>9}")
     for order in orders:
         for rate in rates:

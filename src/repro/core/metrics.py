@@ -63,6 +63,9 @@ def align_ground_truth(
     each band is scored at its true on-air time.  Frames not in the map
     have no offset.
     """
+    # One pass over ``bands``: a report's band log builds the band objects
+    # anew on every iteration.
+    bands = list(bands)
     if not bands:
         return []
     mid_times = np.array([band.mid_time for band in bands])
@@ -131,12 +134,15 @@ def compute_link_metrics(
     bits_per_symbol: int,
     payload_bytes_per_packet: int,
     duration_s: float,
+    bands: Optional[Sequence[ReceivedBand]] = None,
 ) -> LinkMetrics:
     """Assemble the metric triple from a receive session.
 
     Throughput counts received *data-class* bands (the paper excludes
     illumination whites and, implicitly, the o/w framing symbols);
     goodput counts k payload bytes per successfully decoded packet.
+    ``bands`` are ``report.bands`` already materialized by the caller
+    (``None`` reads the report's).
     """
     require_positive(duration_s, "duration_s")
     require_positive(bits_per_symbol, "bits_per_symbol")
@@ -144,7 +150,7 @@ def compute_link_metrics(
 
     data_received = sum(
         1
-        for band in report.bands
+        for band in (report.bands if bands is None else bands)
         if band.decision.kind is DecisionKind.DATA
     )
     throughput = data_received * bits_per_symbol / duration_s

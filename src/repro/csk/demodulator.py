@@ -64,6 +64,67 @@ class SymbolDecision(NamedTuple):
         return str(self.index)
 
 
+#: Decision kinds by column code: ``DECISION_KINDS[code]``.
+DECISION_KINDS = (DecisionKind.DATA, DecisionKind.WHITE, DecisionKind.OFF)
+KIND_DATA, KIND_WHITE, KIND_OFF = range(len(DECISION_KINDS))
+#: The index column's stand-in for ``None`` (an OFF, white or bootstrap
+#: decision); the margin column's stand-in is NaN.
+NO_INDEX = -1
+_OFF_DECISION = SymbolDecision(DecisionKind.OFF, None, 0.0, True)
+
+
+class DecisionColumns(NamedTuple):
+    """A run of symbol decisions, one array per :class:`SymbolDecision` field.
+
+    ``kind`` holds :data:`DECISION_KINDS` codes, ``index`` holds
+    :data:`NO_INDEX` where the decision has none, and ``margin`` holds NaN
+    where it is undefined.  :meth:`decisions` builds the records.  (A
+    margin that is itself NaN — only a non-finite band color makes one —
+    reads back as ``None``; scanline means of 8-bit pixels are finite.)
+    """
+
+    kind: np.ndarray
+    index: np.ndarray
+    distance: np.ndarray
+    confident: np.ndarray
+    margin: np.ndarray
+
+    @classmethod
+    def off(cls, count: int) -> "DecisionColumns":
+        """``count`` OFF decisions, ready to have lit rows scattered in."""
+        return cls(
+            np.full(count, KIND_OFF, dtype=np.uint8),
+            np.full(count, NO_INDEX, dtype=np.int16),
+            np.zeros(count),
+            np.ones(count, dtype=bool),
+            np.full(count, np.nan),
+        )
+
+    def decisions(self) -> List[SymbolDecision]:
+        """The :class:`SymbolDecision` records, from ``tolist()`` columns
+        (already Python numbers); every OFF decision is one shared record.
+        The columns may be strided fields of a packed record."""
+        kinds = DECISION_KINDS
+        return [
+            _OFF_DECISION
+            if code == KIND_OFF
+            else SymbolDecision(
+                kinds[code],
+                None if number < 0 else number,
+                dist,
+                sure,
+                None if gap != gap else gap,
+            )
+            for code, number, dist, sure, gap in zip(
+                self.kind.tolist(),
+                self.index.tolist(),
+                self.distance.tolist(),
+                self.confident.tolist(),
+                self.margin.tolist(),
+            )
+        ]
+
+
 class CskDemodulator:
     """Classifies per-band Lab measurements into symbol decisions.
 
@@ -107,13 +168,19 @@ class CskDemodulator:
     def decide_stream(self, lab: np.ndarray) -> List[SymbolDecision]:
         """Classify ``(N, 3)`` Lab band measurements in order.
 
+        The record form of :meth:`decide_columns`.
+        """
+        return self.decide_columns(lab).decisions()
+
+    def decide_columns(self, lab: np.ndarray) -> DecisionColumns:
+        """Classify ``(N, 3)`` Lab band measurements, one array per field.
+
         Fully vectorized: dark/OFF rows are settled by the lightness test
         alone — no calibration matching or white-distance work is ever done
         for them — and an all-dark stream (gap-straddling frames, occlusion
         faults) short-circuits before touching the reference table at all.
         The remaining lit rows get one batched nearest-reference match and
-        one white-distance pass; decisions are materialized at the end,
-        straight from the ``tolist()`` columns (already Python numbers).
+        one white-distance pass, scattered into the columns.
         """
         lab = np.asarray(lab, dtype=float)
         if lab.ndim != 2 or lab.shape[1] != 3:
@@ -121,11 +188,10 @@ class CskDemodulator:
                 f"expected (N, 3) Lab array, got shape {lab.shape}"
             )
         dark = lab[:, 0] < self.off_lightness
-        off_decision = SymbolDecision(DecisionKind.OFF, None, 0.0, True)
-        decisions: List[SymbolDecision] = [off_decision] * lab.shape[0]
+        columns = DecisionColumns.off(lab.shape[0])
         lit = np.flatnonzero(~dark)
         if lit.size == 0:
-            return decisions
+            return columns
 
         # Distances to data references and to the white reference, lit rows
         # only.
@@ -139,29 +205,17 @@ class CskDemodulator:
         white_dist = np.sqrt(np.sum((chroma - white_ref) ** 2, axis=-1))
         is_white = white_dist < data_dist
         distance = np.where(is_white, white_dist, data_dist)
-        confident = distance <= self.acceptance_delta_e
         # Margin to the runner-up over the full candidate set (data
         # references + white): how far each decision is from flipping.
         candidates = np.concatenate([matrix, white_dist[:, np.newaxis]], axis=1)
         nearest_two = np.partition(candidates, 1, axis=1)
-        margin = nearest_two[:, 1] - nearest_two[:, 0]
 
-        for row, white, dist, index, sure, gap in zip(
-            lit.tolist(),
-            is_white.tolist(),
-            distance.tolist(),
-            indices.tolist(),
-            confident.tolist(),
-            margin.tolist(),
-        ):
-            decisions[row] = SymbolDecision(
-                DecisionKind.WHITE if white else DecisionKind.DATA,
-                None if white else index,
-                dist,
-                sure,
-                gap,
-            )
-        return decisions
+        columns.kind[lit] = np.where(is_white, KIND_WHITE, KIND_DATA)
+        columns.index[lit] = np.where(is_white, NO_INDEX, indices)
+        columns.distance[lit] = distance
+        columns.confident[lit] = distance <= self.acceptance_delta_e
+        columns.margin[lit] = nearest_two[:, 1] - nearest_two[:, 0]
+        return columns
 
 
 def nominal_calibration(

@@ -168,8 +168,11 @@ class LinkSimulator:
                     for frame in frames
                     if frame.start_time != true_starts[frame.index]
                 }
+                # The report logs its bands as column records; build the
+                # band objects once for both consumers.
+                bands = list(report.bands)
                 matches = align_ground_truth(
-                    report.bands,
+                    bands,
                     plan.symbols,
                     waveform,
                     start_offsets=start_offsets,
@@ -180,6 +183,7 @@ class LinkSimulator:
                     bits_per_symbol=self.config.bits_per_symbol,
                     payload_bytes_per_packet=self.config.rs_params().k,
                     duration_s=duration_s,
+                    bands=bands,
                 )
         self.metrics.counter(M_RUNS_COMPLETED).inc()
         self.metrics.counter(M_FAULTS_INJECTED).inc(len(schedule))

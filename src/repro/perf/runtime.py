@@ -251,12 +251,14 @@ class RuntimeResult:
 
     ``results[i]`` is ``None`` exactly when spec ``i`` has a matching entry
     in ``failures``; ``resumed`` counts cells satisfied from the journal
-    without re-execution.
+    without re-execution.  ``workers`` is the worker count the sweep ran
+    with: the request clamped to the cell count, and 1 on the serial loop.
     """
 
     results: List[Optional[LinkResult]]
     failures: List[CellFailure] = field(default_factory=list)
     resumed: int = 0
+    workers: int = 1
 
     @property
     def degraded(self) -> bool:
@@ -439,7 +441,9 @@ def run_specs_resilient(
             exported = getattr(result, "obs_metrics", None)
             if exported:
                 metrics.merge_export(exported)
-    return RuntimeResult(results=results, failures=failures, resumed=resumed)
+    return RuntimeResult(
+        results=results, failures=failures, resumed=resumed, workers=workers
+    )
 
 
 def resilient_fleet(

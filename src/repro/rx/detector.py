@@ -10,18 +10,23 @@ Once calibrated, full constellation matching takes over.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from bisect import bisect_right
+from itertools import repeat
+from typing import Iterator, List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.camera.frame import CapturedFrame
 from repro.csk.demodulator import (
+    KIND_DATA,
+    KIND_OFF,
+    KIND_WHITE,
     CskDemodulator,
-    DecisionKind,
+    DecisionColumns,
     SymbolDecision,
 )
 from repro.exceptions import DemodulationError
-from repro.rx.segmentation import Band
+from repro.rx.segmentation import Band, BandColumns
 
 
 class ReceivedBand(NamedTuple):
@@ -48,6 +53,121 @@ class ReceivedBand(NamedTuple):
         return self.decision.to_char()
 
 
+#: One classified band as a packed record: the :class:`Band` bounds and
+#: color, the band's mid-exposure time, and its :class:`SymbolDecision` in
+#: :class:`~repro.csk.demodulator.DecisionColumns` encoding (index -1 and
+#: margin NaN stand for ``None``).  72 bytes, against ~570 for the
+#: :class:`ReceivedBand` object graph it stands for.  Float fields come
+#: first so every field of the aligned layout sits on its natural boundary.
+BAND_RECORD = np.dtype(
+    [
+        ("lab", np.float64, (3,)),
+        ("mid_time", np.float64),
+        ("distance", np.float64),
+        ("margin", np.float64),
+        ("row_start", np.int32),
+        ("row_stop", np.int32),
+        ("core_start", np.int32),
+        ("core_stop", np.int32),
+        ("index", np.int16),
+        ("kind", np.uint8),
+        ("confident", np.bool_),
+    ],
+    align=True,
+)
+
+
+def received_bands(frame_index: int, record: np.ndarray) -> List[ReceivedBand]:
+    """The :class:`ReceivedBand` objects one frame's record stands for.
+
+    Built a column at a time from the record's fields, never row by row:
+    each band's ``lab`` is a row view into the record.
+    """
+    bands = BandColumns(*(record[name] for name in Band._fields))
+    decisions = DecisionColumns(
+        *(record[name] for name in DecisionColumns._fields)
+    )
+    return list(
+        map(
+            ReceivedBand,
+            repeat(frame_index),
+            bands.bands(),
+            record["mid_time"].tolist(),
+            decisions.decisions(),
+        )
+    )
+
+
+class FrameBands(list):
+    """One frame's :class:`ReceivedBand` list, with the record behind it.
+
+    :meth:`SymbolDetector.detect` returns this: the packet fold consumes
+    the band objects, while the report's :class:`BandLog` keeps only
+    ``record`` (one :data:`BAND_RECORD` per band) and ``frame_index``.
+    """
+
+    __slots__ = ("frame_index", "record")
+
+    def __init__(self, frame_index: int, record: np.ndarray) -> None:
+        super().__init__(received_bands(frame_index, record))
+        self.frame_index = frame_index
+        self.record = record
+
+
+class BandLog(Sequence):
+    """Every band a receive pass classified, kept as per-frame records.
+
+    A read-only :class:`~collections.abc.Sequence` of :class:`ReceivedBand`:
+    ``len``, iteration and int or slice indexing build the band objects on
+    demand, a frame at a time, equal field for field to the ones the
+    detector handed the packet fold.  What it holds is one
+    :data:`BAND_RECORD` array per frame, so a live session's report grows
+    by ~72 bytes per band instead of a ~570-byte object graph.
+    """
+
+    def __init__(self) -> None:
+        self._frame_indices: List[int] = []
+        self._records: List[np.ndarray] = []
+        #: Band count up to and including each frame.
+        self._ends: List[int] = []
+
+    def append_frame(self, bands: Sequence[ReceivedBand]) -> None:
+        """Log one frame's bands: a :class:`FrameBands`, or empty."""
+        if not bands:
+            return
+        self._frame_indices.append(bands.frame_index)
+        self._records.append(bands.record)
+        self._ends.append(len(self) + len(bands.record))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[ReceivedBand]:
+        for frame_index, record in zip(self._frame_indices, self._records):
+            yield from received_bands(frame_index, record)
+
+    def __getitem__(self, key):
+        picked = range(len(self))[key]
+        if isinstance(picked, int):
+            return self._bands_at(range(picked, picked + 1))[0]
+        return self._bands_at(picked)
+
+    def _bands_at(self, positions: range) -> List[ReceivedBand]:
+        """The bands at ``positions``, building only the frames they span."""
+        if not positions:
+            return []
+        first, last = sorted((positions[0], positions[-1]))
+        frame = bisect_right(self._ends, first)
+        base = self._ends[frame - 1] if frame else 0
+        covered: List[ReceivedBand] = []
+        while base + len(covered) <= last:
+            covered.extend(
+                received_bands(self._frame_indices[frame], self._records[frame])
+            )
+            frame += 1
+        return [covered[position - base] for position in positions]
+
+
 class SymbolDetector:
     """Classifies segmented bands, in bootstrap or calibrated mode."""
 
@@ -68,7 +188,7 @@ class SymbolDetector:
     def calibrated(self) -> bool:
         return self.demodulator.calibration.is_calibrated
 
-    def _bootstrap_stream(self, labs: np.ndarray) -> List[SymbolDecision]:
+    def _bootstrap_columns(self, labs: np.ndarray) -> DecisionColumns:
         """Bootstrap decisions for ``(N, 3)`` Lab rows.
 
         OFF by lightness, WHITE by low chroma magnitude, and any other
@@ -79,45 +199,47 @@ class SymbolDetector:
         chroma_mag = np.hypot(labs[:, 1], labs[:, 2])
         off = lightness < self.demodulator.off_lightness
         white = ~off & (chroma_mag < self.bootstrap_white_chroma)
-        return [
-            SymbolDecision(DecisionKind.OFF, None, 0.0, True)
-            if is_off
-            else SymbolDecision(
-                DecisionKind.WHITE if is_white else DecisionKind.DATA,
-                None,
-                mag,
-                is_white,
-            )
-            for is_off, is_white, mag in zip(
-                off.tolist(), white.tolist(), chroma_mag.tolist()
-            )
-        ]
+        columns = DecisionColumns.off(labs.shape[0])
+        columns.kind[:] = np.where(
+            off, KIND_OFF, np.where(white, KIND_WHITE, KIND_DATA)
+        )
+        columns.distance[:] = np.where(off, 0.0, chroma_mag)
+        columns.confident[:] = off | white
+        return columns
 
     def detect(
         self,
         frame: CapturedFrame,
-        bands: List[Band],
+        bands: Sequence[Band],
     ) -> List[ReceivedBand]:
-        """Attach timing and symbol decisions to a frame's bands."""
+        """Attach timing and symbol decisions to a frame's bands.
+
+        ``bands`` is the segmenter's :class:`BandColumns`, or any sequence
+        of :class:`Band` records.  The result is a :class:`FrameBands`,
+        whose record is packed straight from the band and decision columns
+        (empty input gives a plain empty list).
+        """
         if not bands:
             return []
-        labs = np.array([band.lab for band in bands])
+        if not isinstance(bands, BandColumns):
+            bands = BandColumns.from_bands(bands)
         if self.calibrated:
-            decisions = self.demodulator.decide_stream(labs)
+            decisions = self.demodulator.decide_columns(bands.lab)
         else:
-            decisions = self._bootstrap_stream(labs)
-        # Per-band timing in Python floats: the same operations, in the same
-        # order, as one float64 array expression over the band centres.
-        start_time = float(frame.start_time)
-        row_period = float(frame.row_period)
-        half_exposure = float(frame.exposure.exposure_s / 2.0)
-        frame_index = frame.index
-        return [
-            ReceivedBand(
-                frame_index,
-                band,
-                start_time + band.center_row * row_period + half_exposure,
-                decision,
-            )
-            for band, decision in zip(bands, decisions)
-        ]
+            decisions = self._bootstrap_columns(bands.lab)
+        record = np.empty(len(bands), dtype=BAND_RECORD)
+        for name in Band._fields:
+            record[name] = getattr(bands, name)
+        for name, column in zip(DecisionColumns._fields, decisions):
+            record[name] = column
+        # The band centre's timing as float64: the same operations in the
+        # same order as ``start_time + band.center_row * row_period +
+        # half_exposure`` in Python floats, so every ``mid_time`` is bitwise
+        # what a per-band loop would compute.
+        record["mid_time"] = (
+            float(frame.start_time)
+            + ((bands.core_start + bands.core_stop - 1) / 2.0)
+            * float(frame.row_period)
+            + float(frame.exposure.exposure_s / 2.0)
+        )
+        return FrameBands(frame.index, record)

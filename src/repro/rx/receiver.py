@@ -51,9 +51,9 @@ from repro.rx.assembler import (
     PacketFold,
     ReceivedPacket,
 )
-from repro.rx.detector import ReceivedBand, SymbolDetector
+from repro.rx.detector import BandLog, ReceivedBand, SymbolDetector
 from repro.rx.preprocess import frame_to_scanline_lab, frames_to_scanline_lab
-from repro.rx.segmentation import BandSegmenter
+from repro.rx.segmentation import Band, BandColumns, BandSegmenter
 
 
 #: Reasons a packet can fail FEC, as recorded in :class:`FecFailure`.
@@ -99,6 +99,11 @@ class ReceiverReport:
     frame whose pipeline raised and was contained (the session-never-dies
     contract); ``fec_failures`` retains why each failed packet failed.
 
+    ``bands`` is every classified band in order.  A receive pass logs them
+    as a :class:`~repro.rx.detector.BandLog` (one packed record per band,
+    read back as :class:`ReceivedBand` objects); any sequence of bands
+    works in its place.
+
     The ``calibration_symbol_*`` / ``*_symbols_seen`` counters are the raw
     material of the channel-quality estimates (``ser_estimate``,
     ``delta_e_margin``, ``erasure_fraction``) that the link-adaptation
@@ -113,7 +118,7 @@ class ReceiverReport:
     packets_seen: int = 0
     calibration_updates: int = 0
     calibration_rejected: int = 0
-    bands: List[ReceivedBand] = field(default_factory=list)
+    bands: Sequence[ReceivedBand] = field(default_factory=BandLog)
     frames_processed: int = 0
     symbols_detected: int = 0
     symbols_lost_in_gaps: int = 0
@@ -208,15 +213,15 @@ class _FrameClock(NamedTuple):
 class _SegmentedFrame:
     """One frame's calibration-independent pipeline state, computed once.
 
-    Either ``clock`` and ``bands`` (the pre-detect segmentation, possibly
-    empty) or ``failure`` (the contained pre-detect error) is set.  Both
+    Either ``clock`` and ``bands`` (the pre-detect segmentation as column
+    arrays, possibly empty) or ``failure`` (the contained pre-detect error) is set.  Both
     passes of :meth:`ColorBarsReceiver.process_frames` classify from this
     record instead of re-running preprocess/segment, and a buffering
     streaming session holds one per fed frame until ``finish()``.
     """
 
     clock: Optional[_FrameClock] = None
-    bands: list = field(default_factory=list)
+    bands: Sequence[Band] = ()
     failure: Optional[FrameFailure] = None
 
 
@@ -373,7 +378,7 @@ class ColorBarsReceiver:
             report.frames_processed = len(segmented)
             bands_histogram = self.metrics.histogram(M_FRAME_BANDS)
             for bands in per_frame_bands:
-                report.bands.extend(bands)
+                report.bands.append_frame(bands)
                 report.symbols_detected += len(bands)
                 bands_histogram.observe(len(bands))
             span.set("symbols", report.symbols_detected)
@@ -460,11 +465,13 @@ class ColorBarsReceiver:
                 from repro.rx.equalizer import deconvolve_frame
 
                 stage = "equalize"
-                bands = deconvolve_frame(
-                    frame,
-                    bands,
-                    smear_rows,
-                    preserve_dark_below=self.demodulator.off_lightness,
+                bands = BandColumns.from_bands(
+                    deconvolve_frame(
+                        frame,
+                        bands.bands(),
+                        smear_rows,
+                        preserve_dark_below=self.demodulator.off_lightness,
+                    )
                 )
             clock = _FrameClock(
                 frame.index, frame.start_time, frame.row_period, frame.exposure

@@ -34,7 +34,8 @@ whose band pitch falls below it are rejected up front.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from collections.abc import Sequence
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -71,6 +72,94 @@ class Band(NamedTuple):
     def center_row(self) -> float:
         """Center of the pure core — the band's timing anchor."""
         return (self.core_start + self.core_stop - 1) / 2.0
+
+
+class BandColumns(Sequence):
+    """One frame's bands, stored as columns: one array per :class:`Band` field.
+
+    The four bounds are integer arrays of one entry per band and ``lab`` is
+    the ``(bands, 3)`` mean-Lab array, exactly as the segmenter computes
+    them.  It reads as a read-only sequence of :class:`Band` records,
+    built on demand (:meth:`bands`), and compares equal to any sequence of
+    the same bands.  A frame's bands stay in this form until
+    classification, which packs them into the receiver's band log without
+    ever walking band objects.
+    """
+
+    __slots__ = Band._fields
+
+    def __init__(
+        self,
+        row_start: np.ndarray,
+        row_stop: np.ndarray,
+        core_start: np.ndarray,
+        core_stop: np.ndarray,
+        lab: np.ndarray,
+    ) -> None:
+        self.row_start = row_start
+        self.row_stop = row_stop
+        self.core_start = core_start
+        self.core_stop = core_stop
+        self.lab = lab
+
+    def __len__(self) -> int:
+        return self.lab.shape[0]
+
+    def __getitem__(self, key):
+        return self.bands()[key]
+
+    def __iter__(self) -> Iterator[Band]:
+        return iter(self.bands())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self.bands() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def bands(self) -> List[Band]:
+        """The :class:`Band` records, built from Python-int columns and
+        the rows of the Lab array so no band pays for numpy scalars."""
+        return list(
+            map(
+                Band,
+                self.row_start.tolist(),
+                self.row_stop.tolist(),
+                self.core_start.tolist(),
+                self.core_stop.tolist(),
+                self.lab,
+            )
+        )
+
+    @classmethod
+    def from_bands(cls, bands: Sequence[Band]) -> "BandColumns":
+        """Columns of explicit :class:`Band` records, such as the
+        equalizer's re-estimated bands."""
+        if not bands:
+            return NO_BANDS
+        bounds = np.array(
+            [
+                (band.row_start, band.row_stop, band.core_start, band.core_stop)
+                for band in bands
+            ],
+            dtype=int,
+        )
+        return cls(
+            bounds[:, 0],
+            bounds[:, 1],
+            bounds[:, 2],
+            bounds[:, 3],
+            np.array([band.lab for band in bands], dtype=float),
+        )
+
+
+_NO_ROWS = np.zeros(0, dtype=int)
+_NO_ROWS.flags.writeable = False
+_NO_LAB = np.zeros((0, 3))
+_NO_LAB.flags.writeable = False
+#: A frame without bands.
+NO_BANDS = BandColumns(_NO_ROWS, _NO_ROWS, _NO_ROWS, _NO_ROWS, _NO_LAB)
 
 
 class BandSegmenter:
@@ -192,12 +281,13 @@ class BandSegmenter:
 
     def segment(
         self, scanline_lab: np.ndarray, smear_rows: float = 0.0
-    ) -> List[Band]:
+    ) -> BandColumns:
         """Detect the symbol bands of one frame.
 
         ``smear_rows`` is the exposure time divided by the row period — the
         number of scanlines whose exposure window straddles each symbol
         boundary (and hence the length of every inter-band transition ramp).
+        The bands come back as columns, a sequence of :class:`Band`.
         """
         scanline_lab = np.asarray(scanline_lab, dtype=float)
         if scanline_lab.ndim != 2 or scanline_lab.shape[1] != 3:
@@ -218,13 +308,13 @@ class BandSegmenter:
                 # configuration error — the frame simply yields no symbols
                 # and the link degrades to zero throughput, the physically
                 # correct outcome at excessive range.
-                return []
+                return NO_BANDS
             # Equalized mode: keep the grid; colors will be recovered by
             # deconvolution downstream.  A minimal nominal plateau keeps
             # the per-band bookkeeping (cores anchor timing only).
             plateau = min(3.0, pitch)
         if rows < pitch:
-            return []
+            return NO_BANDS
 
         lag = max(1, min(int(round(smear_rows)), int(pitch / 2)))
         g = self._boundary_signal(scanline_lab, lag)
@@ -240,7 +330,7 @@ class BandSegmenter:
         cell_count = int(np.ceil((rows - first_start) / pitch))
         starts = first_start + pitch * np.arange(max(cell_count, 0))
         if starts.size == 0:
-            return []
+            return NO_BANDS
         cell_lo = np.round(starts).astype(int)
         cell_hi = np.round(starts + pitch).astype(int)
         lo = np.maximum(np.floor(starts).astype(int), 0)
@@ -251,31 +341,31 @@ class BandSegmenter:
             cell_lo[keep], cell_hi[keep], lo[keep], hi[keep]
         )
         if self.coring == "min_variance":
-            return [
-                self._make_band(scanline_lab, *bounds)
-                for bounds in zip(
-                    lo.tolist(), hi.tolist(), cell_lo.tolist(), cell_hi.tolist()
-                )
-            ]
-        return self._central_bands(scanline_lab, lo, hi, cell_lo, cell_hi)
+            core_start, core_stop, labs = self._min_variance_cores(
+                scanline_lab, lo, hi
+            )
+        else:
+            core_start, core_stop, labs = self._central_cores(
+                scanline_lab, lo, hi
+            )
+        return BandColumns(
+            np.maximum(cell_lo, 0),
+            np.minimum(cell_hi, rows),
+            core_start,
+            core_stop,
+            labs,
+        )
 
-    def _central_bands(
-        self,
-        scanline_lab: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        cell_lo: np.ndarray,
-        cell_hi: np.ndarray,
-    ) -> List[Band]:
-        """All central-coring bands of a frame in one batched pass.
+    def _central_cores(
+        self, scanline_lab: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Core bounds and colors of every central-coring band at once.
 
         A plain mean over each trimmed pure plateau.  Unlike the dispersion
         search, the mean has no selection bias, so scanline-correlated
         pipeline noise enters at its full 1/sqrt(plateau) floor — shrinking
         plateaus (higher symbol rates) estimate worse.  The per-band core
-        means come from one cumulative sum over the scanlines, and the
-        bands are built from Python-int columns and the rows of the mean
-        array, so no band pays for numpy scalars.
+        means come from one cumulative sum over the scanlines.
         """
         rows = scanline_lab.shape[0]
         trim = ((hi - lo) * self.edge_trim_fraction).astype(int)
@@ -291,43 +381,34 @@ class BandSegmenter:
         labs = (sums[core_stop] - sums[core_start]) / (
             (core_stop - core_start)[:, np.newaxis]
         )
-        return list(
-            map(
-                Band,
-                np.maximum(cell_lo, 0).tolist(),
-                np.minimum(cell_hi, rows).tolist(),
-                core_start.tolist(),
-                core_stop.tolist(),
-                labs,
-            )
-        )
+        return core_start, core_stop, labs
 
-    def _make_band(
-        self,
-        scanline_lab: np.ndarray,
-        plateau_lo: int,
-        plateau_hi: int,
-        cell_lo: int,
-        cell_hi: int,
-    ) -> Band:
-        """One ``min_variance`` band: median of the purest plateau window."""
-        rows = scanline_lab[plateau_lo:plateau_hi]
-        width = plateau_hi - plateau_lo
-        core_len = max(3, int(width * (1.0 - 2 * self.edge_trim_fraction)))
-        if core_len >= width:
-            offset, core = 0, rows
-        else:
-            offset, core = self._purest_window(rows, core_len)
-        # Median resists residual transition rows better than the mean.
-        lab = np.median(core, axis=0)
-        core_start = plateau_lo + offset
-        return Band(
-            row_start=max(cell_lo, 0),
-            row_stop=min(cell_hi, scanline_lab.shape[0]),
-            core_start=core_start,
-            core_stop=core_start + core.shape[0],
-            lab=lab,
-        )
+    def _min_variance_cores(
+        self, scanline_lab: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Core bounds and colors of every ``min_variance`` band.
+
+        Each band's color is the median of the purest window of its pure
+        plateau (``[lo, hi)``).
+        """
+        core_start = np.empty_like(lo)
+        core_stop = np.empty_like(lo)
+        labs = np.empty((lo.size, 3))
+        for position, (plateau_lo, plateau_hi) in enumerate(
+            zip(lo.tolist(), hi.tolist())
+        ):
+            rows = scanline_lab[plateau_lo:plateau_hi]
+            width = plateau_hi - plateau_lo
+            core_len = max(3, int(width * (1.0 - 2 * self.edge_trim_fraction)))
+            if core_len >= width:
+                offset, core = 0, rows
+            else:
+                offset, core = self._purest_window(rows, core_len)
+            # Median resists residual transition rows better than the mean.
+            labs[position] = np.median(core, axis=0)
+            core_start[position] = plateau_lo + offset
+            core_stop[position] = plateau_lo + offset + core.shape[0]
+        return core_start, core_stop, labs
 
     @staticmethod
     def _purest_window(rows: np.ndarray, core_len: int) -> Tuple[int, np.ndarray]:

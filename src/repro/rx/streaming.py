@@ -28,15 +28,18 @@ classifying frame 0).  In that case each frame is segmented as it is fed
 and only what the replay reads is buffered — the frame's bands and its
 clock (index, start time, row period, exposure), never its pixels — and
 ``finish()`` runs the receiver's ``_process_segmented``, the very method
-``process_frames`` runs, then emits every packet event at once.  A
-buffering session therefore grows by a few hundred bytes per band (about
-9 KB for a 1920-row frame of 25 bands, whose pixels take 184 KB at 32
-columns), and the caller's frames are free to be collected once fed.
+``process_frames`` runs, then emits every packet event at once.  The bands
+are buffered as the segmenter's column arrays, so a buffering session grows
+by about 100 bytes per band (about 2.6 KB for a 1920-row frame of 25 bands,
+whose pixels take 184 KB at 32 columns), and the caller's frames are free
+to be collected once fed.
 
 The fold prunes the consumed prefix of the stitched stream between
-preambles, so a calibrated session's back half holds O(window) state no
-matter how long it runs — the property the session service
-(:mod:`repro.serve`) builds its memory caps on.
+preambles, so a calibrated session's back half holds band objects for
+O(window) bands no matter how long it runs — the property the session
+service (:mod:`repro.serve`) builds its memory caps on.  The report still
+logs every band, as one packed 72-byte record per band
+(:class:`repro.rx.detector.BandLog`).
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ class StreamingReceiver:
         if len(report.frame_failures) > failures_before:
             self.failures_contained += 1
         report.frames_processed += 1
-        report.bands.extend(bands)
+        report.bands.append_frame(bands)
         report.symbols_detected += len(bands)
         receiver.metrics.histogram(M_FRAME_BANDS).observe(len(bands))
         return self._decode(self._fold.push(bands))

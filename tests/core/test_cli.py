@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.trace import read_trace
 
 
 class TestParser:
@@ -53,6 +54,31 @@ class TestSweepGuard:
         )
         assert code == 0
         assert "band < 10 px" in capsys.readouterr().out
+
+    def test_sweep_reports_the_worker_count_it_ran_with(self, capsys, tmp_path):
+        # One cell cannot keep four workers busy: the sweep clamps to one
+        # and runs it serially.  The table and the gauge show the count the
+        # sweep ran with; the trace root keeps the request beside it.
+        trace = tmp_path / "sweep.jsonl"
+        code = main(
+            [
+                "sweep",
+                "--orders", "4",
+                "--rates", "1000",
+                "--duration", "0.5",
+                "--workers", "4",
+                "--metrics", "-",
+                "--trace", str(trace),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "device: Nexus 5 (workers: 1)" in out
+        assert "colorbars.sweep.workers = 1" in out
+        root = read_trace(trace)[0]
+        assert root.parent_id is None
+        assert root.attributes["workers"] == 4
+        assert root.attributes["effective_workers"] == 1
 
 
 class TestServeGuard:

@@ -1,0 +1,225 @@
+"""The report's band log reads back exactly the bands the detector made.
+
+``ReceiverReport.bands`` keeps each frame's classified bands as one packed
+record (:class:`repro.rx.detector.BandLog`), not as band objects.  Reading
+it must give :class:`ReceivedBand` objects equal, field for field, to the
+ones the detector handed the packet fold — on batch decode, on a
+calibrated stream, and on a buffering session's ``finish()`` — and every
+consumer that scores a report must score a plain band list the same way.
+"""
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from tests.rx.test_streaming_equivalence import _config, _recording
+
+from repro.core.metrics import align_ground_truth, compute_link_metrics
+from repro.core.system import (
+    ColorBarsTransmitter,
+    make_receiver,
+    make_streaming_receiver,
+)
+from repro.link.adapt import ReportWindowTracker
+from repro.link.simulator import LinkSimulator
+from repro.phy.waveform import EXTEND_CYCLE
+from repro.rx.detector import BandLog
+from repro.rx.receiver import ReceiverReport
+from repro.rx.streaming import StreamingReceiver
+
+
+class _CapturingDetector:
+    """Wraps a receiver's detector and keeps every band it returns.
+
+    Also checks each result against its inputs: the bounds and colors of
+    the segmented bands, the decisions of the list-form demodulator, and
+    ``mid_time`` computed in Python floats the way a band's clock reads.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def detect(self, clock, bands):
+        received = self.inner.detect(clock, bands)
+        segmented = bands.bands()
+        assert len(received) == len(segmented)
+        if segmented and self.inner.calibrated:
+            decisions = self.inner.demodulator.decide_stream(bands.lab)
+            assert [r.decision for r in received] == decisions
+        half_exposure = float(clock.exposure.exposure_s / 2.0)
+        for band, source in zip(received, segmented):
+            assert band.frame_index == clock.index
+            assert band.band[:4] == source[:4]
+            assert band.lab.tobytes() == source.lab.tobytes()
+            mid_time = (
+                float(clock.start_time)
+                + source.center_row * float(clock.row_period)
+                + half_exposure
+            )
+            assert band.mid_time.hex() == mid_time.hex()
+        self.calls.append(list(received))
+        return received
+
+
+def _key(band):
+    """Every field of a received band, with floats and lab as exact bits."""
+    decision = band.decision
+    return (
+        band.frame_index,
+        band.band.row_start,
+        band.band.row_stop,
+        band.band.core_start,
+        band.band.core_stop,
+        band.lab.dtype.str,
+        band.lab.tobytes(),
+        band.mid_time.hex(),
+        decision.kind,
+        decision.index,
+        decision.distance.hex(),
+        decision.confident,
+        None if decision.margin is None else decision.margin.hex(),
+    )
+
+
+def _assert_log_matches(log, detected):
+    assert isinstance(log, BandLog)
+    expected = [_key(band) for band in detected]
+    assert [_key(band) for band in log] == expected
+    assert len(log) == len(expected)
+    for key in (0, 7, len(expected) // 2, -1, -len(expected)):
+        assert _key(log[key]) == expected[key]
+    windows = (slice(5, 41), slice(-30, None), slice(None, None, -7), slice(3, 3))
+    for window in windows:
+        assert [_key(band) for band in log[window]] == expected[window]
+    with pytest.raises(IndexError):
+        log[len(expected)]
+
+
+def _last_pass(capturing, frames):
+    """The detector results of the last classification pass over frames."""
+    calls = capturing.calls[-len(frames):]
+    return [band for call in calls for band in call]
+
+
+@pytest.fixture
+def setting(tiny_device):
+    config = _config(tiny_device)
+    return tiny_device, config, _recording(tiny_device, config, seed=3)
+
+
+def _calibrated_receiver(tiny_device, config):
+    receiver = make_receiver(config, tiny_device.timing)
+    receiver.process_frames(_recording(tiny_device, config, seed=7))
+    assert receiver.calibration.is_calibrated
+    return receiver
+
+
+def test_batch_decode_logs_the_detected_bands(setting):
+    device, config, frames = setting
+    receiver = make_receiver(config, device.timing)
+    capturing = receiver.detector = _CapturingDetector(receiver.detector)
+    report = receiver.process_frames(frames)
+    assert report.packets_decoded > 0
+    # An uncalibrated receiver classifies twice: bootstrap, then decode.
+    assert len(capturing.calls) == 2 * len(frames)
+    _assert_log_matches(report.bands, _last_pass(capturing, frames))
+
+
+def test_calibrated_stream_logs_the_bands_the_fold_saw(setting):
+    device, config, frames = setting
+    receiver = _calibrated_receiver(device, config)
+    capturing = receiver.detector = _CapturingDetector(receiver.detector)
+    streaming = StreamingReceiver(receiver)
+    assert not streaming.buffering
+    for frame in frames:
+        streaming.feed(frame)
+    streaming.finish()
+    assert streaming.report.packets_decoded > 0
+    assert len(capturing.calls) == len(frames)
+    _assert_log_matches(streaming.report.bands, _last_pass(capturing, frames))
+
+
+def test_buffering_finish_logs_the_detected_bands(setting):
+    device, config, frames = setting
+    streaming = make_streaming_receiver(config, device.timing)
+    receiver = streaming.receiver
+    capturing = receiver.detector = _CapturingDetector(receiver.detector)
+    assert streaming.buffering
+    for frame in frames:
+        streaming.feed(frame)
+    streaming.finish()
+    assert streaming.report.packets_decoded > 0
+    _assert_log_matches(streaming.report.bands, _last_pass(capturing, frames))
+
+
+def test_log_survives_a_pickle_round_trip(setting):
+    device, config, frames = setting
+    report = make_receiver(config, device.timing).process_frames(frames)
+    restored = pickle.loads(pickle.dumps(report))
+    assert [_key(band) for band in restored.bands] == [
+        _key(band) for band in report.bands
+    ]
+
+
+def test_an_empty_log_reads_empty():
+    log = ReceiverReport().bands
+    assert len(log) == 0
+    assert list(log) == []
+    assert log[0:5] == []
+    with pytest.raises(IndexError):
+        log[0]
+
+
+def test_a_plain_band_list_scores_like_the_log(tiny_device):
+    config = _config(tiny_device)
+    result = LinkSimulator(
+        config, tiny_device, simulated_columns=32, seed=3
+    ).run(duration_s=0.6)
+    report = result.report
+    assert isinstance(report.bands, BandLog)
+    as_list = replace(report, bands=list(report.bands))
+    waveform = ColorBarsTransmitter(config).waveform(
+        result.plan, extend=EXTEND_CYCLE
+    )
+
+    scored = [
+        align_ground_truth(r.bands, result.plan.symbols, waveform)
+        for r in (report, as_list)
+    ]
+    assert [(_key(m.band), m.truth) for m in scored[0]] == [
+        (_key(m.band), m.truth) for m in scored[1]
+    ]
+    assert [_key(m.band) for m in scored[0]] == [
+        _key(m.band) for m in result.matches
+    ]
+    metrics = [
+        compute_link_metrics(
+            report=r,
+            matches=matches,
+            bits_per_symbol=config.bits_per_symbol,
+            payload_bytes_per_packet=config.rs_params().k,
+            duration_s=0.6,
+        )
+        for r, matches in zip((report, as_list), scored)
+    ]
+    assert metrics[0] == metrics[1] == result.metrics
+    assert report.delta_e_margin is not None
+    assert report.delta_e_margin == as_list.delta_e_margin
+
+
+def test_window_tracker_reads_the_log_like_a_list(setting):
+    device, config, frames = setting
+    streaming = StreamingReceiver(_calibrated_receiver(device, config))
+    on_log, on_list = ReportWindowTracker(), ReportWindowTracker()
+    windows = []
+    for position, frame in enumerate(frames, start=1):
+        streaming.feed(frame)
+        if position % 5 == 0:
+            report = streaming.report
+            as_list = replace(report, bands=list(report.bands))
+            windows.append((on_log.take(report), on_list.take(as_list)))
+    assert len(windows) > 2
+    assert all(ours == theirs for ours, theirs in windows)
+    assert any(ours.delta_e_margin is not None for ours, _ in windows)
