@@ -17,10 +17,11 @@ from repro.camera.devices import DeviceProfile, nexus_5
 from repro.core.config import SystemConfig
 from repro.core.metrics import align_ground_truth, data_symbol_error_rate
 from repro.core.system import ColorBarsTransmitter, make_receiver
-from repro.csk.demodulator import DecisionKind, nominal_calibration
+from repro.csk.demodulator import KIND_DATA, nominal_calibration
 from repro.link.channel import ChannelConditions
 from repro.link.workloads import text_payload
 from repro.phy.waveform import EXTEND_CYCLE
+from repro.rx.detector import band_column
 
 ORDER = 16
 RATE = 2000.0
@@ -68,6 +69,14 @@ def classify_rgb(report, rgb_refs):
     return decisions
 
 
+def data_matches(report, matches):
+    """``(lab, on-air index)`` of every aligned band whose on-air symbol
+    carried data."""
+    data = matches.truth_kind == KIND_DATA
+    labs = band_column(report.bands, "lab")[matches.position[data]]
+    return list(zip(labs, matches.truth_index[data].tolist()))
+
+
 def _two_segment_matches(seed: int = 13):
     """A recording whose brightness changes midway (the phone moved back).
 
@@ -98,7 +107,7 @@ def _two_segment_matches(seed: int = 13):
         receiver = make_receiver(config, device.timing)
         report = receiver.process_frames(frames)
         matches = align_ground_truth(report.bands, plan.symbols, waveform)
-        segments.append([m for m in matches if m.truth.is_data])
+        segments.append(data_matches(report, matches))
     return segments[0], segments[1]
 
 
@@ -119,28 +128,28 @@ def test_ablation_lab_vs_rgb_matching(recording, benchmark):
     from repro.color.cielab import lab_to_xyz
     from repro.color.srgb import xyz_to_srgb
 
-    def featurize(match, space):
+    def featurize(lab, space):
         if space == "rgb":
-            return xyz_to_srgb(lab_to_xyz(match.band.lab))
-        return match.band.chroma  # ab-plane, lightness dropped
+            return xyz_to_srgb(lab_to_xyz(lab))
+        return lab[1:]  # ab-plane, lightness dropped
 
     results = {}
     for space in ("rgb", "ab"):
         dims = 3 if space == "rgb" else 2
         sums = np.zeros((ORDER, dims))
         counts = np.zeros(ORDER)
-        for match in train:
-            sums[match.truth.index] += featurize(match, space)
-            counts[match.truth.index] += 1
+        for lab, truth in train:
+            sums[truth] += featurize(lab, space)
+            counts[truth] += 1
         refs = sums / np.maximum(counts[:, np.newaxis], 1)
         wrong = sum(
             int(
                 np.argmin(
-                    np.sqrt(((refs - featurize(m, space)) ** 2).sum(axis=1))
+                    np.sqrt(((refs - featurize(lab, space)) ** 2).sum(axis=1))
                 )
             )
-            != m.truth.index
-            for m in test
+            != truth
+            for lab, truth in test
         )
         results[space] = wrong / max(len(test), 1)
 
@@ -163,12 +172,10 @@ def test_ablation_calibration_off(recording, benchmark):
     nominal = nominal_calibration(config.constellation, transmitter.modulator)
     wrong = 0
     total = 0
-    for match in matches:
-        if not match.truth.is_data:
-            continue
-        indices, _ = nominal.match(match.band.chroma)
+    for lab, truth in data_matches(report, matches):
+        indices, _ = nominal.match(lab[1:])
         total += 1
-        if int(indices) != match.truth.index:
+        if int(indices) != truth:
             wrong += 1
     uncalibrated_ser = wrong / max(total, 1)
 

@@ -18,10 +18,11 @@ from repro import SystemConfig, nexus_5, iphone_5s
 from repro.camera.devices import DeviceProfile, generic_device
 from repro.core.metrics import align_ground_truth, data_symbol_error_rate
 from repro.core.system import ColorBarsTransmitter, make_receiver
-from repro.csk.demodulator import nominal_calibration
+from repro.csk.demodulator import KIND_DATA, nominal_calibration
 from repro.link.channel import ChannelConditions
 from repro.link.workloads import text_payload
 from repro.phy.waveform import EXTEND_CYCLE
+from repro.rx.detector import band_column
 
 
 def capture_references(device: DeviceProfile, seed: int = 0):
@@ -45,13 +46,13 @@ def capture_references(device: DeviceProfile, seed: int = 0):
 
     calibrated_ser = data_symbol_error_rate(matches)
     nominal = nominal_calibration(config.constellation, transmitter.modulator)
+    data = matches.truth_kind == KIND_DATA
+    chroma = band_column(report.bands, "lab")[matches.position[data], 1:]
     wrong = total = 0
-    for match in matches:
-        if not match.truth.is_data:
-            continue
-        index, _ = nominal.match(match.band.chroma)
+    for band_chroma, truth_index in zip(chroma, matches.truth_index[data].tolist()):
+        index, _ = nominal.match(band_chroma)
         total += 1
-        wrong += int(index) != match.truth.index
+        wrong += int(index) != truth_index
     uncalibrated_ser = wrong / max(total, 1)
     refs = receiver.calibration.references if receiver.calibration.is_calibrated else None
     return refs, calibrated_ser, uncalibrated_ser

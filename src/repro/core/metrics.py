@@ -12,35 +12,51 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.csk.demodulator import DecisionKind
+from repro.csk.demodulator import KIND_DATA, KIND_OFF, KIND_WHITE, NO_INDEX
 from repro.phy.symbols import LogicalSymbol, SymbolKind
 from repro.phy.waveform import OpticalWaveform
-from repro.rx.detector import ReceivedBand
+from repro.rx.detector import ReceivedBand, band_column
 from repro.rx.receiver import ReceiverReport
 from repro.util.validation import require_positive
 
+#: Each on-air symbol kind as the code of the decision kind that receives it.
+_TRUTH_KIND = {
+    SymbolKind.DATA: KIND_DATA,
+    SymbolKind.WHITE: KIND_WHITE,
+    SymbolKind.OFF: KIND_OFF,
+}
 
-@dataclass(frozen=True)
-class GroundTruthMatch:
-    """One received band paired with the symbol actually on air."""
 
-    band: ReceivedBand
-    truth: LogicalSymbol
+@dataclass(frozen=True, eq=False)
+class GroundTruthAlignment:
+    """Received bands paired with the symbols actually on air, as columns.
+
+    One entry per aligned band, in band order: the band's position in the
+    sequence aligned, the decision's kind code and index
+    (:data:`~repro.csk.demodulator.DECISION_KINDS` codes,
+    :data:`~repro.csk.demodulator.NO_INDEX` for none) and the on-air
+    symbol's, in the same encoding.
+    """
+
+    position: np.ndarray
+    kind: np.ndarray
+    index: np.ndarray
+    truth_kind: np.ndarray
+    truth_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
 
     @property
-    def correct(self) -> bool:
-        decision = self.band.decision
-        if self.truth.kind is SymbolKind.OFF:
-            return decision.kind is DecisionKind.OFF
-        if self.truth.kind is SymbolKind.WHITE:
-            return decision.kind is DecisionKind.WHITE
-        return (
-            decision.kind is DecisionKind.DATA
-            and decision.index == self.truth.index
+    def correct(self) -> np.ndarray:
+        """Per aligned band: the decision names the on-air symbol (a DATA
+        decision only with the on-air index)."""
+        return (self.kind == self.truth_kind) & (
+            (self.truth_kind != KIND_DATA) | (self.index == self.truth_index)
         )
 
 
@@ -50,7 +66,7 @@ def align_ground_truth(
     waveform: OpticalWaveform,
     *,
     start_offsets: Optional[Mapping[int, float]] = None,
-) -> List[GroundTruthMatch]:
+) -> GroundTruthAlignment:
     """Pair each received band with the transmitted symbol at its mid-time.
 
     The link simulator knows the cyclic transmitted stream; a band's
@@ -62,45 +78,52 @@ def align_ground_truth(
     frame's true start (claimed minus true), as a timing fault leaves it;
     each band is scored at its true on-air time.  Frames not in the map
     have no offset.
+
+    ``bands`` is read as columns (:func:`~repro.rx.detector.band_column`);
+    no band object is built.
     """
-    # One pass over ``bands``: a report's band log builds the band objects
-    # anew on every iteration.
-    bands = list(bands)
-    if not bands:
-        return []
-    mid_times = np.array([band.mid_time for band in bands])
+    mid_times = band_column(bands, "mid_time")
     if start_offsets:
-        mid_times -= np.array(
-            [start_offsets.get(band.frame_index, 0.0) for band in bands]
+        mid_times = mid_times - np.array(
+            [
+                start_offsets.get(frame, 0.0)
+                for frame in band_column(bands, "frame_index").tolist()
+            ]
         )
-    indices = waveform.symbol_index_at(mid_times)
-    return [
-        GroundTruthMatch(band=band, truth=symbols[index])
-        for band, index in zip(bands, indices.tolist())
-        if index >= 0
-    ]
+    positions = waveform.symbol_index_at(mid_times)
+    aligned = positions >= 0
+    truths = [symbols[position] for position in positions[aligned].tolist()]
+    return GroundTruthAlignment(
+        position=np.flatnonzero(aligned),
+        kind=band_column(bands, "kind")[aligned],
+        index=band_column(bands, "index")[aligned],
+        truth_kind=np.array(
+            [_TRUTH_KIND[truth.kind] for truth in truths], dtype=np.uint8
+        ),
+        truth_index=np.array(
+            [NO_INDEX if truth.index is None else truth.index for truth in truths],
+            dtype=np.int64,
+        ),
+    )
 
 
-def symbol_error_rate(matches: Sequence[GroundTruthMatch]) -> float:
+def _error_rate(correct: np.ndarray) -> float:
+    return int(np.count_nonzero(~correct)) / correct.size if correct.size else 0.0
+
+
+def symbol_error_rate(alignment: GroundTruthAlignment) -> float:
     """Fraction of aligned bands demodulated incorrectly."""
-    if not matches:
-        return 0.0
-    wrong = sum(1 for m in matches if not m.correct)
-    return wrong / len(matches)
+    return _error_rate(alignment.correct)
 
 
-def data_symbol_error_rate(matches: Sequence[GroundTruthMatch]) -> float:
+def data_symbol_error_rate(alignment: GroundTruthAlignment) -> float:
     """SER restricted to bands whose transmitted symbol carried data.
 
     This is the quantity Fig 9 reports: inter-symbol-interference errors on
     the color constellation, with the trivially-detectable OFF/white symbols
     excluded.
     """
-    data_matches = [m for m in matches if m.truth.kind is SymbolKind.DATA]
-    if not data_matches:
-        return 0.0
-    wrong = sum(1 for m in data_matches if not m.correct)
-    return wrong / len(data_matches)
+    return _error_rate(alignment.correct[alignment.truth_kind == KIND_DATA])
 
 
 @dataclass(frozen=True)
@@ -130,28 +153,25 @@ class LinkMetrics:
 
 def compute_link_metrics(
     report: ReceiverReport,
-    matches: Sequence[GroundTruthMatch],
+    alignment: GroundTruthAlignment,
     bits_per_symbol: int,
     payload_bytes_per_packet: int,
     duration_s: float,
-    bands: Optional[Sequence[ReceivedBand]] = None,
 ) -> LinkMetrics:
     """Assemble the metric triple from a receive session.
 
     Throughput counts received *data-class* bands (the paper excludes
-    illumination whites and, implicitly, the o/w framing symbols);
-    goodput counts k payload bytes per successfully decoded packet.
-    ``bands`` are ``report.bands`` already materialized by the caller
-    (``None`` reads the report's).
+    illumination whites and, implicitly, the o/w framing symbols), read
+    from the report's ``kind`` column; goodput counts k payload bytes per
+    successfully decoded packet.  ``alignment`` is the session's
+    :func:`align_ground_truth`.
     """
     require_positive(duration_s, "duration_s")
     require_positive(bits_per_symbol, "bits_per_symbol")
     require_positive(payload_bytes_per_packet, "payload_bytes_per_packet")
 
-    data_received = sum(
-        1
-        for band in (report.bands if bands is None else bands)
-        if band.decision.kind is DecisionKind.DATA
+    data_received = int(
+        np.count_nonzero(band_column(report.bands, "kind") == KIND_DATA)
     )
     throughput = data_received * bits_per_symbol / duration_s
     goodput = report.packets_decoded * payload_bytes_per_packet * 8 / duration_s
@@ -163,12 +183,12 @@ def compute_link_metrics(
         else 0.0
     )
     return LinkMetrics(
-        symbol_error_rate=symbol_error_rate(matches),
-        data_symbol_error_rate=data_symbol_error_rate(matches),
+        symbol_error_rate=symbol_error_rate(alignment),
+        data_symbol_error_rate=data_symbol_error_rate(alignment),
         throughput_bps=throughput,
         goodput_bps=goodput,
         duration_s=duration_s,
-        symbols_compared=len(matches),
+        symbols_compared=len(alignment),
         data_symbols_received=data_received,
         packets_decoded=report.packets_decoded,
         packets_seen=report.packets_seen,

@@ -66,7 +66,7 @@ from repro.obs.schema import (
     SPAN_ADAPT_SEGMENT,
 )
 from repro.obs.trace import NULL_TRACER
-from repro.rx.receiver import ReceiverReport
+from repro.rx.receiver import ReceiverReport, mean_margin
 
 #: Controller actions, as recorded on :class:`AdaptationDecision`.
 ACTION_HOLD = "hold"
@@ -310,13 +310,6 @@ class ReportWindowTracker:
 
     def take(self, report: ReceiverReport) -> WindowStats:
         """Close the current window against ``report`` and start the next."""
-        margin_total = 0.0
-        margin_count = 0
-        for band in report.bands[self._bands:]:
-            gap = band.decision.margin
-            if gap is not None:
-                margin_total += gap
-                margin_count += 1
         calibration_seen = (
             report.calibration_symbols_seen - self._calibration_seen
         )
@@ -335,9 +328,7 @@ class ReportWindowTracker:
                 if calibration_seen > 0
                 else None
             ),
-            delta_e_margin=(
-                margin_total / margin_count if margin_count > 0 else None
-            ),
+            delta_e_margin=mean_margin(report.bands, self._bands),
             erasure_fraction=(
                 erasure_symbols / codeword_symbols
                 if codeword_symbols > 0

@@ -22,12 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.camera.devices import DeviceProfile
 from repro.core.config import SystemConfig
-from repro.core.metrics import (
-    GroundTruthMatch,
-    LinkMetrics,
-    align_ground_truth,
-    compute_link_metrics,
-)
+from repro.core.metrics import LinkMetrics, align_ground_truth, compute_link_metrics
 from repro.core.system import ColorBarsTransmitter, TransmissionPlan, make_receiver
 from repro.exceptions import LinkError
 from repro.faults.base import FaultInjector, FaultSchedule
@@ -54,14 +49,13 @@ from repro.util.validation import require_positive
 
 @dataclass
 class LinkResult:
-    """Everything one simulated link run produced."""
+    """Everything one simulated link run produced (bands: ``report.bands``)."""
 
     config: SystemConfig
     device_name: str
     metrics: LinkMetrics
     report: ReceiverReport
     plan: TransmissionPlan
-    matches: List[GroundTruthMatch] = field(default_factory=list)
     fault_schedule: FaultSchedule = field(default_factory=FaultSchedule)
     #: Span tuple recorded by an observed run (``RunSpec.execute(observe=
     #: True)``); measurement metadata (span durations are wall-clock),
@@ -168,22 +162,18 @@ class LinkSimulator:
                     for frame in frames
                     if frame.start_time != true_starts[frame.index]
                 }
-                # The report logs its bands as column records; build the
-                # band objects once for both consumers.
-                bands = list(report.bands)
-                matches = align_ground_truth(
-                    bands,
+                alignment = align_ground_truth(
+                    report.bands,
                     plan.symbols,
                     waveform,
                     start_offsets=start_offsets,
                 )
                 metrics = compute_link_metrics(
                     report=report,
-                    matches=matches,
+                    alignment=alignment,
                     bits_per_symbol=self.config.bits_per_symbol,
                     payload_bytes_per_packet=self.config.rs_params().k,
                     duration_s=duration_s,
-                    bands=bands,
                 )
         self.metrics.counter(M_RUNS_COMPLETED).inc()
         self.metrics.counter(M_FAULTS_INJECTED).inc(len(schedule))
@@ -195,7 +185,6 @@ class LinkSimulator:
             metrics=metrics,
             report=report,
             plan=plan,
-            matches=matches,
             fault_schedule=schedule,
         )
 

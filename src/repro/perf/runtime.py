@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
 import os
 import pickle
 import time
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -152,6 +154,16 @@ def backoff_delay_s(spec_seed: int, attempt: int) -> float:
     return float(delay * (1.0 + 0.25 * float(jitter)))
 
 
+class _RecordUnpickler(pickle.Unpickler):
+    """Loads records written while results kept ``LinkResult.matches``:
+    its element class, since removed, loads as a namespace."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.core.metrics", "GroundTruthMatch"):
+            return types.SimpleNamespace
+        return super().find_class(module, name)
+
+
 class RunJournal:
     """Append-only JSONL checkpoint of completed cells, keyed by fingerprint.
 
@@ -202,10 +214,12 @@ class RunJournal:
             if not (isinstance(fingerprint, str) and isinstance(payload, str)):
                 continue
             try:
-                result = pickle.loads(base64.b64decode(payload))
+                record = io.BytesIO(base64.b64decode(payload))
+                result = _RecordUnpickler(record).load()
             except Exception:  # corrupt payload: rerun that cell
                 continue
             if isinstance(result, LinkResult):
+                vars(result).pop("matches", None)  # older records' band copy
                 entries[fingerprint] = result
         return entries
 

@@ -18,9 +18,11 @@ import numpy as np
 
 from repro.camera.frame import CapturedFrame
 from repro.csk.demodulator import (
+    DECISION_KINDS,
     KIND_DATA,
     KIND_OFF,
     KIND_WHITE,
+    NO_INDEX,
     CskDemodulator,
     DecisionColumns,
     SymbolDecision,
@@ -114,15 +116,20 @@ class FrameBands(list):
         self.record = record
 
 
+#: A zero-length record: each of its columns is an empty array of the
+#: column's dtype and shape.
+_NO_BANDS = np.empty(0, dtype=BAND_RECORD)
+
+
 class BandLog(Sequence):
     """Every band a receive pass classified, kept as per-frame records.
 
     A read-only :class:`~collections.abc.Sequence` of :class:`ReceivedBand`:
-    ``len``, iteration and int or slice indexing build the band objects on
-    demand, a frame at a time, equal field for field to the ones the
-    detector handed the packet fold.  What it holds is one
-    :data:`BAND_RECORD` array per frame, so a live session's report grows
-    by ~72 bytes per band instead of a ~570-byte object graph.
+    ``len``, iteration and indexing build the band objects on demand, equal
+    field for field to the ones the detector handed the packet fold.  What
+    it holds is one :data:`BAND_RECORD` array per frame, so a live
+    session's report grows by ~72 bytes per band instead of a ~570-byte
+    object graph.  Scoring reads it by column (:func:`band_column`).
     """
 
     def __init__(self) -> None:
@@ -147,25 +154,49 @@ class BandLog(Sequence):
             yield from received_bands(frame_index, record)
 
     def __getitem__(self, key):
-        picked = range(len(self))[key]
-        if isinstance(picked, int):
-            return self._bands_at(range(picked, picked + 1))[0]
-        return self._bands_at(picked)
+        return list(self)[key]
 
-    def _bands_at(self, positions: range) -> List[ReceivedBand]:
-        """The bands at ``positions``, building only the frames they span."""
-        if not positions:
-            return []
-        first, last = sorted((positions[0], positions[-1]))
-        frame = bisect_right(self._ends, first)
-        base = self._ends[frame - 1] if frame else 0
-        covered: List[ReceivedBand] = []
-        while base + len(covered) <= last:
-            covered.extend(
-                received_bands(self._frame_indices[frame], self._records[frame])
-            )
-            frame += 1
-        return [covered[position - base] for position in positions]
+
+#: How a band object reads as each column :func:`band_column` serves for
+#: a plain list, in the log's encoding.
+_OBJECT_COLUMNS = {
+    "frame_index": lambda band: band.frame_index,
+    "mid_time": lambda band: band.mid_time,
+    "kind": lambda band: DECISION_KINDS.index(band.decision.kind),
+    "index": lambda band: _or(band.decision.index, NO_INDEX),
+    "margin": lambda band: _or(band.decision.margin, np.nan),
+}
+
+
+def _or(value, none_as):
+    return none_as if value is None else value
+
+
+def band_column(
+    bands: Sequence[ReceivedBand], name: str, start: int = 0
+) -> np.ndarray:
+    """One :data:`BAND_RECORD` field, or ``"frame_index"``, of
+    ``bands[start:]`` as an array, with no band object built.
+
+    A :class:`BandLog` concatenates the field from the frames holding those
+    bands.  A plain list of band objects, as reports pickled before the
+    log existed, is read band by band into the same dtype.
+    """
+    if not isinstance(bands, BandLog):
+        return np.array(
+            [_OBJECT_COLUMNS[name](band) for band in bands[start:]],
+            dtype=np.int64 if name == "frame_index" else BAND_RECORD[name],
+        )
+    frame = bisect_right(bands._ends, start)
+    records = bands._records[frame:]
+    if name == "frame_index":
+        column = np.repeat(
+            np.array(bands._frame_indices[frame:], dtype=np.int64),
+            [len(record) for record in records],
+        )
+    else:
+        column = np.concatenate([_NO_BANDS[name]] + [r[name] for r in records])
+    return column[start - (bands._ends[frame - 1] if frame else 0):]
 
 
 class SymbolDetector:

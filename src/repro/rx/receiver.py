@@ -51,7 +51,7 @@ from repro.rx.assembler import (
     PacketFold,
     ReceivedPacket,
 )
-from repro.rx.detector import BandLog, ReceivedBand, SymbolDetector
+from repro.rx.detector import BandLog, ReceivedBand, SymbolDetector, band_column
 from repro.rx.preprocess import frame_to_scanline_lab, frames_to_scanline_lab
 from repro.rx.segmentation import Band, BandColumns, BandSegmenter
 
@@ -87,6 +87,14 @@ class FecFailure:
     erasures: int
     parity_budget: int
     message: str = ""
+
+
+def mean_margin(bands: Sequence[ReceivedBand], start: int = 0) -> Optional[float]:
+    """Mean of the defined margins of ``bands[start:]`` (``None`` if none
+    is), read from the ``margin`` column and summed in band order."""
+    margins = band_column(bands, "margin", start)
+    margins = margins[~np.isnan(margins)]
+    return float(np.cumsum(margins)[-1]) / margins.size if margins.size else None
 
 
 @dataclass
@@ -167,16 +175,7 @@ class ReceiverReport:
         ever matched — notably the all-dark short-circuit path (occlusion,
         gap-straddling frames), where the margin is *undefined*, not zero.
         """
-        total = 0.0
-        count = 0
-        for band in self.bands:
-            gap = band.decision.margin
-            if gap is not None:
-                total += gap
-                count += 1
-        if count == 0:
-            return None
-        return total / count
+        return mean_margin(self.bands)
 
     @property
     def erasure_fraction(self) -> Optional[float]:

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import (
-    GroundTruthMatch,
     align_ground_truth,
     compute_link_metrics,
     data_symbol_error_rate,
     symbol_error_rate,
 )
-from repro.csk.demodulator import DecisionKind, SymbolDecision
+from repro.csk.demodulator import (
+    KIND_DATA,
+    KIND_WHITE,
+    NO_INDEX,
+    DecisionKind,
+    SymbolDecision,
+)
 from repro.phy.symbols import data_symbol, off_symbol, white_symbol
 from repro.phy.waveform import EXTEND_CYCLE, OpticalWaveform
 from repro.rx.detector import ReceivedBand
@@ -43,19 +48,22 @@ class TestAlignment:
             make_band(DecisionKind.DATA, 1, mid_time=0 * period + period / 2),
             make_band(DecisionKind.WHITE, None, mid_time=1 * period + period / 2),
         ]
-        matches = align_ground_truth(bands, symbols, waveform)
-        assert len(matches) == 2
-        assert matches[0].truth.index == 1
-        assert matches[0].correct
-        assert matches[1].correct
+        alignment = align_ground_truth(bands, symbols, waveform)
+        assert len(alignment) == 2
+        assert alignment.position.tolist() == [0, 1]
+        assert alignment.truth_index[0] == 1
+        assert alignment.kind.tolist() == [KIND_DATA, KIND_WHITE]
+        assert alignment.index.tolist() == [1, NO_INDEX]
+        assert alignment.correct[0]
+        assert alignment.correct[1]
 
     def test_cyclic_wraparound(self, stream_and_waveform):
         symbols, waveform = stream_and_waveform
         period = waveform.symbol_period
         # 4 symbols -> time 4.5 periods wraps to symbol 0.
         band = make_band(DecisionKind.DATA, 1, mid_time=4.5 * period)
-        matches = align_ground_truth([band], symbols, waveform)
-        assert matches[0].truth.index == 1
+        alignment = align_ground_truth([band], symbols, waveform)
+        assert alignment.truth_index[0] == 1
 
     def test_start_offsets_score_the_true_time(self, stream_and_waveform):
         symbols, waveform = stream_and_waveform
@@ -64,11 +72,13 @@ class TestAlignment:
         # mid-time lands on symbol 1, but symbol 0 was on air.
         late = make_band(DecisionKind.DATA, 1, mid_time=1.5 * period, frame=1)
         on_time = make_band(DecisionKind.WHITE, None, mid_time=1.5 * period)
-        matches = align_ground_truth(
+        alignment = align_ground_truth(
             [late, on_time], symbols, waveform, start_offsets={1: period}
         )
-        assert matches[0].truth == symbols[0] and matches[0].correct
-        assert matches[1].truth == symbols[1] and matches[1].correct
+        # On air: symbols[0] (DATA 1), then symbols[1] (white).
+        assert alignment.truth_kind.tolist() == [KIND_DATA, KIND_WHITE]
+        assert alignment.truth_index.tolist() == [1, NO_INDEX]
+        assert alignment.correct.tolist() == [True, True]
 
 
 class TestCorrectness:
@@ -76,20 +86,23 @@ class TestCorrectness:
         symbols, waveform = stream_and_waveform
         period = waveform.symbol_period
         band = make_band(DecisionKind.WHITE, None, mid_time=period / 2)  # truth: data
-        matches = align_ground_truth([band], symbols, waveform)
-        assert not matches[0].correct
+        alignment = align_ground_truth([band], symbols, waveform)
+        assert not alignment.correct[0]
 
     def test_index_mismatch_incorrect(self, stream_and_waveform):
         symbols, waveform = stream_and_waveform
         band = make_band(DecisionKind.DATA, 2, mid_time=waveform.symbol_period / 2)
-        matches = align_ground_truth([band], symbols, waveform)
-        assert not matches[0].correct
+        alignment = align_ground_truth([band], symbols, waveform)
+        assert not alignment.correct[0]
 
 
 class TestRates:
-    def test_empty_is_zero(self):
-        assert symbol_error_rate([]) == 0.0
-        assert data_symbol_error_rate([]) == 0.0
+    def test_empty_is_zero(self, stream_and_waveform):
+        symbols, waveform = stream_and_waveform
+        empty = align_ground_truth([], symbols, waveform)
+        assert len(empty) == 0
+        assert symbol_error_rate(empty) == 0.0
+        assert data_symbol_error_rate(empty) == 0.0
 
     def test_ser_fraction(self, stream_and_waveform):
         symbols, waveform = stream_and_waveform
@@ -100,14 +113,15 @@ class TestRates:
             make_band(DecisionKind.OFF, None, mid_time=2.5 * period), # correct
             make_band(DecisionKind.DATA, 2, mid_time=3.5 * period),   # wrong (4)
         ]
-        matches = align_ground_truth(bands, symbols, waveform)
-        assert symbol_error_rate(matches) == pytest.approx(0.5)
+        alignment = align_ground_truth(bands, symbols, waveform)
+        assert symbol_error_rate(alignment) == pytest.approx(0.5)
         # DATA truths are positions 0 and 3: one of two wrong.
-        assert data_symbol_error_rate(matches) == pytest.approx(0.5)
+        assert data_symbol_error_rate(alignment) == pytest.approx(0.5)
 
 
 class TestLinkMetrics:
-    def test_throughput_and_goodput(self):
+    def test_throughput_and_goodput(self, stream_and_waveform):
+        symbols, waveform = stream_and_waveform
         report = ReceiverReport()
         report.bands = [make_band(DecisionKind.DATA, 0)] * 100
         report.symbols_detected = 100
@@ -116,7 +130,7 @@ class TestLinkMetrics:
         report.packets_seen = 5
         metrics = compute_link_metrics(
             report=report,
-            matches=[],
+            alignment=align_ground_truth([], symbols, waveform),
             bits_per_symbol=3,
             payload_bytes_per_packet=10,
             duration_s=2.0,
@@ -125,11 +139,15 @@ class TestLinkMetrics:
         assert metrics.goodput_bps == pytest.approx(160.0)
         assert metrics.inter_frame_loss_ratio == pytest.approx(0.2)
 
-    def test_summary_readable(self):
+    def test_summary_readable(self, stream_and_waveform):
+        symbols, waveform = stream_and_waveform
         report = ReceiverReport()
-        metrics = compute_link_metrics(report, [], 3, 10, 1.0)
+        alignment = align_ground_truth(report.bands, symbols, waveform)
+        metrics = compute_link_metrics(report, alignment, 3, 10, 1.0)
         assert "SER" in metrics.summary()
 
-    def test_invalid_duration(self):
+    def test_invalid_duration(self, stream_and_waveform):
+        symbols, waveform = stream_and_waveform
+        alignment = align_ground_truth([], symbols, waveform)
         with pytest.raises(Exception):
-            compute_link_metrics(ReceiverReport(), [], 3, 10, 0.0)
+            compute_link_metrics(ReceiverReport(), alignment, 3, 10, 0.0)

@@ -7,6 +7,7 @@ from repro.core.metrics import align_ground_truth, data_symbol_error_rate
 from repro.core.system import ColorBarsTransmitter, make_receiver
 from repro.link.simulator import LinkSimulator
 from repro.link.workloads import beacon_payload, text_payload
+from repro.phy.waveform import EXTEND_CYCLE
 
 
 class TestFullChain:
@@ -84,8 +85,14 @@ class TestGroundTruthConsistency:
             illumination_ratio=0.8,
         )
         result = LinkSimulator(config, tiny_device, seed=8).run(duration_s=1.5)
-        # Recomputing from the stored matches must reproduce the metric.
-        assert data_symbol_error_rate(result.matches) == pytest.approx(
+        # Re-aligning the report's bands must reproduce the metric.
+        waveform = ColorBarsTransmitter(config).waveform(
+            result.plan, extend=EXTEND_CYCLE
+        )
+        alignment = align_ground_truth(
+            result.report.bands, result.plan.symbols, waveform
+        )
+        assert data_symbol_error_rate(alignment) == pytest.approx(
             result.metrics.data_symbol_error_rate
         )
 

@@ -1,10 +1,16 @@
 """Resilient runtime contracts: equivalence, containment, retry, resume."""
 
+import base64
+import copy
 import json
+from dataclasses import dataclass, replace
 
 import pytest
 
+import repro.core.metrics as metrics_module
 from repro.core.config import SystemConfig
+from repro.core.metrics import align_ground_truth, compute_link_metrics
+from repro.core.system import ColorBarsTransmitter
 from repro.exceptions import ConfigurationError, JournalError, LinkError
 from repro.faults import make_injector
 from repro.faults.chaos import CellHangChaos, SlowCellChaos, WorkerCrashChaos
@@ -12,6 +18,7 @@ from repro.link.simulator import RunSpec
 from repro.obs import MetricsRegistry
 from repro.obs.schema import M_CELLS_RETRIED, M_SWEEP_WORKERS
 from repro.perf.executor import make_runner, run_specs
+from repro.phy.waveform import EXTEND_CYCLE
 from repro.perf.runtime import (
     CELL_TIMEOUT_ENV,
     RunJournal,
@@ -39,6 +46,38 @@ def _spec(tiny_device, seed=0, faults=(), duration_s=0.5):
         faults=tuple(faults),
         duration_s=duration_s,
     )
+
+
+@dataclass(frozen=True)
+class GroundTruthMatch:
+    """One band paired with its on-air symbol, laid out as
+    ``repro.core.metrics.GroundTruthMatch`` was when each result kept a
+    list of them as ``LinkResult.matches``."""
+
+    band: object
+    truth: object
+
+
+GroundTruthMatch.__module__ = metrics_module.__name__
+
+
+def _legacy_record(result):
+    """``result`` as journals wrote it before results scored from columns:
+    its report's bands a plain list, and a ``matches`` list beside them."""
+    legacy = copy.copy(result)
+    legacy.report = replace(result.report, bands=list(result.report.bands))
+    waveform = ColorBarsTransmitter(result.config).waveform(
+        result.plan, extend=EXTEND_CYCLE
+    )
+    positions = waveform.symbol_index_at(
+        [band.mid_time for band in legacy.report.bands]
+    ).tolist()
+    legacy.matches = [
+        GroundTruthMatch(band=band, truth=result.plan.symbols[position])
+        for band, position in zip(legacy.report.bands, positions)
+        if position >= 0
+    ]
+    return legacy
 
 
 def _assert_results_identical(expected, actual):
@@ -323,6 +362,61 @@ class TestJournalResume:
         )
         with pytest.raises(JournalError, match="schema"):
             RunJournal(journal).load()
+
+    def test_resume_splices_a_record_that_still_carries_matches(
+        self, tiny_device, tmp_path, monkeypatch
+    ):
+        specs = [_spec(tiny_device, seed=s) for s in (1, 2)]
+        baseline = run_specs(specs, workers=1)
+        journal = tmp_path / "sweep.jsonl"
+        legacy = _legacy_record(baseline[0])
+        assert legacy.matches
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                metrics_module, "GroundTruthMatch", GroundTruthMatch, raising=False
+            )
+            RunJournal(journal).append(spec_fingerprint(specs[0]), legacy)
+        payload = json.loads(journal.read_text())["result"]
+        assert b"GroundTruthMatch" in base64.b64decode(payload)
+        assert not hasattr(metrics_module, "GroundTruthMatch")
+
+        executed = []
+        execute = RunSpec.execute
+
+        def counting(spec, observe=False):
+            executed.append(spec.seed)
+            return execute(spec, observe=observe)
+
+        monkeypatch.setattr(RunSpec, "execute", counting)
+        resumed = run_specs_resilient(
+            specs, workers=1, journal=journal, resume=True
+        )
+        assert resumed.resumed == 1 and executed == [2]
+        spliced = resumed.results[0]
+        assert not hasattr(spliced, "matches")
+        assert isinstance(spliced.report.bands, list)
+
+        # The spliced cell still scores, from its list of bands.
+        waveform = ColorBarsTransmitter(spliced.config).waveform(
+            spliced.plan, extend=EXTEND_CYCLE
+        )
+        rescored = compute_link_metrics(
+            report=spliced.report,
+            alignment=align_ground_truth(
+                spliced.report.bands, spliced.plan.symbols, waveform
+            ),
+            bits_per_symbol=spliced.config.bits_per_symbol,
+            payload_bytes_per_packet=spliced.config.rs_params().k,
+            duration_s=specs[0].duration_s,
+        )
+        assert rescored == baseline[0].metrics
+        assert spliced.report.delta_e_margin == baseline[0].report.delta_e_margin
+
+        # And the sweep's table equals an uninterrupted run's.
+        assert [r.metrics for r in resumed.results] == [
+            r.metrics for r in baseline
+        ]
+        _assert_results_identical(baseline, resumed.results)
 
     def test_resume_requires_no_reexecution(self, tiny_device, tmp_path):
         # A fully journaled sweep resumes without touching any worker: even

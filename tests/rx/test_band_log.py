@@ -24,7 +24,8 @@ from repro.core.system import (
 from repro.link.adapt import ReportWindowTracker
 from repro.link.simulator import LinkSimulator
 from repro.phy.waveform import EXTEND_CYCLE
-from repro.rx.detector import BandLog
+from repro.csk.demodulator import DECISION_KINDS, NO_INDEX
+from repro.rx.detector import BandLog, band_column
 from repro.rx.receiver import ReceiverReport
 from repro.rx.streaming import StreamingReceiver
 
@@ -172,6 +173,59 @@ def test_an_empty_log_reads_empty():
         log[0]
 
 
+def _loop_margin(bands):
+    """Mean defined margin, summed band object by band object."""
+    total, count = 0.0, 0
+    for band in bands:
+        if band.decision.margin is not None:
+            total += band.decision.margin
+            count += 1
+    return total / count if count else None
+
+
+def _alignment_key(alignment):
+    """Every column of a ground-truth alignment, as exact values."""
+    return tuple(
+        (column.dtype.str, column.tolist())
+        for column in (
+            alignment.position,
+            alignment.kind,
+            alignment.index,
+            alignment.truth_kind,
+            alignment.truth_index,
+        )
+    )
+
+
+def test_columns_read_like_the_band_objects(setting):
+    device, config, frames = setting
+    log = make_receiver(config, device.timing).process_frames(frames).bands
+    bands = list(log)
+    assert len(bands) > 10
+    for start in (0, 1, len(bands) // 2, len(bands) - 1, len(bands), len(bands) + 3):
+        tail = bands[start:]
+        expected = {
+            "frame_index": [band.frame_index for band in tail],
+            "mid_time": [band.mid_time for band in tail],
+            "kind": [DECISION_KINDS.index(band.decision.kind) for band in tail],
+            "index": [
+                NO_INDEX if band.decision.index is None else band.decision.index
+                for band in tail
+            ],
+            "margin": [band.decision.margin for band in tail],
+        }
+        for name, values in expected.items():
+            for source in (log, bands):
+                column = band_column(source, name, start)
+                assert column.dtype == band_column(log, name).dtype
+                read = column.tolist()
+                if name == "margin":
+                    read = [None if gap != gap else gap for gap in read]
+                assert read == values
+    assert band_column(log, "lab", 2).tolist() == [b.lab.tolist() for b in bands[2:]]
+    assert band_column(ReceiverReport().bands, "lab").shape == (0, 3)
+
+
 def test_a_plain_band_list_scores_like_the_log(tiny_device):
     config = _config(tiny_device)
     result = LinkSimulator(
@@ -188,38 +242,40 @@ def test_a_plain_band_list_scores_like_the_log(tiny_device):
         align_ground_truth(r.bands, result.plan.symbols, waveform)
         for r in (report, as_list)
     ]
-    assert [(_key(m.band), m.truth) for m in scored[0]] == [
-        (_key(m.band), m.truth) for m in scored[1]
-    ]
-    assert [_key(m.band) for m in scored[0]] == [
-        _key(m.band) for m in result.matches
-    ]
+    assert _alignment_key(scored[0]) == _alignment_key(scored[1])
+    assert len(scored[0]) == result.metrics.symbols_compared
     metrics = [
         compute_link_metrics(
             report=r,
-            matches=matches,
+            alignment=alignment,
             bits_per_symbol=config.bits_per_symbol,
             payload_bytes_per_packet=config.rs_params().k,
             duration_s=0.6,
         )
-        for r, matches in zip((report, as_list), scored)
+        for r, alignment in zip((report, as_list), scored)
     ]
     assert metrics[0] == metrics[1] == result.metrics
     assert report.delta_e_margin is not None
     assert report.delta_e_margin == as_list.delta_e_margin
+    assert report.delta_e_margin == _loop_margin(report.bands)
 
 
 def test_window_tracker_reads_the_log_like_a_list(setting):
     device, config, frames = setting
     streaming = StreamingReceiver(_calibrated_receiver(device, config))
     on_log, on_list = ReportWindowTracker(), ReportWindowTracker()
-    windows = []
+    windows, ends = [], [0]
     for position, frame in enumerate(frames, start=1):
         streaming.feed(frame)
         if position % 5 == 0:
             report = streaming.report
             as_list = replace(report, bands=list(report.bands))
             windows.append((on_log.take(report), on_list.take(as_list)))
+            ends.append(len(report.bands))
+    bands = list(streaming.report.bands)
     assert len(windows) > 2
     assert all(ours == theirs for ours, theirs in windows)
     assert any(ours.delta_e_margin is not None for ours, _ in windows)
+    assert [ours.delta_e_margin for ours, _ in windows] == [
+        _loop_margin(bands[start:stop]) for start, stop in zip(ends, ends[1:])
+    ]
