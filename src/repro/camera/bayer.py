@@ -140,6 +140,15 @@ def _geometry_counts(counts_by_dtype: "dict", dtype) -> np.ndarray:
     return counts
 
 
+def prepare_demosaic(rows: int, cols: int, dtype) -> None:
+    """Fill the geometry memo for one sensor shape and mosaic dtype.
+
+    Demosaics that run concurrently on one shape then only read the memo.
+    """
+    _, counts_by_dtype, _ = _demosaic_geometry(rows, cols)
+    _geometry_counts(counts_by_dtype, np.dtype(dtype))
+
+
 def mosaic_from_rows(row_rgb: np.ndarray, vignette: np.ndarray) -> np.ndarray:
     """RGGB mosaic of a row-constant image under a vignette, built directly.
 

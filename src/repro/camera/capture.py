@@ -49,19 +49,38 @@ draw their noise once, and a cache hit restores the generator to the same
 end state a miss would have left, so cache state can never change results.
 The memo is least-recently-used and keeps at most two plans and at most
 128 MB (a larger plan is returned but not kept).  A miss evicts before it
-draws, so a draw never coexists with the plan it displaces.
+draws, so a draw never coexists with the plan it displaces.  The second
+slot may hold a plan that can never hit again (in a run of back-to-back
+sweeps, the previous sweep's); a pool worker empties the memo it inherits
+from its driver (:func:`start_pool_worker`).
+
+Develop lanes: :func:`develop_frames` develops a recording's frame chunks
+on several threads of the calling process, one lane per CPU this process
+may use divided by the cells it runs at once (:func:`develop_lanes`),
+capped at the chunk count.  The chunk budget is split across the lanes, so
+the bytes in flight do not grow while a frame fits in a lane's share (a
+chunk is never less than one frame); each chunk writes its own slice of
+the output with unchanged arithmetic, so the lane count cannot move a byte.
+The executor lives for one call only, so no lane thread is alive when a
+pool forks its workers.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.camera.auto_exposure import ExposureSettings
-from repro.camera.bayer import demosaic_bilinear_nd, mosaic_from_rows
+from repro.camera.bayer import (
+    demosaic_bilinear_nd,
+    mosaic_from_rows,
+    prepare_demosaic,
+)
 from repro.color.srgb import xyz_to_linear_rgb
 from repro.exceptions import CameraError
 
@@ -76,8 +95,13 @@ AWB_ROW_LUMINANCE_FLOOR = 0.05
 #: bounds peak RSS on phone-resolution recordings and keeps each chunk's
 #: working set cache-resident (measured ~30% faster than one whole-recording
 #: block on an 800-row, 64-column recording).  Chunking cannot change
-#: results — every kernel is per-frame independent.
+#: results — every kernel is per-frame independent.  The budget is split
+#: across the develop lanes (down to one frame per chunk).
 _CHUNK_ELEMENTS = 480_000
+
+#: How many sweep cells run at once on this process's CPUs: 1 in-process,
+#: the pool width in a pool worker (set by :func:`start_pool_worker`).
+_CONCURRENT_CELLS = 1
 
 
 # -- the draw plan ---------------------------------------------------------
@@ -196,8 +220,9 @@ def draw_prnu_gain(
 #: cell after the first gets its draws for free; restoring the stored end
 #: state on a hit makes the memo observationally invisible to the generator.
 #: Two plans, not one: a session set-up that re-records two streams in turn
-#: would otherwise miss on every stream.  Plans from an earlier sweep can
-#: never hit again, so the memo keeps no more than that.
+#: would otherwise miss on every stream.  The price is that the second slot
+#: can keep a plan that never hits again: in back-to-back seeded sweeps it
+#: holds the previous sweep's plan until the next miss evicts it.
 _PLAN_CACHE: OrderedDict[Tuple, Tuple[CaptureDrawPlan, dict]] = OrderedDict()
 _PLAN_CACHE_MAX_PLANS = 2
 _PLAN_CACHE_MAX_BYTES = 128_000_000
@@ -234,6 +259,19 @@ def cached_capture_plan(
     if keep:
         _PLAN_CACHE[key] = (plan, rng.bit_generator.state)
     return plan
+
+
+def start_pool_worker(concurrent_cells: int) -> None:
+    """Set up a freshly forked pool worker's capture engine.
+
+    The worker shares the CPUs with ``concurrent_cells`` pool-mates, so its
+    develop lanes are its share of them.  The noise-plan memo it inherited
+    holds the driver's plans (its warm-up recording's, say), which the
+    worker's cells would only hit by chance; emptying it frees their pages.
+    """
+    global _CONCURRENT_CELLS
+    _CONCURRENT_CELLS = max(1, concurrent_cells)
+    _PLAN_CACHE.clear()
 
 
 # -- the sequential prologue ----------------------------------------------
@@ -377,14 +415,18 @@ def apply_sensor_noise(
     ``sqrt(electrons + read^2)`` standard deviation; ``shot`` holds the
     pre-drawn unit normals, ``prnu_gain`` the camera's fixed pattern.  The
     output is *unclipped* — the pipeline saturates exactly once, inside
-    :func:`encode_srgb_bytes`.
+    :func:`encode_srgb_bytes`.  Computes in place on ``electrons`` (every
+    caller hands over a temporary) and returns it.
     """
-    std = np.sqrt(electrons + read_noise_sq)
-    noisy = electrons + shot * std
+    std = electrons + read_noise_sq
+    np.sqrt(std, out=std)
+    std *= shot
+    electrons += std
+    del std
     if prnu_gain is not None:
-        noisy *= prnu_gain
-    noisy *= inv_scale
-    return noisy
+        electrons *= prnu_gain
+    electrons *= inv_scale
+    return electrons
 
 
 def sensor_image(camera, row_signal: np.ndarray) -> np.ndarray:
@@ -418,17 +460,21 @@ def apply_channel_gain(signal: np.ndarray, gain: np.ndarray) -> None:
 def encode_srgb_bytes(linear: np.ndarray) -> np.ndarray:
     """Gamma-encode linear float32 and quantize to uint8 in one pass.
 
-    Clips ``linear`` to [0, 1] *in place* first — this is the pipeline's
-    single saturation point, and every caller hands over a temporary.
+    Computes *in place* on ``linear`` (every caller hands over a
+    temporary), starting with the clip to [0, 1] — the pipeline's single
+    saturation point.  Only the linear-segment samples are set aside, as
+    a mask and their already-encoded values.
     """
     x = np.clip(linear, 0.0, 1.0, out=linear)
-    srgb = np.power(x, 1.0 / 2.4)
-    srgb *= 1.055
-    srgb -= 0.055
-    np.multiply(x, 12.92, out=srgb, where=x <= 0.0031308)
-    srgb *= 255.0
-    np.round(srgb, out=srgb)
-    return srgb.astype(np.uint8)
+    dark = x <= 0.0031308
+    dark_srgb = x[dark] * 12.92
+    np.power(x, 1.0 / 2.4, out=x)
+    x *= 1.055
+    x -= 0.055
+    x[dark] = dark_srgb
+    x *= 255.0
+    np.round(x, out=x)
+    return x.astype(np.uint8)
 
 
 def _develop(camera, rec: RecordingPlan, index) -> np.ndarray:
@@ -457,21 +503,58 @@ def _develop(camera, rec: RecordingPlan, index) -> np.ndarray:
     return encode_srgb_bytes(signal)
 
 
+def develop_lanes() -> int:
+    """Develop lanes this process may use: its CPUs per concurrent cell."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _CONCURRENT_CELLS)
+
+
+def _develop_chunks(camera, rec: RecordingPlan, pixels: np.ndarray, chunks) -> None:
+    """One develop lane: develop chunks ``(lo, hi)`` from the shared
+    iterator ``chunks`` into their slices of ``pixels`` until it runs dry."""
+    for lo, hi in chunks:
+        pixels[lo:hi] = _develop(camera, rec, slice(lo, hi))
+
+
 def develop_frames(camera, rec: RecordingPlan) -> np.ndarray:
     """The batched path: all frames' pixels, ``(F, rows, cols, 3)`` uint8.
 
-    Chunked over the frames axis to bound peak memory; every kernel is
-    per-frame independent, so chunking cannot change a single byte.
+    Chunked over the frames axis to bound peak memory, and the chunks are
+    developed on :func:`develop_lanes` threads with the chunk budget split
+    between them.  Every kernel is per-frame independent and each chunk
+    writes only its own frames, so neither the chunking nor the lanes can
+    change a single byte.
     """
     rows, cols = camera.timing.rows, camera.simulated_columns
-    per_frame = rows * cols * 3
-    chunk = max(1, _CHUNK_ELEMENTS // per_frame)
-    if chunk >= rec.frame_count:
-        return _develop(camera, rec, slice(0, rec.frame_count))
-    pixels = np.empty((rec.frame_count, rows, cols, 3), dtype=np.uint8)
-    for lo in range(0, rec.frame_count, chunk):
-        hi = min(lo + chunk, rec.frame_count)
-        pixels[lo:hi] = _develop(camera, rec, slice(lo, hi))
+    frame_count = rec.frame_count
+    lanes = develop_lanes()
+    chunk = max(1, _CHUNK_ELEMENTS // lanes // (rows * cols * 3))
+    if chunk >= frame_count:
+        return _develop(camera, rec, slice(0, frame_count))
+    pixels = np.empty((frame_count, rows, cols, 3), dtype=np.uint8)
+    bounds = [
+        (lo, min(lo + chunk, frame_count)) for lo in range(0, frame_count, chunk)
+    ]
+    lanes = min(lanes, len(bounds))
+    chunks = iter(bounds)
+    if lanes > 1 and camera.enable_bayer:
+        # Lanes only read the demosaic memo, so fill it before they start.
+        prepare_demosaic(rows, cols, PIXEL_DTYPE)
+    # The calling thread is one lane.  One executor per call: no lane
+    # thread outlives it into a forked child.
+    with ThreadPoolExecutor(
+        max_workers=max(1, lanes - 1), thread_name_prefix="colorbars-develop"
+    ) as executor:
+        others = [
+            executor.submit(_develop_chunks, camera, rec, pixels, chunks)
+            for _ in range(lanes - 1)
+        ]
+        _develop_chunks(camera, rec, pixels, chunks)
+        for lane in others:
+            lane.result()
     return pixels
 
 

@@ -303,7 +303,9 @@ class RollingShutterCamera:
             apply_channel_gain(signal, self._awb_gains.astype(PIXEL_DTYPE))
             np.clip(signal, 0.0, 1.0, out=signal)
 
-        # 6. Gamma encode and quantize.
+        # 6. Gamma encode and quantize (in place: AE meters the linear
+        # signal first).
+        mean_level = float(signal.mean())
         pixels = encode_srgb_bytes(signal)
 
         frame = CapturedFrame(
@@ -316,7 +318,7 @@ class RollingShutterCamera:
         self._frame_index += 1
 
         if not manual:
-            self.auto_exposure.observe_frame(float(signal.mean()), self.rng)
+            self.auto_exposure.observe_frame(mean_level, self.rng)
         return frame
 
     def record(

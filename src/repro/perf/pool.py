@@ -28,6 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.camera.capture import start_pool_worker
 from repro.exceptions import CellFailure
 from repro.faults.chaos import ProcessChaos
 from repro.link.simulator import LinkResult, RunSpec
@@ -47,7 +48,7 @@ _DRIVER_POLL_S = 0.5
 
 #: Start method of the pool's workers.  Under ``forkserver`` (the Linux
 #: default from Python 3.14) a worker's parent is the fork server, which
-#: :func:`_exit_with_driver` would read as a dead driver, and which itself
+#: :func:`_start_worker` would read as a dead driver, and which itself
 #: outlives a killed driver.  ``fork`` keeps the driver the parent; other
 #: platforms keep their default (``spawn``, whose workers are the
 #: driver's children too).
@@ -83,14 +84,18 @@ def _execute_cell(
     return _annotate_trace(result, index, attempt)
 
 
-def _exit_with_driver(driver_pid: int) -> None:
-    """Pool-worker initializer: hard-exit once the driver process is gone.
+def _start_worker(driver_pid: int, pool_width: int) -> None:
+    """Pool-worker initializer: a clean capture engine, then a driver watch.
 
-    A killed driver closes none of the pool's pipes, and forked workers
+    The worker's capture engine gets its share of the CPUs (``pool_width``
+    workers run cells at once) and drops the plan memo inherited from the
+    driver.  The worker then hard-exits once the driver process is gone:
+    a killed driver closes none of the pool's pipes, and forked workers
     hold each other's pipe ends, so an orphaned worker blocked on one would
     never see EOF.  A daemon thread polls the parent pid instead; the worker
     is reparented the moment the driver dies.
     """
+    start_pool_worker(pool_width)
 
     def watch() -> None:
         while os.getppid() == driver_pid:
@@ -180,8 +185,8 @@ def run_pool(
                 pool = ProcessPoolExecutor(
                     max_workers=pool_width,
                     mp_context=_MP_CONTEXT,
-                    initializer=_exit_with_driver,
-                    initargs=(os.getpid(),),
+                    initializer=_start_worker,
+                    initargs=(os.getpid(), pool_width),
                 )
             while pool is not None and len(active) < pool_width:
                 cell = next((c for c in pending if c.ready_at <= now), None)

@@ -131,17 +131,44 @@ def test_capture_frame_bytes_pinned(case, modulator8):
     assert capture_frame_digest(case, modulator8) == GOLDEN[case][2]
 
 
-# Blocking is a pure cache/memory knob: no block size may move a byte.
+# Blocking and develop lanes are pure cache/memory/CPU knobs: no block size
+# and no lane count may move a byte.
 BLOCKING_CASES = [(True, True, True), (False, False, False)]
+
+
+def _chunked_digests(case, modulator, frames_per_chunk, lanes, monkeypatch):
+    """Recording digests with ``frames_per_chunk`` frames per develop chunk
+    on ``lanes`` lanes sharing the chunk budget."""
+    monkeypatch.setattr(capture, "develop_lanes", lambda: lanes)
+    monkeypatch.setattr(
+        capture, "_CHUNK_ELEMENTS", lanes * frames_per_chunk * FRAME_ELEMENTS
+    )
+    return recording_digests(case, modulator)
 
 
 @pytest.mark.parametrize("case", BLOCKING_CASES, ids=_case_id)
 @pytest.mark.parametrize("frames_per_chunk", [1, 3, 4, 6])
 def test_develop_chunking_keeps_bytes(case, frames_per_chunk, monkeypatch, modulator8):
     """Develop chunks of one frame, of three (two even chunks), of four (a
-    partial last chunk) and the whole 6-frame recording in one block."""
-    monkeypatch.setattr(capture, "_CHUNK_ELEMENTS", frames_per_chunk * FRAME_ELEMENTS)
-    assert recording_digests(case, modulator8) == GOLDEN[case][:2]
+    partial last chunk) and the whole 6-frame recording in one block, on
+    one lane."""
+    digests = _chunked_digests(case, modulator8, frames_per_chunk, 1, monkeypatch)
+    assert digests == GOLDEN[case][:2]
+
+
+@pytest.mark.parametrize("case", BLOCKING_CASES, ids=_case_id)
+@pytest.mark.parametrize("frames_per_chunk", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_develop_lanes_keep_bytes(
+    case, frames_per_chunk, lanes, monkeypatch, modulator8
+):
+    """The chunkings above, plus two-frame chunks (three chunks, which two
+    lanes do not divide), on two and three lanes; four-frame chunks give
+    three lanes only two chunks."""
+    digests = _chunked_digests(
+        case, modulator8, frames_per_chunk, lanes, monkeypatch
+    )
+    assert digests == GOLDEN[case][:2]
 
 
 @pytest.mark.parametrize("case", BLOCKING_CASES, ids=_case_id)

@@ -153,3 +153,14 @@ class TestEviction:
             tracemalloc.stop()
         assert peak <= 2 * plan_bytes + plan_bytes // 4, (peak, plan_bytes)
         assert len(memo) == 2
+
+
+def test_pool_worker_starts_with_empty_memo_and_its_lane_share(memo, monkeypatch):
+    """A pool worker drops the plans it inherited and takes its CPU share."""
+    cached_capture_plan(_spec(2), np.random.default_rng(0))
+    assert len(memo) == 1
+    monkeypatch.setattr(capture, "_CONCURRENT_CELLS", 1)
+    lanes = capture.develop_lanes()
+    capture.start_pool_worker(2)
+    assert not memo
+    assert capture.develop_lanes() == max(1, lanes // 2)

@@ -14,6 +14,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,11 +22,13 @@ import pytest
 
 from tests.conftest import make_tiny_device
 
+from repro.camera import capture
 from repro.core.config import SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.link.simulator import RunSpec
 from repro.perf.runtime import (
     RunJournal,
+    RuntimePolicy,
     run_specs_resilient,
     spec_fingerprint,
 )
@@ -233,6 +236,47 @@ class TestKilledSweepResume:
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="the pool forks only on Linux"
 )
+def test_pool_forks_cleanly_after_multi_lane_recording(tiny_device, monkeypatch):
+    """In-process develop lanes leave no thread behind for a pool to fork.
+
+    A serial sweep first develops its recordings on three lanes (six
+    two-frame chunks each); a pool sweep under a watchdog then runs in the
+    same process, its forked workers developing on lanes of their own.  A
+    worker that inherited a dead executor would hang until the watchdog
+    failed its cell.
+    """
+    frame_elements = tiny_device.timing.rows * 32 * 3
+    monkeypatch.setattr(capture, "develop_lanes", lambda: 3)
+    monkeypatch.setattr(capture, "_CHUNK_ELEMENTS", 3 * 2 * frame_elements)
+    lane_threads = set()
+    develop_chunks = capture._develop_chunks
+
+    def spy(*args):
+        lane_threads.add(threading.current_thread().name)
+        develop_chunks(*args)
+
+    monkeypatch.setattr(capture, "_develop_chunks", spy)
+
+    serial = run_specs_resilient(_specs(tiny_device, count=2), workers=1)
+    assert not serial.failures
+    assert len(lane_threads) == 3
+    assert not [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("colorbars-develop")
+    ]
+
+    pooled = run_specs_resilient(
+        _specs(tiny_device, count=2),
+        workers=2,
+        policy=RuntimePolicy(cell_timeout_s=30.0),
+        backend="pool",
+    )
+    assert not pooled.failures, pooled.failure_summary()
+    assert [_signature(r) for r in pooled.results] == [
+        _signature(r) for r in serial.results
+    ]
+
+
 def test_pool_survives_a_forkserver_default(tiny_device, tmp_path):
     """A ``forkserver`` default start method must not break the pool.
 
