@@ -55,21 +55,17 @@ sweeps, the previous sweep's); a pool worker empties the memo it inherits
 from its driver (:func:`start_pool_worker`).
 
 Develop lanes: :func:`develop_frames` develops a recording's frame chunks
-on several threads of the calling process, one lane per CPU this process
-may use divided by the cells it runs at once (:func:`develop_lanes`),
-capped at the chunk count.  The chunk budget is split across the lanes, so
-the bytes in flight do not grow while a frame fits in a lane's share (a
-chunk is never less than one frame); each chunk writes its own slice of
-the output with unchanged arithmetic, so the lane count cannot move a byte.
-The executor lives for one call only, so no lane thread is alive when a
-pool forks its workers.
+on the lanes of :mod:`repro.util.lanes` (one thread per CPU this process
+may use, divided by the cells it runs at once), capped at the chunk count.
+The chunk budget is split across the lanes, so the bytes in flight do not
+grow while a frame fits in a lane's share (a chunk is never less than one
+frame); each chunk writes its own slice of the output with unchanged
+arithmetic, so the lane count cannot move a byte.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -83,6 +79,7 @@ from repro.camera.bayer import (
 )
 from repro.color.srgb import xyz_to_linear_rgb
 from repro.exceptions import CameraError
+from repro.util import lanes
 
 #: Dtype of the batched image pipeline (timing stays float64).
 PIXEL_DTYPE = np.float32
@@ -98,10 +95,6 @@ AWB_ROW_LUMINANCE_FLOOR = 0.05
 #: results — every kernel is per-frame independent.  The budget is split
 #: across the develop lanes (down to one frame per chunk).
 _CHUNK_ELEMENTS = 480_000
-
-#: How many sweep cells run at once on this process's CPUs: 1 in-process,
-#: the pool width in a pool worker (set by :func:`start_pool_worker`).
-_CONCURRENT_CELLS = 1
 
 
 # -- the draw plan ---------------------------------------------------------
@@ -269,8 +262,7 @@ def start_pool_worker(concurrent_cells: int) -> None:
     holds the driver's plans (its warm-up recording's, say), which the
     worker's cells would only hit by chance; emptying it frees their pages.
     """
-    global _CONCURRENT_CELLS
-    _CONCURRENT_CELLS = max(1, concurrent_cells)
+    lanes.set_concurrent_cells(concurrent_cells)
     _PLAN_CACHE.clear()
 
 
@@ -503,58 +495,30 @@ def _develop(camera, rec: RecordingPlan, index) -> np.ndarray:
     return encode_srgb_bytes(signal)
 
 
-def develop_lanes() -> int:
-    """Develop lanes this process may use: its CPUs per concurrent cell."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _CONCURRENT_CELLS)
-
-
-def _develop_chunks(camera, rec: RecordingPlan, pixels: np.ndarray, chunks) -> None:
-    """One develop lane: develop chunks ``(lo, hi)`` from the shared
-    iterator ``chunks`` into their slices of ``pixels`` until it runs dry."""
-    for lo, hi in chunks:
-        pixels[lo:hi] = _develop(camera, rec, slice(lo, hi))
-
-
 def develop_frames(camera, rec: RecordingPlan) -> np.ndarray:
     """The batched path: all frames' pixels, ``(F, rows, cols, 3)`` uint8.
 
     Chunked over the frames axis to bound peak memory, and the chunks are
-    developed on :func:`develop_lanes` threads with the chunk budget split
-    between them.  Every kernel is per-frame independent and each chunk
-    writes only its own frames, so neither the chunking nor the lanes can
-    change a single byte.
+    developed on the lanes (:func:`repro.util.lanes.run_lanes`) with the
+    chunk budget split between them.  Every kernel is per-frame independent
+    and each chunk writes only its own frames, so neither the chunking nor
+    the lanes can change a single byte.
     """
     rows, cols = camera.timing.rows, camera.simulated_columns
     frame_count = rec.frame_count
-    lanes = develop_lanes()
-    chunk = max(1, _CHUNK_ELEMENTS // lanes // (rows * cols * 3))
+    chunk = max(1, _CHUNK_ELEMENTS // lanes.lane_count() // (rows * cols * 3))
     if chunk >= frame_count:
         return _develop(camera, rec, slice(0, frame_count))
     pixels = np.empty((frame_count, rows, cols, 3), dtype=np.uint8)
-    bounds = [
-        (lo, min(lo + chunk, frame_count)) for lo in range(0, frame_count, chunk)
-    ]
-    lanes = min(lanes, len(bounds))
-    chunks = iter(bounds)
-    if lanes > 1 and camera.enable_bayer:
+    if camera.enable_bayer:
         # Lanes only read the demosaic memo, so fill it before they start.
         prepare_demosaic(rows, cols, PIXEL_DTYPE)
-    # The calling thread is one lane.  One executor per call: no lane
-    # thread outlives it into a forked child.
-    with ThreadPoolExecutor(
-        max_workers=max(1, lanes - 1), thread_name_prefix="colorbars-develop"
-    ) as executor:
-        others = [
-            executor.submit(_develop_chunks, camera, rec, pixels, chunks)
-            for _ in range(lanes - 1)
-        ]
-        _develop_chunks(camera, rec, pixels, chunks)
-        for lane in others:
-            lane.result()
+
+    def develop_chunk(lo: int) -> None:
+        hi = min(lo + chunk, frame_count)
+        pixels[lo:hi] = _develop(camera, rec, slice(lo, hi))
+
+    lanes.run_lanes(develop_chunk, range(0, frame_count, chunk))
     return pixels
 
 

@@ -10,7 +10,6 @@ and run Reed-Solomon decoding (step 3).
 from repro.rx.preprocess import (
     frame_to_scanline_lab,
     frames_to_scanline_lab,
-    scanline_chroma,
 )
 from repro.rx.segmentation import Band, BandSegmenter
 from repro.rx.detector import ReceivedBand, SymbolDetector
@@ -20,7 +19,6 @@ from repro.rx.receiver import ColorBarsReceiver, ReceiverReport
 __all__ = [
     "frame_to_scanline_lab",
     "frames_to_scanline_lab",
-    "scanline_chroma",
     "Band",
     "BandSegmenter",
     "ReceivedBand",

@@ -8,10 +8,14 @@ phone.
 Every step before the column mean is local to a scanline, so frames are
 converted in blocks of scanlines sized to keep float32 temporaries in
 cache (:data:`_BLOCK_ELEMENTS`); blocking, like batching frames, never
-changes a byte of the result.  Each block is transposed to column-major
-order once, as 3-byte pixels, so the column mean is a reduction over the
-outermost axis: one vectorized add of whole ``(rows, 3)`` planes per
-column.
+changes a byte of the result.  Each block is computed planar, as
+``(3, cols, rows)`` channel planes, so the color matmul is one
+``(3, 3) @ (3, pixels)`` product and the column mean is a reduction over
+the middle axis: one vectorized add of whole ``(3, rows)`` planes per
+column, in column order.  A batched call converts its frames on the lanes
+of :mod:`repro.util.lanes`, whole frames per lane, each lane writing only
+its own frames' rows, so neither the lane count nor the batching can move
+a byte; a single frame runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.color.illuminants import ILLUMINANT_D65
 from repro.color.srgb import SRGB_BYTE_TO_LINEAR, srgb_to_linear
 from repro.color.srgb import SRGB_TO_XYZ_MATRIX, linear_rgb_to_xyz
 from repro.exceptions import DemodulationError
+from repro.util import lanes
 
 
 def _read_only_f32(values: np.ndarray) -> np.ndarray:
@@ -49,6 +54,8 @@ _SRGB_BYTE_TO_LINEAR_F32 = _read_only_f32(SRGB_BYTE_TO_LINEAR)
 _RGB_TO_XYZ_RATIOS_F32 = _read_only_f32(
     SRGB_TO_XYZ_MATRIX.T / ILLUMINANT_D65.XYZ[np.newaxis, :]
 )
+#: The same matrix for planar pixels: ``ratios = M.T @ linear``.
+_RGB_TO_XYZ_RATIOS_T_F32 = _read_only_f32(_RGB_TO_XYZ_RATIOS_F32.T)
 _LAB_BASIS = np.array(
     [[0.0, 500.0, 0.0], [116.0, -500.0, 200.0], [0.0, 0.0, -200.0]]
 )
@@ -63,32 +70,35 @@ _LAB_TOE_OFFSET = 4.0 / 29.0
 #: blocking): a block is as many scanlines of one frame as fit the budget,
 #: so its float32 temporaries stay cache-sized whatever the frame geometry.
 _BLOCK_ELEMENTS = 150_000
-#: One pixel's three sRGB bytes as a single element, so a transpose moves
-#: whole pixels.
-_PIXEL_BYTES = np.dtype((np.void, 3))
 
 
 def _column_mean_lab_f(pixels: np.ndarray, inv_cols: np.float32) -> np.ndarray:
     """sRGB bytes ``(rows, cols, 3)`` -> column-mean Lab ``f(X/Xn)``.
 
-    Transposes the pixels to column-major ``(cols, rows, 3)``, then gamma
-    decode by byte lookup, the fused RGB->XYZ/white matmul, the Lab cube
-    root with its linear toe, scaling by ``inv_cols`` and a sum over the
-    columns, giving ``(rows, 3)`` ready for the Lab channel mixing.  Every
-    step is local to a scanline, so any row range converts independently.
-    The sum runs over the outer axis, adding the columns in order in
-    float32: the same sums as a column-wise weighted ``einsum``, byte for
-    byte, where BLAS's blocked matmul reductions are not.
+    Widens the pixels to planar ``(3, cols, rows)`` lookup indices, then
+    gamma decode by byte lookup, the fused RGB->XYZ/white matmul, the Lab
+    cube root with its linear toe, scaling by ``inv_cols`` and a sum over
+    the columns, giving ``(rows, 3)`` ready for the Lab channel mixing.
+    Every step is local to a scanline, so any row range converts
+    independently.  The sum runs over the middle axis, adding the columns
+    in order in float32: the same sums as a column-wise weighted
+    ``einsum``, byte for byte, where BLAS's blocked matmul reductions are
+    not.
     """
     rows, cols = pixels.shape[:2]
-    by_column = np.ascontiguousarray(
-        np.ascontiguousarray(pixels).view(_PIXEL_BYTES)[..., 0].T
-    )
     # Indexing by intp skips np.take's per-call cast of uint8 indices.
-    codes = by_column.view(np.uint8).reshape(-1, 3).astype(np.intp)
-    linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, codes)
+    codes = np.empty((3, cols, rows), dtype=np.intp)
+    np.copyto(codes, pixels.transpose(2, 1, 0))
+    linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, codes.reshape(3, -1))
     del codes
-    ratios = linear @ _RGB_TO_XYZ_RATIOS_F32
+    # A lone scanline stays pixel-major: numpy would multiply a lone pixel
+    # by gemv and add contiguous columns pairwise, both rounding unlike
+    # the block kernel.
+    lone = rows == 1
+    if lone:
+        ratios = (linear.T @ _RGB_TO_XYZ_RATIOS_F32).T
+    else:
+        ratios = _RGB_TO_XYZ_RATIOS_T_F32 @ linear
     # Temporaries are reused in place: fewer live blocks, fewer page faults.
     f = np.cbrt(ratios, out=linear)
     toe = ratios <= _LAB_TOE_THRESHOLD
@@ -96,7 +106,9 @@ def _column_mean_lab_f(pixels: np.ndarray, inv_cols: np.float32) -> np.ndarray:
     ratios += _LAB_TOE_OFFSET
     np.copyto(f, ratios, where=toe)
     f *= inv_cols
-    return np.add.reduce(f.reshape(cols, rows, 3), axis=0)
+    if lone:
+        return np.add.reduce(np.ascontiguousarray(f.T), axis=0)[np.newaxis]
+    return np.add.reduce(f.reshape(3, cols, rows), axis=1).T
 
 
 def _scanlines_from_pixels(
@@ -112,8 +124,10 @@ def _scanlines_from_pixels(
     holding at most :data:`_BLOCK_ELEMENTS` channel values, read as views of
     the frame, so a batched decode never stacks frames or holds a
     recording-wide index copy or linear image: its transient footprint is
-    one block's, whatever the recording length.  Every step is elementwise,
-    a per-row matmul, or a per-frame reduction/convolution, so batched and
+    one block per lane, whatever the recording length.  The lanes
+    (:func:`repro.util.lanes.run_lanes`) take whole frames, and each
+    writes only its own frames' rows.  Every step is elementwise, a
+    per-row matmul, or a per-frame reduction/convolution, so batched and
     per-frame calls are bitwise identical.  Frames with fewer scanlines
     than ``smooth_rows`` raise :class:`DemodulationError`.
     """
@@ -131,10 +145,14 @@ def _scanlines_from_pixels(
     # a block's temporaries die with the helper's frame, before the next
     # block's exist.
     block = max(1, _BLOCK_ELEMENTS // (cols * 3))
-    for index, pixels in enumerate(frame_pixels):
+
+    def convert(index: int) -> None:
+        pixels = frame_pixels[index]
         for lo in range(0, rows, block):
             hi = min(lo + block, rows)
             f_rows[index, lo:hi] = _column_mean_lab_f(pixels[lo:hi], inv_cols)
+
+    lanes.run_lanes(convert, range(frames))
     # Lab's channel mixing is linear, so it commutes with the column mean:
     # mix the (rows, 3) means instead of every pixel.
     scanlines = f_rows @ _LAB_BASIS
@@ -190,16 +208,6 @@ def frames_to_scanline_lab(
         [frame.pixels for frame in frames], smooth_rows
     )
     return [scanlines[i] for i in range(len(frames))]
-
-
-def scanline_chroma(scanline_lab: np.ndarray) -> np.ndarray:
-    """Drop the lightness channel: ``(rows, 3)`` Lab -> ``(rows, 2)`` ab."""
-    scanline_lab = np.asarray(scanline_lab, dtype=float)
-    if scanline_lab.ndim != 2 or scanline_lab.shape[1] != 3:
-        raise DemodulationError(
-            f"expected (rows, 3) Lab array, got {scanline_lab.shape}"
-        )
-    return scanline_lab[:, 1:]
 
 
 def column_color_variance(

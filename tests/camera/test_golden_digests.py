@@ -27,6 +27,7 @@ from repro.phy.symbols import data_symbol, off_symbol, white_symbol
 from repro.phy.waveform import EXTEND_CYCLE
 from repro.rx import preprocess
 from repro.rx.preprocess import frames_to_scanline_lab
+from repro.util import lanes as util_lanes
 
 from tests.conftest import make_tiny_device
 
@@ -131,15 +132,15 @@ def test_capture_frame_bytes_pinned(case, modulator8):
     assert capture_frame_digest(case, modulator8) == GOLDEN[case][2]
 
 
-# Blocking and develop lanes are pure cache/memory/CPU knobs: no block size
-# and no lane count may move a byte.
+# Blocking and lanes are pure cache/memory/CPU knobs: no block size and no
+# lane count, in develop or in preprocess, may move a byte.
 BLOCKING_CASES = [(True, True, True), (False, False, False)]
 
 
 def _chunked_digests(case, modulator, frames_per_chunk, lanes, monkeypatch):
     """Recording digests with ``frames_per_chunk`` frames per develop chunk
     on ``lanes`` lanes sharing the chunk budget."""
-    monkeypatch.setattr(capture, "develop_lanes", lambda: lanes)
+    monkeypatch.setattr(util_lanes, "lane_count", lambda: lanes)
     monkeypatch.setattr(
         capture, "_CHUNK_ELEMENTS", lanes * frames_per_chunk * FRAME_ELEMENTS
     )
@@ -178,3 +179,18 @@ def test_preprocess_row_blocking_keeps_bytes(case, block_rows, monkeypatch, modu
     and not a divisor of its 120 rows) and of a whole frame."""
     monkeypatch.setattr(preprocess, "_BLOCK_ELEMENTS", block_rows * COLS * 3)
     assert recording_digests(case, modulator8) == GOLDEN[case][:2]
+
+
+@pytest.mark.parametrize("case", BLOCKING_CASES, ids=_case_id)
+@pytest.mark.parametrize("split", [(6,), (5, 1), (4, 2)], ids=str)
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_preprocess_lanes_keep_bytes(case, split, lanes, monkeypatch, modulator8):
+    """The recording's scanline Lab, preprocessed in batches of ``split``
+    frames on one, two and three lanes: five frames on two or three lanes
+    and four on three leave the lanes uneven shares."""
+    frames = _camera(case, "batched").record(_waveform(modulator8), duration=0.2)
+    monkeypatch.setattr(util_lanes, "lane_count", lambda: lanes)
+    scanlines = []
+    for lo, count in zip(np.cumsum((0,) + split), split):
+        scanlines += frames_to_scanline_lab(frames[lo:lo + count])
+    assert _digest(scanlines) == GOLDEN[case][1]

@@ -25,6 +25,7 @@ from repro.camera.capture import (
     draw_capture_plan,
 )
 from repro.phy.symbols import data_symbol
+from repro.util import lanes as util_lanes
 
 from tests.conftest import make_tiny_device
 
@@ -159,8 +160,8 @@ def test_pool_worker_starts_with_empty_memo_and_its_lane_share(memo, monkeypatch
     """A pool worker drops the plans it inherited and takes its CPU share."""
     cached_capture_plan(_spec(2), np.random.default_rng(0))
     assert len(memo) == 1
-    monkeypatch.setattr(capture, "_CONCURRENT_CELLS", 1)
-    lanes = capture.develop_lanes()
+    monkeypatch.setattr(util_lanes, "_CONCURRENT_CELLS", 1)
+    lanes = util_lanes.lane_count()
     capture.start_pool_worker(2)
     assert not memo
-    assert capture.develop_lanes() == max(1, lanes // 2)
+    assert util_lanes.lane_count() == max(1, lanes // 2)

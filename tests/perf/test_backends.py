@@ -23,6 +23,7 @@ import pytest
 from tests.conftest import make_tiny_device
 
 from repro.camera import capture
+from repro.util import lanes
 from repro.core.config import SystemConfig
 from repro.exceptions import ConfigurationError
 from repro.link.simulator import RunSpec
@@ -237,7 +238,8 @@ class TestKilledSweepResume:
     not sys.platform.startswith("linux"), reason="the pool forks only on Linux"
 )
 def test_pool_forks_cleanly_after_multi_lane_recording(tiny_device, monkeypatch):
-    """In-process develop lanes leave no thread behind for a pool to fork.
+    """In-process develop and preprocess lanes leave no thread behind for a
+    pool to fork.
 
     A serial sweep first develops its recordings on three lanes (six
     two-frame chunks each); a pool sweep under a watchdog then runs in the
@@ -246,23 +248,23 @@ def test_pool_forks_cleanly_after_multi_lane_recording(tiny_device, monkeypatch)
     failed its cell.
     """
     frame_elements = tiny_device.timing.rows * 32 * 3
-    monkeypatch.setattr(capture, "develop_lanes", lambda: 3)
+    monkeypatch.setattr(lanes, "lane_count", lambda: 3)
     monkeypatch.setattr(capture, "_CHUNK_ELEMENTS", 3 * 2 * frame_elements)
     lane_threads = set()
-    develop_chunks = capture._develop_chunks
+    develop = capture._develop
 
     def spy(*args):
         lane_threads.add(threading.current_thread().name)
-        develop_chunks(*args)
+        return develop(*args)
 
-    monkeypatch.setattr(capture, "_develop_chunks", spy)
+    monkeypatch.setattr(capture, "_develop", spy)
 
     serial = run_specs_resilient(_specs(tiny_device, count=2), workers=1)
     assert not serial.failures
     assert len(lane_threads) == 3
     assert not [
         thread for thread in threading.enumerate()
-        if thread.name.startswith("colorbars-develop")
+        if thread.name.startswith(lanes.THREAD_PREFIX)
     ]
 
     pooled = run_specs_resilient(

@@ -13,7 +13,6 @@ from repro.rx.preprocess import (
     column_color_variance,
     frame_to_scanline_lab,
     frames_to_scanline_lab,
-    scanline_chroma,
 )
 
 
@@ -58,18 +57,6 @@ class TestScanlineReduction:
         rough = frame_to_scanline_lab(make_frame(pixels), smooth_rows=1)
         smooth = frame_to_scanline_lab(make_frame(pixels), smooth_rows=5)
         assert smooth[:, 1].std() < rough[:, 1].std()
-
-
-class TestScanlineChroma:
-    def test_drops_lightness(self):
-        lab = np.array([[50.0, 1.0, 2.0], [60.0, 3.0, 4.0]])
-        chroma = scanline_chroma(lab)
-        assert chroma.shape == (2, 2)
-        assert np.allclose(chroma, [[1, 2], [3, 4]])
-
-    def test_bad_shape(self):
-        with pytest.raises(DemodulationError):
-            scanline_chroma(np.zeros((5, 2)))
 
 
 class TestColumnColorVariance:
@@ -243,3 +230,81 @@ class TestColumnMajorLayout:
         cols = 48
         monkeypatch.setattr(preprocess, "_BLOCK_ELEMENTS", block_rows * cols * 3 + 1)
         self._assert_matches_oracle(self._pixels(31, cols))
+
+
+def _column_major_kernel(pixels, inv_cols):
+    """The column-major Lab block the planar kernel replaced, kept as its
+    byte-exact reference: pixels transposed to ``(cols, rows, 3)`` as
+    3-byte elements, one ``(pixels, 3) @ (3, 3)`` matmul, and a sum over
+    the outermost (column) axis."""
+    rows, cols = pixels.shape[:2]
+    pixel_bytes = np.dtype((np.void, 3))
+    by_column = np.ascontiguousarray(
+        np.ascontiguousarray(pixels).view(pixel_bytes)[..., 0].T
+    )
+    codes = by_column.view(np.uint8).reshape(-1, 3).astype(np.intp)
+    linear = np.take(preprocess._SRGB_BYTE_TO_LINEAR_F32, codes)
+    ratios = linear @ preprocess._RGB_TO_XYZ_RATIOS_F32
+    f = np.cbrt(ratios, out=linear)
+    toe = ratios <= preprocess._LAB_TOE_THRESHOLD
+    ratios *= preprocess._LAB_TOE_SCALE
+    ratios += preprocess._LAB_TOE_OFFSET
+    np.copyto(f, ratios, where=toe)
+    f *= inv_cols
+    return np.add.reduce(f.reshape(cols, rows, 3), axis=0)
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype == np.float32
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint32), expected.view(np.uint32))
+
+
+class TestPlanarKernel:
+    """The planar ``(3, cols, rows)`` block is bitwise the column-major one."""
+
+    def test_every_srgb_byte_triple(self):
+        """All 2**24 pixels, as one-column frames of 2**18 scanlines: each
+        scanline mean is the pixel's own ``f(X/Xn)``."""
+        codes = np.arange(1 << 24, dtype=np.uint32)
+        one = np.float32(1.0)
+        for lo in range(0, 1 << 24, 1 << 18):
+            chunk = codes[lo:lo + (1 << 18)]
+            pixels = np.stack(
+                [chunk >> 16, (chunk >> 8) & 255, chunk & 255], axis=-1
+            ).astype(np.uint8)[:, np.newaxis]
+            _assert_same_bits(
+                preprocess._column_mean_lab_f(pixels, one),
+                _column_major_kernel(pixels, one),
+            )
+
+    # Frames and blocks of a lone scanline or pixel, short blocks, and the
+    # receive path's tall frames: the column sums must add in order.
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [(1, 1), (1, 9), (1, 64), (2, 9), (7, 33), (40, 12), (800, 48),
+         (1920, 32), (3, 1920)],
+    )
+    def test_multi_column_frames(self, rows, cols):
+        pixels = np.random.default_rng(rows * cols).integers(
+            0, 256, size=(rows, cols, 3), dtype=np.uint8
+        )
+        inv_cols = np.float32(1.0 / cols)
+        expected = _column_major_kernel(pixels, inv_cols)
+        _assert_same_bits(preprocess._column_mean_lab_f(pixels, inv_cols), expected)
+        # A strided view of the same pixels converts to the same bits.
+        strided = np.repeat(pixels, 2, axis=1)[:, ::2]
+        _assert_same_bits(preprocess._column_mean_lab_f(strided, inv_cols), expected)
+
+    def test_lone_pixel_blocks(self):
+        """A one-pixel block (a 1x1 frame, or a frame's last scanline of
+        one column) is a matrix-vector product in numpy, not a block one."""
+        pixels = np.random.default_rng(11).integers(
+            0, 256, size=(512, 1, 1, 3), dtype=np.uint8
+        )
+        one = np.float32(1.0)
+        for pixel in pixels:
+            _assert_same_bits(
+                preprocess._column_mean_lab_f(pixel, one),
+                _column_major_kernel(pixel, one),
+            )
