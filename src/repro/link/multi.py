@@ -12,34 +12,28 @@ a fleet of devices and report what each achieves, plus what each device
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.camera.devices import DeviceProfile
 from repro.core.config import SystemConfig
 from repro.core.metrics import LinkMetrics
-from repro.exceptions import CellFailure, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.link.channel import ChannelConditions
-from repro.link.simulator import LinkResult, RunSpec, Runner, execute_specs
+from repro.link.simulator import RunSpec, Runner, execute_specs
 
 
 @dataclass
 class FleetMember:
-    """One receiver's outcome in a shared broadcast.
-
-    ``shared_metrics`` is ``None`` when the member's run failed under a
-    resilient executor (see ``failure`` for the contained record); a plain
-    serial broadcast always populates it.
-    """
+    """One receiver's outcome in a shared broadcast."""
 
     device_name: str
-    shared_metrics: Optional[LinkMetrics]
+    shared_metrics: LinkMetrics
     dedicated_metrics: Optional[LinkMetrics] = None
-    failure: Optional[CellFailure] = None
 
     @property
     def provisioning_cost_bps(self) -> Optional[float]:
         """Goodput this device gives up because the link serves the fleet."""
-        if self.dedicated_metrics is None or self.shared_metrics is None:
+        if self.dedicated_metrics is None:
             return None
         return (
             self.dedicated_metrics.goodput_bps - self.shared_metrics.goodput_bps
@@ -48,22 +42,11 @@ class FleetMember:
 
 @dataclass
 class FleetReport:
-    """Outcome of one broadcast across a device fleet.
-
-    ``failures`` carries every contained :class:`CellFailure` when the
-    broadcast ran under the resilient runtime — a degraded fleet report
-    says exactly which member runs are missing and why, instead of the
-    whole broadcast dying with the worst worker.
-    """
+    """Outcome of one broadcast across a device fleet."""
 
     shared_config_description: str
     worst_loss_ratio: float
     members: List[FleetMember] = field(default_factory=list)
-    failures: List[CellFailure] = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.failures)
 
     def summary_lines(self) -> List[str]:
         lines = [
@@ -71,12 +54,6 @@ class FleetReport:
             f"(provisioned for loss {self.worst_loss_ratio:.3f})"
         ]
         for member in self.members:
-            if member.shared_metrics is None:
-                cause = member.failure.cause if member.failure else "unknown"
-                lines.append(
-                    f"  {member.device_name}: FAILED ({cause}; no shared-run result)"
-                )
-                continue
             line = (
                 f"  {member.device_name}: "
                 f"goodput {member.shared_metrics.goodput_bps:.0f} bps, "
@@ -88,11 +65,6 @@ class FleetReport:
                     f"{member.dedicated_metrics.goodput_bps:.0f} bps)"
                 )
             lines.append(line)
-        if self.failures:
-            lines.append(
-                f"  degraded: {len(self.failures)} member run(s) failed "
-                "(see failures)"
-            )
         return lines
 
 
@@ -187,45 +159,23 @@ def broadcast_to_fleet(
         seed=seed,
     )
     results = execute_specs(specs, runner=runner)
-    return fleet_report_from_results(
-        devices, specs, results, compare_dedicated=compare_dedicated
-    )
-
-
-def fleet_report_from_results(
-    devices: Sequence[DeviceProfile],
-    specs: Sequence[RunSpec],
-    results: Sequence[Optional[LinkResult]],
-    compare_dedicated: bool = True,
-    failures: Sequence[CellFailure] = (),
-) -> FleetReport:
-    """Assemble a :class:`FleetReport` from per-spec results in fleet order.
-
-    Tolerates ``None`` results (cells a resilient executor contained):
-    the member is reported as failed, annotated with its matching
-    :class:`CellFailure` by spec index, and the fleet summary stays usable.
-    """
-    worst_loss = max(device.timing.gap_fraction for device in devices)
     report = FleetReport(
         shared_config_description=specs[0].config.describe(),
-        worst_loss_ratio=worst_loss,
-        failures=list(failures),
+        worst_loss_ratio=max(device.timing.gap_fraction for device in devices),
     )
-    failure_by_index = {failure.index: failure for failure in failures}
     runs_per_member = 2 if compare_dedicated else 1
     for index, device in enumerate(devices):
-        base = index * runs_per_member
-        member_runs = results[base : base + runs_per_member]
-        shared = member_runs[0]
-        dedicated = member_runs[1] if compare_dedicated else None
+        shared = results[index * runs_per_member]
+        dedicated = (
+            results[index * runs_per_member + 1] if compare_dedicated else None
+        )
         report.members.append(
             FleetMember(
                 device_name=device.name,
-                shared_metrics=shared.metrics if shared is not None else None,
+                shared_metrics=shared.metrics,
                 dedicated_metrics=(
                     dedicated.metrics if dedicated is not None else None
                 ),
-                failure=failure_by_index.get(base),
             )
         )
     return report

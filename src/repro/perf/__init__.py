@@ -35,7 +35,6 @@ from repro.perf.runtime import (
     RuntimePolicy,
     RuntimeResult,
     default_cell_timeout,
-    resilient_fleet,
     run_specs_resilient,
     spec_fingerprint,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "RuntimePolicy",
     "RuntimeResult",
     "default_cell_timeout",
-    "resilient_fleet",
     "run_specs_resilient",
     "spec_fingerprint",
 ]

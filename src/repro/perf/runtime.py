@@ -46,10 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.camera.devices import DeviceProfile
 from repro.exceptions import CellFailure, ConfigurationError, JournalError
 from repro.faults.chaos import ProcessChaos
-from repro.link.multi import FleetReport, fleet_report_from_results, fleet_specs
 from repro.link.simulator import LinkResult, RunSpec
 from repro.obs.schema import (
     M_CELLS_COMPLETED,
@@ -459,30 +457,3 @@ def run_specs_resilient(
         results=results, failures=failures, resumed=resumed, workers=workers
     )
 
-
-def resilient_fleet(
-    devices: Sequence[DeviceProfile],
-    workers: Optional[int] = None,
-    policy: Optional[RuntimePolicy] = None,
-    journal=None,
-    resume: bool = False,
-    **fleet_kwargs,
-) -> FleetReport:
-    """The §8 fleet broadcast through the resilient runtime.
-
-    Failed member runs surface as ``FleetReport.failures`` (and per-member
-    ``failure`` records) instead of aborting the whole broadcast — the
-    deployment question §8 asks survives a flaky worker.
-    """
-    compare_dedicated = fleet_kwargs.get("compare_dedicated", True)
-    specs = fleet_specs(devices, **fleet_kwargs)
-    outcome = run_specs_resilient(
-        specs, workers=workers, policy=policy, journal=journal, resume=resume
-    )
-    return fleet_report_from_results(
-        devices,
-        specs,
-        outcome.results,
-        compare_dedicated=compare_dedicated,
-        failures=outcome.failures,
-    )

@@ -195,6 +195,36 @@ class ReceiverReport:
         return counts
 
 
+def preprocess_frames(frames: Sequence) -> List[Optional[np.ndarray]]:
+    """Batched sRGB -> scanline-Lab over same-shape groups of frames.
+
+    Each group converts as one pass on the lanes, bitwise identical to
+    per-frame conversion.  A recording shares one pixel shape, so it is
+    one group; a serving window (:meth:`repro.serve.SessionManager.pump`)
+    may mix shapes and sessions.  Frames in a group whose batched
+    conversion raises, and frames whose pixels cannot be read at all, fall
+    back to ``None`` entries, which ``ColorBarsReceiver._segment_frame``
+    preprocesses individually under its per-frame containment: a frame that
+    fails there fails with the error it would have raised alone.  Nothing
+    raises out of here.
+    """
+    results: List[Optional[np.ndarray]] = [None] * len(frames)
+    groups: dict = {}
+    for position, frame in enumerate(frames):
+        try:
+            groups.setdefault(frame.pixels.shape, []).append(position)
+        except Exception:
+            continue
+    for positions in groups.values():
+        try:
+            labs = frames_to_scanline_lab([frames[p] for p in positions])
+        except Exception:
+            continue
+        for position, lab in zip(positions, labs):
+            results[position] = lab
+    return results
+
+
 class _FrameClock(NamedTuple):
     """The part of a frame classification reads: its index and band clock.
 
@@ -301,42 +331,13 @@ class ColorBarsReceiver:
         if not frames:
             return report
 
-        scanlines = self._preprocess_recording(frames)
+        scanlines = preprocess_frames(frames)
         segmented = []
         for frame, lab in zip(frames, scanlines):
             with self.tracer.span(SPAN_SEGMENT, frame=frame.index):
                 segmented.append(self._segment_frame(frame, scanlines=lab))
         self._process_segmented(segmented, report)
         return report
-
-    def _preprocess_recording(
-        self, frames: Sequence[CapturedFrame]
-    ) -> List[Optional[np.ndarray]]:
-        """Batched sRGB -> scanline-Lab over same-shape groups of frames.
-
-        Whole recordings share one pixel shape, so preprocessing runs as a
-        single stacked pass (bitwise identical to per-frame conversion).
-        Frames in a group whose batched conversion raises, and frames whose
-        pixels cannot be read at all, fall back to ``None`` entries, which
-        ``_segment_frame`` preprocesses individually under its per-frame
-        containment (recording the failure).
-        """
-        results: List[Optional[np.ndarray]] = [None] * len(frames)
-        groups: dict = {}
-        for position, frame in enumerate(frames):
-            try:
-                shape = frame.pixels.shape
-            except ColorBarsError:
-                continue
-            groups.setdefault(shape, []).append(position)
-        for positions in groups.values():
-            try:
-                labs = frames_to_scanline_lab([frames[p] for p in positions])
-            except ColorBarsError:
-                continue
-            for position, lab in zip(positions, labs):
-                results[position] = lab
-        return results
 
     def _process_segmented(
         self, segmented: Sequence["_SegmentedFrame"], report: ReceiverReport

@@ -11,7 +11,10 @@ same sequence, with and without injected faults
 construction, because there is one back half:
 
 * segmentation and classification are the receiver's own per-frame
-  methods, run in feed order;
+  methods, run in feed order; a frame's scanline Lab may arrive already
+  converted (``feed(frame, scanlines=...)``, from a batched
+  :func:`repro.rx.receiver.preprocess_frames` such as the session
+  manager's lookahead), which is bitwise what ``feed`` would compute;
 * each classified frame is pushed into a :class:`repro.rx.assembler.PacketFold`
   — the same fold ``process_frames`` pushes a whole recording through —
   which stitches it, advances the preamble scan, and closes every window
@@ -46,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+import numpy as np
 
 from repro.camera.frame import CapturedFrame
 from repro.exceptions import StreamingStateError
@@ -149,8 +154,16 @@ class StreamingReceiver:
                 return seg.failure
         return None
 
-    def feed(self, frame: CapturedFrame) -> List[PacketEvent]:
-        """Absorb one frame; return the packet events it closed."""
+    def feed(
+        self, frame: CapturedFrame, scanlines: Optional[np.ndarray] = None
+    ) -> List[PacketEvent]:
+        """Absorb one frame; return the packet events it closed.
+
+        ``scanlines`` is the frame's scanline Lab, when a caller has
+        already converted it in a batch (the session manager's lookahead,
+        :func:`repro.rx.receiver.preprocess_frames`); ``None`` converts
+        here.  Either way the frame's bytes and failures are the same.
+        """
         if self._finished:
             raise StreamingStateError(
                 "feed() on a finished streaming session: create a new "
@@ -159,7 +172,7 @@ class StreamingReceiver:
         self.frames_fed += 1
         receiver = self.receiver
         with receiver.tracer.span(SPAN_SEGMENT, frame=frame.index):
-            seg = receiver._segment_frame(frame)
+            seg = receiver._segment_frame(frame, scanlines=scanlines)
         if self._buffering:
             if seg.failure is not None:
                 self.failures_contained += 1

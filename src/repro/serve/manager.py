@@ -30,6 +30,13 @@ level up — what :class:`~repro.exceptions.CellFailure` is to a sweep cell,
   ``channel`` — once the ladder is exhausted or the controller itself
   gives up.
 
+Every pump preprocesses its frames ahead of feeding them: it converts
+them to scanline Lab on the lanes (:mod:`repro.util.lanes`) a bounded
+window at a time, across sessions, then feeds each frame with its
+scanlines in the order frame-at-a-time feeding would.  The lookahead
+moves no byte of any output and changes no containment (see
+:meth:`SessionManager._feed_turns`).
+
 Per-session spans and admitted/rejected/evicted/quarantined counters and
 queue-depth gauges thread through :mod:`repro.obs` (see
 ``docs/METRICS.md``); the no-op defaults keep the hot path clean.
@@ -43,7 +50,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import (
     AdmissionError,
-    ColorBarsError,
     ConfigurationError,
     SessionFailure,
     SessionStateError,
@@ -65,6 +71,7 @@ from repro.obs.schema import (
     SPAN_SERVE_PUMP,
 )
 from repro.obs.trace import NULL_TRACER
+from repro.rx.receiver import preprocess_frames
 from repro.rx.streaming import StreamingReceiver
 from repro.serve.session import (
     STATE_CLOSED,
@@ -73,6 +80,14 @@ from repro.serve.session import (
     ReceiverSession,
     frame_cost_bytes,
 )
+from repro.util import lanes
+
+#: Frames per lane in one lookahead window of :meth:`SessionManager.pump`.
+#: On 2 CPUs (16-frame windows) the benchmark's 200-session soak ran 26%
+#: faster than frame-at-a-time feeding, at +1.6 MB peak RSS; one window
+#: per pump (up to 800 frames) ran 3-5% faster still but took peak RSS
+#: from ~125 to ~220 MB (EXPERIMENTS.md, "Serving lookahead").
+WINDOW_FRAMES_PER_LANE = 8
 
 #: Backpressure policies for a full session queue.
 BACKPRESSURE_DROP_OLDEST = "drop-oldest"
@@ -306,15 +321,23 @@ class SessionManager:
     def pump(self, max_frames_per_session: Optional[int] = None) -> int:
         """Feed every active session's queued frames; returns frames fed.
 
+        Sessions take their turns in admission order, each feeding up to
+        ``max_frames_per_session`` queued frames, oldest first.  The frames
+        are preprocessed ahead of their feed, a lookahead window at a time
+        (see :meth:`_feed_turns`), which moves no byte of any output.
         Failures are contained per session: a quarantine removes one
         session from rotation and the pass continues with the rest.
         """
-        fed = 0
         with self.tracer.span(SPAN_SERVE_PUMP) as span:
             quarantined_before = len(self.failures)
+            turns: List[ReceiverSession] = []
             for session in list(self.sessions.values()):
                 if session.is_active:
-                    fed += self._pump_session(session, max_frames_per_session)
+                    frames = session.queue_depth
+                    if max_frames_per_session is not None:
+                        frames = min(frames, max_frames_per_session)
+                    turns.extend([session] * frames)
+            fed = self._feed_turns(turns)
             span.set("frames", fed)
             span.set("sessions", self._active)
             span.set(
@@ -322,45 +345,97 @@ class SessionManager:
             )
         return fed
 
-    def _pump_session(
-        self, session: ReceiverSession, budget: Optional[int]
-    ) -> int:
+    def _feed_turns(self, turns: List[ReceiverSession]) -> int:
+        """Feed each turn's session its oldest queued frame, in turn order.
+
+        The turns run in windows of :data:`WINDOW_FRAMES_PER_LANE` frames
+        per lane, across sessions.  Each window's frames are first
+        converted to scanline Lab together on the lanes
+        (:func:`repro.rx.receiver.preprocess_frames`), then fed one by one
+        with their scanlines.  A window holds its frames' scanlines only
+        until it is fed, which bounds the lookahead's memory whatever the
+        number of queued frames.  A turn whose session was quarantined
+        earlier in the pass is skipped: its queue is gone.
+        """
         fed = 0
-        streaming = session.streaming
-        while session.queue and (budget is None or fed < budget):
-            frame = session.dequeue()
-            failures_before = streaming.failures_contained
-            try:
-                events = streaming.feed(frame)
-            except ColorBarsError as exc:
-                # feed() contains per-frame pipeline errors itself; one
-                # escaping means the receiver cannot continue at all.
-                self._quarantine(session, CAUSE_ERROR, type(exc).__name__, str(exc))
-                break
-            except Exception as exc:
-                self._quarantine(session, CAUSE_ERROR, type(exc).__name__, str(exc))
-                break
-            fed += 1
-            session.frames_processed += 1
-            session.events.extend(events)
-            session.last_activity = self.clock()
-            if events and session.controller is not None:
-                if not self._observe_window(session):
-                    break
-            if streaming.failures_contained > failures_before:
-                session.consecutive_failures += 1
-                if session.consecutive_failures >= self.policy.quarantine_after:
-                    if self._avert_quarantine(session):
-                        continue
-                    self._quarantine(
-                        session,
-                        CAUSE_POISON,
-                        *self._last_failure_detail(session),
-                    )
-                    break
-            else:
-                session.consecutive_failures = 0
+        window = WINDOW_FRAMES_PER_LANE * lanes.lane_count()
+        for lo in range(0, len(turns), window):
+            part = turns[lo : lo + window]
+            for session, scanlines in zip(part, self._lookahead(part)):
+                if session.is_active:
+                    fed += self._feed_next(session, scanlines)
         return fed
+
+    @staticmethod
+    def _lookahead(turns: List[ReceiverSession]) -> list:
+        """Each turn's frame as scanline Lab, or ``None`` to feed it as is.
+
+        The k-th turn of an active session in ``turns`` will feed the k-th
+        frame of its queue, so the frames are read in place, never
+        dequeued.  Only :class:`StreamingReceiver` sessions take
+        precomputed scanlines.  Fewer than two such frames convert nothing
+        here: a lone frame takes the plain ``feed(frame)`` path.  Nothing
+        raises out of this: a frame the batch cannot convert is fed as is,
+        and fails (or not) exactly as it would alone.
+        """
+        scanlines: list = [None] * len(turns)
+        positions: List[int] = []
+        frames: list = []
+        taken: Dict[ReceiverSession, int] = {}
+        for position, session in enumerate(turns):
+            k = taken.get(session, 0)
+            taken[session] = k + 1
+            if session.is_active and isinstance(
+                session.streaming, StreamingReceiver
+            ):
+                positions.append(position)
+                frames.append(session.queue[k][0])
+        if len(frames) < 2:
+            return scanlines
+        try:
+            labs = preprocess_frames(frames)
+        except Exception:
+            return scanlines
+        for position, lab in zip(positions, labs):
+            scanlines[position] = lab
+        return scanlines
+
+    def _feed_next(self, session: ReceiverSession, scanlines) -> int:
+        """Feed the session its oldest queued frame; returns frames fed.
+
+        Returns 0 when the feed raised and quarantined the session instead.
+        """
+        streaming = session.streaming
+        frame = session.dequeue()
+        failures_before = streaming.failures_contained
+        try:
+            if scanlines is None:
+                events = streaming.feed(frame)
+            else:
+                events = streaming.feed(frame, scanlines=scanlines)
+        except Exception as exc:
+            # feed() contains per-frame pipeline errors itself; one
+            # escaping means the receiver cannot continue at all.
+            self._quarantine(session, CAUSE_ERROR, type(exc).__name__, str(exc))
+            return 0
+        session.frames_processed += 1
+        session.events.extend(events)
+        session.last_activity = self.clock()
+        if events and session.controller is not None:
+            if not self._observe_window(session):
+                return 1
+        if streaming.failures_contained > failures_before:
+            session.consecutive_failures += 1
+            if (
+                session.consecutive_failures >= self.policy.quarantine_after
+                and not self._avert_quarantine(session)
+            ):
+                self._quarantine(
+                    session, CAUSE_POISON, *self._last_failure_detail(session)
+                )
+        else:
+            session.consecutive_failures = 0
+        return 1
 
     def _observe_window(self, session: ReceiverSession) -> bool:
         """Close one adaptation window at a packet boundary.
@@ -463,17 +538,13 @@ class SessionManager:
         with self.tracer.span(
             SPAN_SERVE_CLOSE, session=session.session_id
         ) as span:
-            self._pump_session(session, None)
+            self._feed_turns([session] * session.queue_depth)
             if not session.is_active:
                 # The drain itself quarantined the session.
                 span.set("state", session.state)
                 return
             try:
                 session.events.extend(session.streaming.finish())
-            except ColorBarsError as exc:
-                self._quarantine(session, CAUSE_ERROR, type(exc).__name__, str(exc))
-                span.set("state", session.state)
-                return
             except Exception as exc:
                 self._quarantine(session, CAUSE_ERROR, type(exc).__name__, str(exc))
                 span.set("state", session.state)

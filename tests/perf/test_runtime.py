@@ -25,7 +25,6 @@ from repro.perf.runtime import (
     RuntimePolicy,
     backoff_delay_s,
     default_cell_timeout,
-    resilient_fleet,
     run_specs_resilient,
     spec_fingerprint,
 )
@@ -433,25 +432,6 @@ class TestJournalResume:
         )
         assert resumed.resumed == 1
         assert not resumed.degraded
-
-
-class TestResilientFleet:
-    def test_fleet_surfaces_member_failures(self, tiny_device):
-        report = resilient_fleet(
-            [tiny_device],
-            workers=1,
-            policy=RuntimePolicy(chaos=(WorkerCrashChaos(1.0),)),
-            csk_order=4,
-            symbol_rate=1000.0,
-            duration_s=0.5,
-            compare_dedicated=False,
-        )
-        assert report.degraded
-        (member,) = report.members
-        assert member.failure is not None
-        assert member.failure.cause == "crash"
-        assert member.shared_metrics is None
-        assert any("FAILED" in line for line in report.summary_lines())
 
 
 def _infeasible_spec(tiny_device):
