@@ -14,13 +14,8 @@ from repro.color.chromaticity import (
     ChromaticityPoint,
     GamutTriangle,
     barycentric_coordinates,
-    point_in_triangle,
 )
 from repro.color.cielab import (
-    delta_e_ab,
-    delta_e_cie76,
-    delta_e_cie94,
-    delta_e_ciede2000,
     lab_to_xyz,
     xyz_to_lab,
 )
@@ -38,7 +33,6 @@ from repro.color.illuminants import (
 from repro.color.srgb import (
     linear_to_srgb,
     srgb_to_linear,
-    srgb_to_xyz,
     xyz_to_srgb,
 )
 
@@ -46,11 +40,6 @@ __all__ = [
     "ChromaticityPoint",
     "GamutTriangle",
     "barycentric_coordinates",
-    "point_in_triangle",
-    "delta_e_ab",
-    "delta_e_cie76",
-    "delta_e_cie94",
-    "delta_e_ciede2000",
     "lab_to_xyz",
     "xyz_to_lab",
     "xyY_to_XYZ",
@@ -62,6 +51,5 @@ __all__ = [
     "WhitePoint",
     "linear_to_srgb",
     "srgb_to_linear",
-    "srgb_to_xyz",
     "xyz_to_srgb",
 ]

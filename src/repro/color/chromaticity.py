@@ -67,12 +67,6 @@ def barycentric_coordinates(
     return np.array([u, v, w])
 
 
-def point_in_triangle(point: np.ndarray, vertices: np.ndarray) -> bool:
-    """Whether ``point`` lies inside (or on the edge of) the triangle."""
-    weights = barycentric_coordinates(point, vertices)
-    return bool(np.all(weights >= -_EDGE_TOLERANCE))
-
-
 class GamutTriangle:
     """The chromaticity gamut of a tri-LED emitter.
 

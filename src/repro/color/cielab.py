@@ -1,10 +1,8 @@
-"""CIELab conversion and ΔE color-difference metrics.
+"""CIELab conversion and the just-noticeable color difference.
 
 The ColorBars receiver converts every frame to CIELab and drops the lightness
 channel, matching symbols by Euclidean distance in the ab-plane with the
-just-noticeable-difference threshold ΔE ≈ 2.3 (paper §7).  CIE76 in the
-ab-plane is therefore the primary metric; CIE94 and CIEDE2000 are provided
-for analysis and ablations.
+just-noticeable-difference threshold ΔE ≈ 2.3 (paper §7).
 """
 
 from __future__ import annotations
@@ -55,102 +53,3 @@ def lab_to_xyz(lab: np.ndarray, white: WhitePoint = ILLUMINANT_D65) -> np.ndarra
     fz = fy - lab[..., 2] / 200.0
     xyz = np.stack([_f_inverse(fx), _f_inverse(fy), _f_inverse(fz)], axis=-1)
     return xyz * white.XYZ
-
-
-def delta_e_ab(ab1: np.ndarray, ab2: np.ndarray) -> np.ndarray:
-    """Euclidean distance in the ab-plane (lightness removed).
-
-    This is the demodulation metric from paper §7: brightness variation across
-    the frame is discarded and only chroma distance matters.
-    """
-    ab1 = np.asarray(ab1, dtype=float)
-    ab2 = np.asarray(ab2, dtype=float)
-    return np.sqrt(np.sum((ab1 - ab2) ** 2, axis=-1))
-
-
-def delta_e_cie76(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
-    """Classic ΔE*_76: Euclidean distance in full Lab space."""
-    lab1 = np.asarray(lab1, dtype=float)
-    lab2 = np.asarray(lab2, dtype=float)
-    return np.sqrt(np.sum((lab1 - lab2) ** 2, axis=-1))
-
-
-def delta_e_cie94(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
-    """ΔE*_94 (graphic-arts weights) — perceptually flatter than CIE76."""
-    lab1 = np.asarray(lab1, dtype=float)
-    lab2 = np.asarray(lab2, dtype=float)
-    dL = lab1[..., 0] - lab2[..., 0]
-    c1 = np.hypot(lab1[..., 1], lab1[..., 2])
-    c2 = np.hypot(lab2[..., 1], lab2[..., 2])
-    dC = c1 - c2
-    da = lab1[..., 1] - lab2[..., 1]
-    db = lab1[..., 2] - lab2[..., 2]
-    dH_sq = np.maximum(da**2 + db**2 - dC**2, 0.0)
-    sC = 1.0 + 0.045 * c1
-    sH = 1.0 + 0.015 * c1
-    return np.sqrt(dL**2 + (dC / sC) ** 2 + dH_sq / sH**2)
-
-
-def delta_e_ciede2000(lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray:
-    """ΔE_00 — the CIEDE2000 color difference (Sharma et al. formulation)."""
-    lab1 = np.asarray(lab1, dtype=float)
-    lab2 = np.asarray(lab2, dtype=float)
-    L1, a1, b1 = lab1[..., 0], lab1[..., 1], lab1[..., 2]
-    L2, a2, b2 = lab2[..., 0], lab2[..., 1], lab2[..., 2]
-
-    c1 = np.hypot(a1, b1)
-    c2 = np.hypot(a2, b2)
-    c_bar = 0.5 * (c1 + c2)
-    g = 0.5 * (1.0 - np.sqrt(c_bar**7 / (c_bar**7 + 25.0**7)))
-    a1p = (1.0 + g) * a1
-    a2p = (1.0 + g) * a2
-    c1p = np.hypot(a1p, b1)
-    c2p = np.hypot(a2p, b2)
-    h1p = np.degrees(np.arctan2(b1, a1p)) % 360.0
-    h2p = np.degrees(np.arctan2(b2, a2p)) % 360.0
-
-    dLp = L2 - L1
-    dCp = c2p - c1p
-
-    h_diff = h2p - h1p
-    dhp = np.where(
-        np.abs(h_diff) <= 180.0,
-        h_diff,
-        np.where(h_diff > 180.0, h_diff - 360.0, h_diff + 360.0),
-    )
-    dhp = np.where(c1p * c2p == 0.0, 0.0, dhp)
-    dHp = 2.0 * np.sqrt(c1p * c2p) * np.sin(np.radians(dhp) / 2.0)
-
-    Lp_bar = 0.5 * (L1 + L2)
-    Cp_bar = 0.5 * (c1p + c2p)
-    h_sum = h1p + h2p
-    hp_bar = np.where(
-        c1p * c2p == 0.0,
-        h_sum,
-        np.where(
-            np.abs(h1p - h2p) <= 180.0,
-            0.5 * h_sum,
-            np.where(h_sum < 360.0, 0.5 * (h_sum + 360.0), 0.5 * (h_sum - 360.0)),
-        ),
-    )
-
-    t = (
-        1.0
-        - 0.17 * np.cos(np.radians(hp_bar - 30.0))
-        + 0.24 * np.cos(np.radians(2.0 * hp_bar))
-        + 0.32 * np.cos(np.radians(3.0 * hp_bar + 6.0))
-        - 0.20 * np.cos(np.radians(4.0 * hp_bar - 63.0))
-    )
-    d_theta = 30.0 * np.exp(-(((hp_bar - 275.0) / 25.0) ** 2))
-    rc = 2.0 * np.sqrt(Cp_bar**7 / (Cp_bar**7 + 25.0**7))
-    sl = 1.0 + (0.015 * (Lp_bar - 50.0) ** 2) / np.sqrt(20.0 + (Lp_bar - 50.0) ** 2)
-    sc = 1.0 + 0.045 * Cp_bar
-    sh = 1.0 + 0.015 * Cp_bar * t
-    rt = -np.sin(np.radians(2.0 * d_theta)) * rc
-
-    return np.sqrt(
-        (dLp / sl) ** 2
-        + (dCp / sc) ** 2
-        + (dHp / sh) ** 2
-        + rt * (dCp / sc) * (dHp / sh)
-    )

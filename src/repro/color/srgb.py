@@ -66,11 +66,6 @@ def xyz_to_linear_rgb(xyz: np.ndarray) -> np.ndarray:
     return xyz @ XYZ_TO_SRGB_MATRIX.T
 
 
-def srgb_to_xyz(srgb: np.ndarray) -> np.ndarray:
-    """Gamma-encoded sRGB in [0, 1] to CIE XYZ."""
-    return linear_rgb_to_xyz(srgb_to_linear(srgb))
-
-
 def xyz_to_srgb(xyz: np.ndarray) -> np.ndarray:
     """CIE XYZ to gamma-encoded sRGB, clipped into [0, 1]."""
     return linear_to_srgb(xyz_to_linear_rgb(xyz))

@@ -10,20 +10,16 @@ the simulation substitute for the paper's 10-volunteer study behind Fig 3(b).
 
 from repro.flicker.bloch import (
     BLOCH_CRITICAL_DURATION_S,
-    perceived_chromaticity,
     perceived_chromaticity_series,
 )
 from repro.flicker.threshold import (
     FlickerModel,
     required_white_fraction,
-    white_fraction_table,
 )
 
 __all__ = [
     "BLOCH_CRITICAL_DURATION_S",
-    "perceived_chromaticity",
     "perceived_chromaticity_series",
     "FlickerModel",
     "required_white_fraction",
-    "white_fraction_table",
 ]

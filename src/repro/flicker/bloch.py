@@ -23,21 +23,6 @@ from repro.util.validation import require_positive
 BLOCH_CRITICAL_DURATION_S = 0.05
 
 
-def perceived_chromaticity(
-    waveform: OpticalWaveform,
-    start: float,
-    critical_duration: float = BLOCH_CRITICAL_DURATION_S,
-) -> np.ndarray:
-    """Chromaticity perceived for a window starting at ``start``.
-
-    The eye integrates XYZ over ``[start, start + critical_duration]``; the
-    perceived color is the chromaticity of that integral.
-    """
-    require_positive(critical_duration, "critical_duration")
-    mean_xyz = waveform.mean_xyz(start, start + critical_duration)
-    return XYZ_to_xy(mean_xyz)
-
-
 def perceived_chromaticity_series(
     waveform: OpticalWaveform,
     critical_duration: float = BLOCH_CRITICAL_DURATION_S,

@@ -22,7 +22,6 @@ paper's empirical Fig 3(b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 import numpy as np
 
@@ -77,18 +76,6 @@ def required_white_fraction(
     if deviation <= threshold:
         return 0.0
     return float(min(1.0, 1.0 - threshold / deviation))
-
-
-def white_fraction_table(
-    symbol_rates: Sequence[float],
-    chroma_spread: float,
-    **kwargs,
-) -> Dict[float, float]:
-    """Fig 3(b) as a table: rate -> minimum white fraction."""
-    return {
-        rate: required_white_fraction(rate, chroma_spread, **kwargs)
-        for rate in symbol_rates
-    }
 
 
 @dataclass

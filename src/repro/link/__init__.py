@@ -40,8 +40,6 @@ from repro.link.simulator import (
     sweep_specs,
 )
 from repro.link.workloads import (
-    image_like_payload,
-    random_payload,
     text_payload,
 )
 
@@ -70,7 +68,5 @@ __all__ = [
     "execute_specs",
     "sweep",
     "sweep_specs",
-    "image_like_payload",
-    "random_payload",
     "text_payload",
 ]

@@ -16,14 +16,6 @@ from repro.exceptions import ConfigurationError
 from repro.util.rng import make_rng
 
 
-def random_payload(size: int, seed=0) -> bytes:
-    """Uniformly random bytes — the worst case for any entropy coding."""
-    if size <= 0:
-        raise ConfigurationError(f"size must be positive, got {size}")
-    rng = make_rng(seed)
-    return bytes(rng.integers(0, 256, size, dtype=np.uint8))
-
-
 def text_payload(size: int, seed=0) -> bytes:
     """ASCII text resembling retail/navigation broadcast content."""
     if size <= 0:
@@ -40,25 +32,6 @@ def text_payload(size: int, seed=0) -> bytes:
     while len(out) < size:
         out.extend(fragments[int(rng.integers(0, len(fragments)))])
     return bytes(out[:size])
-
-
-def image_like_payload(size: int, seed=0) -> bytes:
-    """Bytes with the statistics of a small compressed image.
-
-    Compressed image data is high-entropy but not uniform; we synthesize a
-    tiny gradient-plus-noise bitmap and deflate it, then cycle the result to
-    the requested size.
-    """
-    if size <= 0:
-        raise ConfigurationError(f"size must be positive, got {size}")
-    rng = make_rng(seed)
-    side = 32
-    gradient = np.linspace(0, 255, side, dtype=np.uint8)
-    bitmap = np.add.outer(gradient, gradient) // 2
-    noisy = (bitmap + rng.integers(0, 32, bitmap.shape)).astype(np.uint8)
-    compressed = zlib.compress(noisy.tobytes(), level=9)
-    repeats = -(-size // len(compressed))
-    return (compressed * repeats)[:size]
 
 
 def beacon_payload(identifier: int, url: str = "") -> bytes:

@@ -13,7 +13,6 @@ from repro.phy.pwm import PwmChannel, PwmController
 from repro.phy.symbols import (
     LogicalSymbol,
     SymbolKind,
-    count_data_symbols,
     data_symbol,
     off_symbol,
     white_symbol,
@@ -28,7 +27,6 @@ __all__ = [
     "PwmController",
     "LogicalSymbol",
     "SymbolKind",
-    "count_data_symbols",
     "data_symbol",
     "off_symbol",
     "white_symbol",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.exceptions import ModulationError
 
@@ -49,10 +49,6 @@ class LogicalSymbol:
             raise ModulationError(
                 f"{self.kind.name} symbols must not carry an index"
             )
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind is SymbolKind.DATA
 
     @property
     def is_white(self) -> bool:
@@ -106,8 +102,3 @@ def symbols_from_string(spec: str) -> List[LogicalSymbol]:
                 f"symbol string may contain only 'o' and 'w', got {char!r}"
             )
     return out
-
-
-def count_data_symbols(symbols: Iterable[LogicalSymbol]) -> int:
-    """Number of DATA symbols in a stream (throughput accounting)."""
-    return sum(1 for s in symbols if s.is_data)

@@ -13,7 +13,7 @@ from repro.rx.preprocess import (
 )
 from repro.rx.segmentation import Band, BandSegmenter
 from repro.rx.detector import ReceivedBand, SymbolDetector
-from repro.rx.assembler import PacketAssembler, ReceivedPacket, StreamItem
+from repro.rx.assembler import PacketAssembler, ReceivedPacket
 from repro.rx.receiver import ColorBarsReceiver, ReceiverReport
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "SymbolDetector",
     "PacketAssembler",
     "ReceivedPacket",
-    "StreamItem",
     "ColorBarsReceiver",
     "ReceiverReport",
 ]

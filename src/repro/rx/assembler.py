@@ -8,22 +8,30 @@ the packet the burst sits and *how many* symbols it swallowed — which turns
 the loss into byte erasures at known positions for the Reed-Solomon decoder
 (far stronger than treating them as unknown-position errors).
 
-The assembler consumes the per-frame band streams and emits
-:class:`ReceivedPacket` objects carrying the reconstructed codeword bytes
-and their erasure positions, plus calibration events.  :class:`PacketFold`
-is the receiver's one back half: it takes a frame's bands at a time and
-returns the packets whose windows closed, for a live stream and a whole
-recording alike.
+The assembler consumes each frame's band record
+(:class:`~repro.rx.detector.FrameRecord`), stitches the records into one
+columnar :class:`SymbolStream`, and emits :class:`ReceivedPacket` objects
+carrying the reconstructed codeword bytes and their erasure positions, plus
+calibration events.  :class:`PacketFold` is the receiver's one back half:
+it takes a frame at a time and returns the packets whose windows closed,
+for a live stream and a whole recording alike.  No per-band object is
+built on the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.csk.demodulator import DecisionKind
+from repro.csk.demodulator import (
+    DECISION_KINDS,
+    KIND_DATA,
+    KIND_OFF,
+    KIND_WHITE,
+    NO_INDEX,
+)
 from repro.exceptions import DemodulationError, FramingError
 from repro.packet.framing import (
     CALIBRATION_FLAG,
@@ -32,25 +40,60 @@ from repro.packet.framing import (
     PacketKind,
 )
 from repro.packet.packetizer import Packetizer
-from repro.rx.detector import ReceivedBand
+from repro.rx.detector import FrameRecord
 from repro.util.validation import require_positive
 
+#: The stream's ``kind`` code for a gap marker, after the decision codes.
+KIND_GAP = len(DECISION_KINDS)
 
-class StreamItem(NamedTuple):
-    """One element of the stitched symbol stream: a band or a loss marker.
+#: One position of the stitched stream: the band fields a packet window
+#: reads, or a gap marker (``kind`` :data:`KIND_GAP`, NaN time and color).
+STREAM_ENTRY = np.dtype(
+    [
+        ("lab", np.float64, (3,)),
+        ("mid_time", np.float64),
+        ("frame_index", np.int64),
+        ("index", np.int16),
+        ("kind", np.uint8),
+    ]
+)
 
-    ``band`` is ``None`` for gap markers, in which case ``lost`` counts the
-    symbols the inter-frame gap swallowed at this position.  One per
-    received band, so an immutable :class:`~typing.NamedTuple` rather than
-    a frozen dataclass.
+_GAP_ENTRY = np.array(((np.nan,) * 3, np.nan, -1, NO_INDEX, KIND_GAP), STREAM_ENTRY)
+
+#: Skeleton character by ``kind`` code: 'x' per lit band, 'o' per dark
+#: band, '_' per gap marker.  Preambles are matched on the OFF-symbol
+#: skeleton only: the dark symbol is the one band class that is trivially
+#: reliable ("easily identified", §5), whereas the white bands between them
+#: can drift toward data colors under exposure/white-balance wander.  Since
+#: OFF appears nowhere outside preambles, the skeleton alone identifies
+#: them with negligible false-positive probability.
+_SKELETON = np.full(KIND_GAP + 1, ord("x"), dtype=np.uint8)
+_SKELETON[[KIND_OFF, KIND_GAP]] = ord("o"), ord("_")
+
+
+class SymbolStream:
+    """The stitched symbol stream, one position per band or gap marker.
+
+    ``chars`` is the stream's o/x/_ skeleton and ``entries`` its
+    :data:`STREAM_ENTRY` columns, position for position.  ``last_time`` is
+    the ``mid_time`` of the last band stitched on; :meth:`drop` keeps it,
+    so the next frame's gap still counts from that band.
     """
 
-    band: Optional[ReceivedBand]
-    lost: int = 0
+    __slots__ = ("chars", "entries", "last_time")
 
-    @property
-    def is_gap(self) -> bool:
-        return self.band is None
+    def __init__(self) -> None:
+        self.chars = ""
+        self.entries = np.empty(0, dtype=STREAM_ENTRY)
+        self.last_time: Optional[float] = None
+
+    def __len__(self) -> int:
+        return len(self.chars)
+
+    def drop(self, count: int) -> None:
+        """Forget the first ``count`` positions."""
+        self.chars = self.chars[count:]
+        self.entries = self.entries[count:]
 
 
 @dataclass
@@ -202,7 +245,7 @@ class PacketAssembler:
         Stitching counts lost symbols as ``round(dt / T)``.  Beyond
         ``2**52`` symbol periods from ``t = 0`` a float64 time no longer
         resolves one period, so such a count would be meaningless (or, for
-        an infinite ``dt``, raise).  Every band of the frame lies between
+        an infinite ``dt``, undefined).  Every band of the frame lies between
         its first row's exposure start and its last row's exposure end.
         """
         limit = _MAX_CLOCK_SYMBOLS / self.symbol_rate
@@ -218,76 +261,56 @@ class PacketAssembler:
                 f"{self.symbol_rate:g} Hz symbol clock resolves"
             )
 
-    def stitch(
-        self, per_frame_bands: Sequence[Sequence[ReceivedBand]]
-    ) -> List[StreamItem]:
-        """Merge per-frame band lists, inserting gap markers between frames.
+    def stitch(self, frames: Iterable[FrameRecord]) -> SymbolStream:
+        """Merge per-frame band records, inserting gap markers between bands.
 
-        The number of symbols lost between two frames comes from band
+        The number of symbols lost between two bands comes from band
         timing: consecutive received bands are one symbol period apart on
-        air, so a larger time difference across a frame boundary means
-        ``round(dt / T) - 1`` symbols vanished (gap plus any edge bands the
-        segmenter discarded).
+        air, so a larger time difference (across a frame boundary, or where
+        the segmenter discarded a band) means ``round(dt / T) - 1`` symbols
+        vanished.
         """
-        items: List[StreamItem] = []
-        previous_band: Optional[ReceivedBand] = None
-        for frame_bands in per_frame_bands:
-            previous_band = self.stitch_into(items, frame_bands, previous_band)
-        return items
+        stream = SymbolStream()
+        for frame in frames:
+            self.stitch_into(stream, frame)
+        return stream
 
-    def stitch_into(
-        self,
-        items: List[StreamItem],
-        frame_bands: Sequence[ReceivedBand],
-        previous_band: Optional[ReceivedBand],
-    ) -> Optional[ReceivedBand]:
+    def stitch_into(self, stream: SymbolStream, frame: FrameRecord) -> None:
         """Fold one frame's bands onto a stitched stream, in place.
 
-        The incremental form of :meth:`stitch` (a fold over this method)
-        that :class:`PacketFold` pushes each frame through: the caller
-        carries ``previous_band`` across calls and gap markers are inserted
-        exactly where a whole-recording stitch would put them.  Returns the
-        new ``previous_band``.
+        The incremental form of :meth:`stitch` that :class:`PacketFold`
+        pushes each frame through.  Gap counts come from the frame's
+        ``mid_time`` column in one vectorized pass; ``rint`` rounds half to
+        even on float64, as ``round`` does, so each is exactly
+        ``int(round(dt / period)) - 1``.
         """
-        period = 1.0 / self.symbol_rate
+        record = frame.record
         stats = self.stats
-        append = items.append
-        for band in frame_bands:
-            if previous_band is not None:
-                dt = band.mid_time - previous_band.mid_time
-                missing = int(round(dt / period)) - 1
-                if missing > 0:
-                    append(StreamItem(None, missing))
-                    stats.symbols_lost_in_gaps += missing
-                    stats.gaps_inserted += 1
-                    stats.max_gap_symbols = max(stats.max_gap_symbols, missing)
-            append(StreamItem(band))
-            previous_band = band
-        stats.symbols_consumed += len(frame_bands)
-        return previous_band
+        stats.symbols_consumed += len(record)
+        if not len(record):
+            return
+        times = record["mid_time"]
+        previous = times[0] if stream.last_time is None else stream.last_time
+        period = 1.0 / self.symbol_rate
+        missing = (
+            np.rint(np.diff(times, prepend=previous) / period).astype(np.int64) - 1
+        )
+        entries = np.empty(len(record), dtype=STREAM_ENTRY)
+        for name in ("lab", "mid_time", "index", "kind"):
+            entries[name] = record[name]
+        entries["frame_index"] = frame.frame_index
+        gaps = np.flatnonzero(missing > 0)
+        if gaps.size:
+            lost = missing[gaps]
+            stats.symbols_lost_in_gaps += int(lost.sum())
+            stats.gaps_inserted += int(gaps.size)
+            stats.max_gap_symbols = max(stats.max_gap_symbols, int(lost.max()))
+            entries = np.insert(entries, gaps, _GAP_ENTRY)
+        stream.entries = np.concatenate((stream.entries, entries))
+        stream.chars += _SKELETON[entries["kind"]].tobytes().decode("ascii")
+        stream.last_time = float(times[-1])
 
     # -- preamble matching -------------------------------------------------
-
-    @staticmethod
-    def _classify_chars(items: Sequence[StreamItem]) -> str:
-        """'o' per dark band, 'x' per lit band, '_' per gap marker.
-
-        Preambles are matched on the OFF-symbol *skeleton* only: the dark
-        symbol is the one band class that is trivially reliable ("easily
-        identified", §5), whereas the white bands between them can drift
-        toward data colors under exposure/white-balance wander.  Since OFF
-        appears nowhere outside preambles, the skeleton alone identifies
-        them with negligible false-positive probability.
-        """
-        off = DecisionKind.OFF
-        chars = []
-        for item in items:
-            band = item.band
-            if band is None:
-                chars.append("_")
-            else:
-                chars.append("o" if band.decision.kind is off else "x")
-        return "".join(chars)
 
     @staticmethod
     def _skeleton(pattern: str) -> str:
@@ -303,9 +326,7 @@ class PacketAssembler:
 
     # -- packet extraction -------------------------------------------------
 
-    def extract(
-        self, items: List[StreamItem]
-    ) -> tuple:
+    def extract(self, stream: SymbolStream) -> tuple:
         """Locate packets in a whole stitched stream.
 
         Returns ``(packets, calibration_events)``.  Data packets whose
@@ -314,8 +335,7 @@ class PacketAssembler:
         decodes through :class:`PacketFold`, which closes the same windows
         a frame at a time.
         """
-        chars = self._classify_chars(items)
-        matches = self.make_scanner().scan(chars, final=True)
+        matches = self.make_scanner().scan(stream.chars, final=True)
         self.stats.preambles_seen += len(matches)
 
         packets: List[ReceivedPacket] = []
@@ -324,9 +344,9 @@ class PacketAssembler:
             limit = (
                 matches[match_index + 1][0]
                 if match_index + 1 < len(matches)
-                else len(items)
+                else len(stream)
             )
-            result = self.extract_window(items, start, kind, limit)
+            result = self.extract_window(stream, start, kind, limit)
             if result is None:
                 continue
             if kind is PacketKind.CALIBRATION:
@@ -336,7 +356,7 @@ class PacketAssembler:
         return packets, calibrations
 
     def extract_window(
-        self, items: List[StreamItem], start: int, kind: PacketKind, limit: int
+        self, stream: SymbolStream, start: int, kind: PacketKind, limit: int
     ):
         """Extract the one packet whose preamble matched at ``start``.
 
@@ -350,15 +370,15 @@ class PacketAssembler:
         flag = DATA_FLAG if kind is PacketKind.DATA else CALIBRATION_FLAG
         body_start = start + len(DELIMITER) + len(flag)
         if kind is PacketKind.CALIBRATION:
-            event = self._extract_calibration(items, body_start, limit)
+            event = self._extract_calibration(stream, body_start, limit)
             if event is None:
                 self.stats.calibration_packets_dropped += 1
             else:
                 self.stats.calibration_packets_ok += 1
             return event
-        return self._extract_data(items, body_start, limit)
+        return self._extract_data(stream, body_start, limit)
 
-    def _anchor_time(self, items: List[StreamItem], body_start: int) -> float:
+    def _anchor_time(self, stream: SymbolStream, body_start: int) -> float:
         """On-air time of the last preamble symbol before ``body_start``.
 
         Slot indices within a packet are derived from band timing relative
@@ -366,10 +386,9 @@ class PacketAssembler:
         frame boundaries, but each band's own exposure-core time is accurate
         to a fraction of a symbol, so ``round(dt / T)`` indexes slots exactly.
         """
-        anchor = items[body_start - 1]
-        if anchor.is_gap:  # cannot happen for a matched preamble
+        if stream.chars[body_start - 1] == "_":  # cannot happen for a match
             raise FramingError("preamble ended in a gap marker")
-        return anchor.band.mid_time
+        return float(stream.entries["mid_time"][body_start - 1])
 
     def _timed_slot(self, anchor_time: float, band_time: float) -> int:
         """Slot index (0-based after the anchor symbol) from band timing."""
@@ -377,7 +396,7 @@ class PacketAssembler:
         return int(round((band_time - anchor_time) / period)) - 1
 
     def _extract_calibration(
-        self, items: List[StreamItem], body_start: int, limit: int
+        self, stream: SymbolStream, body_start: int, limit: int
     ) -> Optional[CalibrationEvent]:
         """Collect calibration colors, tolerating a gap mid-packet.
 
@@ -385,71 +404,56 @@ class PacketAssembler:
         to its constellation index by its timing offset from the preamble.
         """
         order = self.packetizer.mapper.constellation.order
-        anchor_time = self._anchor_time(items, body_start)
+        anchor_time = self._anchor_time(stream, body_start)
+        window = stream.entries[body_start:limit]
+        times = window["mid_time"].tolist()
         indices: List[int] = []
-        chroma_rows: List[np.ndarray] = []
-        frame_index = -1
-        position = body_start
-        while position < limit and position < len(items):
-            item = items[position]
-            position += 1
-            if item.is_gap:
+        rows: List[int] = []
+        for row, char in enumerate(stream.chars[body_start:limit]):
+            if char != "x":
+                # A gap, or a dark band: calibration symbols are all lit, so
+                # a dark band is a corrupted slot (occlusion, torn rows) whose
+                # chroma would poison the table for the whole session.
                 continue
-            if item.band.decision.kind is DecisionKind.OFF:
-                # Calibration symbols are constellation colors — all lit.  A
-                # dark band here is a corrupted slot (occlusion, torn rows),
-                # and absorbing its chroma would poison the calibration
-                # table for the whole session; skip it like a gap.
-                continue
-            slot = self._timed_slot(anchor_time, item.band.mid_time)
+            slot = self._timed_slot(anchor_time, times[row])
             if slot >= order:
                 break
             if slot < 0 or (indices and slot <= indices[-1]):
                 continue
-            if frame_index < 0:
-                frame_index = item.band.frame_index
             indices.append(slot)
-            chroma_rows.append(item.band.chroma)
+            rows.append(row)
         if not indices:
             return None
-        chroma = np.stack(chroma_rows)
         # White reference: mean chroma of the flag's lit bands (the flag's
         # bright symbols are white by construction, whatever they decoded as).
-        whites = [
-            items[i].band.chroma
-            for i in range(max(body_start - len(CALIBRATION_FLAG), 0), body_start)
-            if not items[i].is_gap
-            and items[i].band.decision.kind is not DecisionKind.OFF
-        ]
-        white = np.mean(whites, axis=0) if whites else None
+        flag = range(max(body_start - len(CALIBRATION_FLAG), 0), body_start)
+        whites = [position for position in flag if stream.chars[position] == "x"]
+        white = np.mean(stream.entries["lab"][whites, 1:], axis=0) if whites else None
         return CalibrationEvent(
             indices=indices,
-            symbol_chroma=chroma,
+            symbol_chroma=window["lab"][rows, 1:],
             white_chroma=white,
-            frame_index=frame_index,
+            frame_index=int(window["frame_index"][rows[0]]),
         )
 
     def _extract_data(
-        self, items: List[StreamItem], body_start: int, limit: int
+        self, stream: SymbolStream, body_start: int, limit: int
     ) -> Optional[ReceivedPacket]:
         size_symbols = self.packetizer.config.size_field_symbols
-        anchor_time = self._anchor_time(items, body_start)
+        anchor_time = self._anchor_time(stream, body_start)
 
         # Size field: the first `size_symbols` timed slots must all be
         # present, contiguous DATA bands — a header touched by the gap (or
         # demodulated as anything but data) drops the packet, per §5.
-        size_slots = items[body_start : body_start + size_symbols]
+        size_field = stream.entries[body_start : body_start + size_symbols]
+        labels = size_field["index"].tolist()
         if (
-            len(size_slots) < size_symbols
+            len(size_field) < size_symbols
+            or any(kind != KIND_DATA for kind in size_field["kind"].tolist())
+            or NO_INDEX in labels
             or any(
-                s.is_gap
-                or s.band.decision.kind is not DecisionKind.DATA
-                or s.band.decision.index is None
-                for s in size_slots
-            )
-            or any(
-                self._timed_slot(anchor_time, s.band.mid_time) != i
-                for i, s in enumerate(size_slots)
+                self._timed_slot(anchor_time, time) != i
+                for i, time in enumerate(size_field["mid_time"].tolist())
             )
         ):
             self.stats.data_packets_dropped_header += 1
@@ -458,10 +462,10 @@ class PacketAssembler:
         # The size field's labels, MSB-first, packed into one int.
         bits_per_symbol = self.packetizer.bits_per_symbol
         codeword_bytes = 0
-        for slot in size_slots:
+        for index in labels:
             codeword_bytes = (
                 codeword_bytes << bits_per_symbol
-            ) | self.packetizer.mapper.label_of_index(slot.band.decision.index)
+            ) | self.packetizer.mapper.label_of_index(index)
         if codeword_bytes == 0 or codeword_bytes > self.packetizer.max_codeword_bytes:
             self.stats.data_packets_dropped_size += 1
             return None
@@ -470,9 +474,7 @@ class PacketAssembler:
         slots_needed = len(layout)
         slot_decisions, symbols_received, symbols_erased, layout_errors = (
             self._collect_body_slots(
-                items,
-                body_start + size_symbols,
-                limit,
+                stream.entries[body_start + size_symbols : limit],
                 slots_needed,
                 layout,
                 anchor_time,
@@ -489,7 +491,7 @@ class PacketAssembler:
             symbols_received=symbols_received,
             symbols_erased=symbols_erased,
             complete=symbols_erased == 0,
-            first_frame=size_slots[0].band.frame_index,
+            first_frame=int(size_field["frame_index"][0]),
             symbol_errors_vs_layout=layout_errors,
         )
         self.stats.data_packets_ok += 1
@@ -497,15 +499,13 @@ class PacketAssembler:
 
     def _collect_body_slots(
         self,
-        items: List[StreamItem],
-        start: int,
-        limit: int,
+        window: np.ndarray,
         slots_needed: int,
         layout: List[bool],
         anchor_time: float,
         slot_offset: int,
     ) -> tuple:
-        """Place received bands into body slots by their on-air timing.
+        """Place a window's received bands into body slots by their timing.
 
         Each band's timed offset from the preamble anchor names its slot
         exactly (gap *counts* can drift by a symbol across frame boundaries;
@@ -518,13 +518,14 @@ class PacketAssembler:
         slot_values: List[object] = [None] * slots_needed
         received = 0
         layout_errors = 0
-        position = start
-        while position < limit and position < len(items):
-            item = items[position]
-            position += 1
-            if item.is_gap:
+        for kind, index, time in zip(
+            window["kind"].tolist(),
+            window["index"].tolist(),
+            window["mid_time"].tolist(),
+        ):
+            if kind == KIND_GAP:
                 continue
-            slot = self._timed_slot(anchor_time, item.band.mid_time) - slot_offset
+            slot = self._timed_slot(anchor_time, time) - slot_offset
             if slot < 0:
                 continue
             if slot >= slots_needed:
@@ -532,16 +533,15 @@ class PacketAssembler:
             if slot_values[slot] is not None:
                 layout_errors += 1
                 continue
-            decision = item.band.decision
             expected_white = layout[slot]
-            if decision.kind is DecisionKind.WHITE:
+            if kind == KIND_WHITE:
                 if not expected_white:
                     layout_errors += 1
                 slot_values[slot] = "w"
-            elif decision.kind is DecisionKind.DATA and decision.index is not None:
+            elif kind == KIND_DATA and index != NO_INDEX:
                 if expected_white:
                     layout_errors += 1
-                slot_values[slot] = decision.index
+                slot_values[slot] = index
             else:
                 # OFF inside a body: a corrupted slot, left as an erasure.
                 continue
@@ -600,9 +600,9 @@ class PacketAssembler:
 class PacketFold:
     """The receive back half as a fold: one frame's bands in, packets out.
 
-    :meth:`push` stitches a frame onto the stream
-    (:meth:`PacketAssembler.stitch_into`), classifies the new items onto the
-    OFF skeleton, advances a :class:`PreambleScanner` and closes every
+    :meth:`push` stitches a frame's record onto a columnar
+    :class:`SymbolStream` (:meth:`PacketAssembler.stitch_into`), advances a
+    :class:`PreambleScanner` over the stream's skeleton and closes every
     window the scan has decided through
     :meth:`PacketAssembler.extract_window`.  A window closes when the next
     preamble matches, or at :meth:`close`, which flushes the tail.  Both
@@ -612,10 +612,9 @@ class PacketFold:
     scan would decide it the same way, any split of a recording into
     pushes closes the same windows.
 
-    Between preambles the consumed prefix of the stitched stream is
-    pruned, so a fold holds O(window) state however long it runs.  Each
-    fold owns a fresh :class:`PacketAssembler`, so :attr:`stats` count this
-    pass alone.
+    Between preambles the consumed prefix of the stream is dropped, so a
+    fold holds O(window) state however long it runs.  Each fold owns a
+    fresh :class:`PacketAssembler`, so :attr:`stats` count this pass alone.
     """
 
     def __init__(self, packetizer: Packetizer, symbol_rate: float) -> None:
@@ -623,19 +622,13 @@ class PacketFold:
         self.stats = self.assembler.stats
         self.calibrations: List[CalibrationEvent] = []
         self._scanner = self.assembler.make_scanner()
-        self._items: List[StreamItem] = []
-        self._chars = ""
-        self._previous_band: Optional[ReceivedBand] = None
+        self._stream = SymbolStream()
         #: The last matched, not-yet-closed preamble: ``(start, kind)``.
         self._pending: Optional[tuple] = None
 
-    def push(self, bands: Sequence[ReceivedBand]) -> List[ReceivedPacket]:
+    def push(self, frame: FrameRecord) -> List[ReceivedPacket]:
         """Fold one frame's bands in; return the packets that closed."""
-        grown_from = len(self._items)
-        self._previous_band = self.assembler.stitch_into(
-            self._items, bands, self._previous_band
-        )
-        self._chars += self.assembler._classify_chars(self._items[grown_from:])
+        self.assembler.stitch_into(self._stream, frame)
         return self._drain(final=False)
 
     def close(self) -> List[ReceivedPacket]:
@@ -644,18 +637,18 @@ class PacketFold:
 
     def _drain(self, final: bool) -> List[ReceivedPacket]:
         """Advance the preamble scan; close every decided window."""
+        stream = self._stream
         packets: List[ReceivedPacket] = []
-        for start, kind in self._scanner.scan(self._chars, final):
+        for start, kind in self._scanner.scan(stream.chars, final):
             if self._pending is not None:
                 self._close_window(self._pending, start, packets)
             self.stats.preambles_seen += 1
             self._pending = (start, kind)
         if final:
             if self._pending is not None:
-                self._close_window(self._pending, len(self._items), packets)
+                self._close_window(self._pending, len(stream), packets)
                 self._pending = None
-            self._items = []
-            self._chars = ""
+            stream.drop(len(stream))
             self._scanner.position = 0
             return packets
         # Everything before the open window (or, with no window open,
@@ -667,8 +660,7 @@ class PacketFold:
         else:
             cut = self._scanner.position
         if cut > 0:
-            del self._items[:cut]
-            self._chars = self._chars[cut:]
+            stream.drop(cut)
             self._scanner.position -= cut
         return packets
 
@@ -676,7 +668,7 @@ class PacketFold:
         self, match: tuple, limit: int, packets: List[ReceivedPacket]
     ) -> None:
         start, kind = match
-        result = self.assembler.extract_window(self._items, start, kind, limit)
+        result = self.assembler.extract_window(self._stream, start, kind, limit)
         if result is None:
             return
         if kind is PacketKind.CALIBRATION:

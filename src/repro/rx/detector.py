@@ -32,10 +32,10 @@ from repro.rx.segmentation import Band, BandColumns
 
 
 class ReceivedBand(NamedTuple):
-    """A detected band tagged with its frame, timing and decision.
+    """A logged band read back as one object: frame, timing and decision.
 
-    One per received band, so an immutable :class:`~typing.NamedTuple`
-    rather than a frozen dataclass.
+    Only :class:`BandLog`'s read-back builds these (and old pickled reports
+    hold lists of them): an immutable :class:`~typing.NamedTuple`.
     """
 
     frame_index: int
@@ -100,36 +100,39 @@ def received_bands(frame_index: int, record: np.ndarray) -> List[ReceivedBand]:
     )
 
 
-class FrameBands(list):
-    """One frame's :class:`ReceivedBand` list, with the record behind it.
+#: A zero-length record: each of its columns is an empty array of the
+#: column's dtype and shape.
+NO_BANDS = np.empty(0, dtype=BAND_RECORD)
 
-    :meth:`SymbolDetector.detect` returns this: the packet fold consumes
-    the band objects, while the report's :class:`BandLog` keeps only
-    ``record`` (one :data:`BAND_RECORD` per band) and ``frame_index``.
+
+class FrameRecord:
+    """One frame's classified bands: its index and :data:`BAND_RECORD` array.
+
+    :meth:`SymbolDetector.detect` returns this, and it is the only form a
+    band takes from there to FEC: the packet fold reads its columns and the
+    report's :class:`BandLog` keeps ``record`` as it is.  ``len`` is the
+    band count.
     """
 
     __slots__ = ("frame_index", "record")
 
-    def __init__(self, frame_index: int, record: np.ndarray) -> None:
-        super().__init__(received_bands(frame_index, record))
+    def __init__(self, frame_index: int, record: np.ndarray = NO_BANDS) -> None:
         self.frame_index = frame_index
         self.record = record
 
-
-#: A zero-length record: each of its columns is an empty array of the
-#: column's dtype and shape.
-_NO_BANDS = np.empty(0, dtype=BAND_RECORD)
+    def __len__(self) -> int:
+        return len(self.record)
 
 
 class BandLog(Sequence):
     """Every band a receive pass classified, kept as per-frame records.
 
     A read-only :class:`~collections.abc.Sequence` of :class:`ReceivedBand`:
-    ``len``, iteration and indexing build the band objects on demand, equal
-    field for field to the ones the detector handed the packet fold.  What
-    it holds is one :data:`BAND_RECORD` array per frame, so a live
-    session's report grows by ~72 bytes per band instead of a ~570-byte
-    object graph.  Scoring reads it by column (:func:`band_column`).
+    ``len``, iteration and indexing build the band objects on demand from
+    the records the detector handed the packet fold.  What it holds is one
+    :data:`BAND_RECORD` array per frame, so a live session's report grows
+    by ~72 bytes per band instead of a ~570-byte object graph.  Scoring
+    reads it by column (:func:`band_column`).
     """
 
     def __init__(self) -> None:
@@ -138,13 +141,13 @@ class BandLog(Sequence):
         #: Band count up to and including each frame.
         self._ends: List[int] = []
 
-    def append_frame(self, bands: Sequence[ReceivedBand]) -> None:
-        """Log one frame's bands: a :class:`FrameBands`, or empty."""
-        if not bands:
+    def append_frame(self, frame: FrameRecord) -> None:
+        """Log one frame's bands (an empty frame logs nothing)."""
+        if not len(frame):
             return
-        self._frame_indices.append(bands.frame_index)
-        self._records.append(bands.record)
-        self._ends.append(len(self) + len(bands.record))
+        self._frame_indices.append(frame.frame_index)
+        self._records.append(frame.record)
+        self._ends.append(len(self) + len(frame))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -195,7 +198,7 @@ def band_column(
             [len(record) for record in records],
         )
     else:
-        column = np.concatenate([_NO_BANDS[name]] + [r[name] for r in records])
+        column = np.concatenate([NO_BANDS[name]] + [r[name] for r in records])
     return column[start - (bands._ends[frame - 1] if frame else 0):]
 
 
@@ -242,16 +245,15 @@ class SymbolDetector:
         self,
         frame: CapturedFrame,
         bands: Sequence[Band],
-    ) -> List[ReceivedBand]:
+    ) -> FrameRecord:
         """Attach timing and symbol decisions to a frame's bands.
 
         ``bands`` is the segmenter's :class:`BandColumns`, or any sequence
-        of :class:`Band` records.  The result is a :class:`FrameBands`,
-        whose record is packed straight from the band and decision columns
-        (empty input gives a plain empty list).
+        of :class:`Band` records.  The result's record is packed straight
+        from the band and decision columns; no band object is built.
         """
         if not bands:
-            return []
+            return FrameRecord(frame.index)
         if not isinstance(bands, BandColumns):
             bands = BandColumns.from_bands(bands)
         if self.calibrated:
@@ -273,4 +275,4 @@ class SymbolDetector:
             * float(frame.row_period)
             + float(frame.exposure.exposure_s / 2.0)
         )
-        return FrameBands(frame.index, record)
+        return FrameRecord(frame.index, record)

@@ -51,7 +51,13 @@ from repro.rx.assembler import (
     PacketFold,
     ReceivedPacket,
 )
-from repro.rx.detector import BandLog, ReceivedBand, SymbolDetector, band_column
+from repro.rx.detector import (
+    BandLog,
+    FrameRecord,
+    ReceivedBand,
+    SymbolDetector,
+    band_column,
+)
 from repro.rx.preprocess import frame_to_scanline_lab, frames_to_scanline_lab
 from repro.rx.segmentation import Band, BandColumns, BandSegmenter
 
@@ -371,21 +377,21 @@ class ColorBarsReceiver:
                 return []
 
         with self.tracer.span(SPAN_DEMOD) as span:
-            per_frame_bands = [
+            classified = [
                 self._classify_frame(seg, report.frame_failures)
                 for seg in segmented
             ]
             report.frames_processed = len(segmented)
             bands_histogram = self.metrics.histogram(M_FRAME_BANDS)
-            for bands in per_frame_bands:
-                report.bands.append_frame(bands)
-                report.symbols_detected += len(bands)
-                bands_histogram.observe(len(bands))
+            for frame in classified:
+                report.bands.append_frame(frame)
+                report.symbols_detected += len(frame)
+                bands_histogram.observe(len(frame))
             span.set("symbols", report.symbols_detected)
             span.set("frames_failed", report.frames_failed)
 
         with self.tracer.span(SPAN_ASSEMBLE) as span:
-            fold, packets = self._assemble(per_frame_bands)
+            fold, packets = self._assemble(classified)
             report.symbols_lost_in_gaps = fold.stats.symbols_lost_in_gaps
             span.set("packets", len(packets))
             span.set("calibrations", len(fold.calibrations))
@@ -410,13 +416,13 @@ class ColorBarsReceiver:
         return fold
 
     def _assemble(
-        self, per_frame_bands: Iterable[Sequence[ReceivedBand]]
+        self, frames: Iterable[FrameRecord]
     ) -> Tuple[PacketFold, List[ReceivedPacket]]:
         """Push a whole recording through a fresh fold and close it."""
         fold = self._new_fold()
         packets: List[ReceivedPacket] = []
-        for bands in per_frame_bands:
-            packets.extend(fold.push(bands))
+        for frame in frames:
+            packets.extend(fold.push(frame))
         packets.extend(fold.close())
         return fold, packets
 
@@ -491,12 +497,12 @@ class ColorBarsReceiver:
         self,
         segmented: "_SegmentedFrame",
         failures: Optional[List[FrameFailure]] = None,
-    ) -> List[ReceivedBand]:
+    ) -> FrameRecord:
         """The calibration-dependent back half: detect, with containment."""
         if segmented.failure is not None:
             if failures is not None:
                 failures.append(segmented.failure)
-            return []
+            return FrameRecord(segmented.failure.frame_index)
         try:
             return self.detector.detect(segmented.clock, segmented.bands)
         except ColorBarsError as exc:
@@ -509,7 +515,7 @@ class ColorBarsReceiver:
                         message=str(exc),
                     )
                 )
-            return []
+            return FrameRecord(segmented.clock.index)
 
     def _absorb_calibrations(
         self, events: Sequence[CalibrationEvent], report: ReceiverReport

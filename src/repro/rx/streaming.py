@@ -37,11 +37,11 @@ by about 100 bytes per band (about 2.6 KB for a 1920-row frame of 25 bands,
 whose pixels take 184 KB at 32 columns), and the caller's frames are free
 to be collected once fed.
 
-The fold prunes the consumed prefix of the stitched stream between
-preambles, so a calibrated session's back half holds band objects for
-O(window) bands no matter how long it runs — the property the session
-service (:mod:`repro.serve`) builds its memory caps on.  The report still
-logs every band, as one packed 72-byte record per band
+The fold drops the consumed prefix of its columnar stream between
+preambles, so a calibrated session's back half holds O(window) stream
+entries no matter how long it runs — the property the session service
+(:mod:`repro.serve`) builds its memory caps on.  The report still logs
+every band, as one packed 72-byte record per band
 (:class:`repro.rx.detector.BandLog`).
 """
 
@@ -180,14 +180,14 @@ class StreamingReceiver:
             return []
         report = self.report
         failures_before = len(report.frame_failures)
-        bands = receiver._classify_frame(seg, report.frame_failures)
+        classified = receiver._classify_frame(seg, report.frame_failures)
         if len(report.frame_failures) > failures_before:
             self.failures_contained += 1
         report.frames_processed += 1
-        report.bands.append_frame(bands)
-        report.symbols_detected += len(bands)
-        receiver.metrics.histogram(M_FRAME_BANDS).observe(len(bands))
-        return self._decode(self._fold.push(bands))
+        report.bands.append_frame(classified)
+        report.symbols_detected += len(classified)
+        receiver.metrics.histogram(M_FRAME_BANDS).observe(len(classified))
+        return self._decode(self._fold.push(classified))
 
     def finish(self) -> List[PacketEvent]:
         """Flush the stream: close the last window, commit calibrations."""

@@ -35,12 +35,10 @@ from repro.tooling.contracts import CONTRACT_RULES, ContractRule, run_contract_r
 from repro.tooling.findings import Finding, parse_pragmas
 from repro.tooling.layers import LAYER_DEPS, allowed_imports, layer_of
 from repro.tooling.project import (
-    AnalysisCache,
     ModuleSummary,
     Project,
     build_project,
     module_name_for,
-    shared_cache,
     summarize_module,
 )
 from repro.tooling.rules import ALL_RULES, Rule, get_rules
@@ -55,7 +53,6 @@ from repro.tooling.runner import (
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisCache",
     "CONTRACT_RULES",
     "ContractRule",
     "Finding",
@@ -76,6 +73,5 @@ __all__ = [
     "parse_pragmas",
     "run_analysis",
     "run_contract_rules",
-    "shared_cache",
     "summarize_module",
 ]

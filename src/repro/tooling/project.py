@@ -11,12 +11,7 @@ imports, functions and their resolved call targets, classes and bases,
 and assembles them into a :class:`Project` the contract rules
 (:mod:`repro.tooling.contracts`) reason over.
 
-Summaries are pure functions of the file's text, so they are memoized in an
-:class:`AnalysisCache` keyed by ``(path, sha256(source))``.  Re-analyzing an
-unchanged tree within one process parses nothing, which keeps the repo-wide
-pytest gate fast (``tests/core/test_lint_clean.py`` asserts the second run
-is cache-warm, ``tests/tooling/test_project.py`` pins the speedup bound).
-Each ``colorbars lint`` call is a fresh process and starts cold.
+Summaries are pure functions of the file's text.
 """
 
 from __future__ import annotations
@@ -29,12 +24,8 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import ToolingError
-from repro.tooling.findings import Finding, parse_pragmas
+from repro.tooling.findings import parse_pragmas
 from repro.tooling.layers import layer_of
-
-#: Bump when the extraction below changes shape or semantics, so stale
-#: in-memory cache entries from an older analyzer can never be replayed.
-SUMMARY_VERSION = 1
 
 #: Methods whose string argument names a span or metric (the obs contract).
 OBS_METHODS = frozenset({"span", "counter", "gauge", "histogram"})
@@ -242,7 +233,7 @@ class ModuleSummary:
 
 
 def content_hash(source: str) -> str:
-    """The cache key component: sha256 of the file's text."""
+    """The sha256 of a file's text."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
@@ -620,87 +611,6 @@ def summarize_module(
     )
 
 
-class AnalysisCache:
-    """Content-hash keyed memo of per-file summaries and lint findings.
-
-    Both maps key on ``(path, sha256(source), version)``: the hash makes a
-    stale entry impossible (any edit changes the key), the path keeps
-    findings — which embed their location — from leaking between identical
-    files at different paths, and the version invalidates everything when
-    the analyzer itself changes.  Purely in-memory: one cache serves one
-    process (the pytest gate, one CLI invocation), which is where repeated
-    re-analysis actually happens.
-    """
-
-    def __init__(self) -> None:
-        self._summaries: Dict[Tuple[str, str, int], ModuleSummary] = {}
-        self._findings: Dict[
-            Tuple[str, str, str, int], Tuple[Finding, ...]
-        ] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(path: str, digest: str) -> Tuple[str, str, int]:
-        return (str(path), digest, SUMMARY_VERSION)
-
-    def summary(self, path: str, source: str) -> ModuleSummary:
-        """Memoized :func:`summarize_module`."""
-        key = self._key(path, content_hash(source))
-        cached = self._summaries.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        summary = summarize_module(path, source)
-        self._summaries[key] = summary
-        return summary
-
-    def findings(
-        self, path: str, digest: str, signature: str = "<all>"
-    ) -> Optional[Tuple[Finding, ...]]:
-        """Cached per-file findings for this content + rule set, if present.
-
-        ``signature`` identifies the rule subset that produced the findings
-        (see ``runner._rules_signature``), so a ``--rules`` invocation can
-        never replay findings computed for a different rule set.
-        """
-        cached = self._findings.get(
-            (str(path), digest, signature, SUMMARY_VERSION)
-        )
-        if cached is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return cached
-
-    def store_findings(
-        self,
-        path: str,
-        digest: str,
-        findings: Sequence[Finding],
-        signature: str = "<all>",
-    ) -> None:
-        self._findings[(str(path), digest, signature, SUMMARY_VERSION)] = tuple(
-            findings
-        )
-
-    def clear(self) -> None:
-        self._summaries.clear()
-        self._findings.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-#: The process-wide cache the runner and CLI default to.
-_SHARED_CACHE = AnalysisCache()
-
-
-def shared_cache() -> AnalysisCache:
-    """The default process-wide :class:`AnalysisCache`."""
-    return _SHARED_CACHE
-
-
 class Project:
     """The assembled whole-program view: summaries plus symbol indexes."""
 
@@ -772,18 +682,10 @@ def project_files(roots: Sequence[Union[str, Path]]) -> List[Path]:
 
 def build_project(
     roots: Union[str, Path, Sequence[Union[str, Path]]],
-    cache: Optional[AnalysisCache] = None,
 ) -> Project:
-    """Summarize every file under ``roots`` into one :class:`Project`.
-
-    ``cache=None`` uses the shared process-wide cache; pass a fresh
-    :class:`AnalysisCache` for isolation (tests) or ``clear()`` it to force
-    a cold build.
-    """
+    """Summarize every file under ``roots`` into one :class:`Project`."""
     if isinstance(roots, (str, Path)):
         roots = [roots]
-    if cache is None:
-        cache = shared_cache()
     summaries = []
     for file_path in project_files(roots):
         try:
@@ -791,7 +693,7 @@ def build_project(
         except OSError as exc:
             raise ToolingError(f"cannot read {file_path}: {exc}") from exc
         try:
-            summaries.append(cache.summary(str(file_path), source))
+            summaries.append(summarize_module(str(file_path), source))
         except ToolingError:
             # Unparseable files are reported by the per-file linter as
             # syntax-error findings; the graph simply omits them.

@@ -5,12 +5,6 @@ per-file rules over every file, plus the whole-program contract rules when
 ``strict``.  Both passes discover files through
 :func:`~repro.tooling.project.project_files`, so overlapping paths are
 checked once.
-
-File-level linting is memoized through the content-hash keyed
-:class:`~repro.tooling.project.AnalysisCache`: ``lint_file``/``lint_tree``
-default to the shared process-wide cache, so repeated runs inside one
-process (the pytest gate) re-parse only files whose bytes changed.  Pass
-``cache=AnalysisCache()`` for an isolated, cold cache.
 """
 
 from __future__ import annotations
@@ -23,14 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.exceptions import ToolingError
 from repro.tooling.contracts import run_contract_rules
 from repro.tooling.findings import Finding, apply_pragmas, parse_pragmas
-from repro.tooling.project import (
-    AnalysisCache,
-    build_project,
-    content_hash,
-    module_name_for,
-    project_files,
-    shared_cache,
-)
+from repro.tooling.project import build_project, module_name_for, project_files
 from repro.tooling.rules import ALL_RULES, LintRule, ModuleContext, Rule
 
 __all__ = [
@@ -61,13 +48,6 @@ class LintReport:
 
     def format(self) -> str:
         return format_report(self.findings, self.files_checked)
-
-
-def _rules_signature(rules: Optional[Sequence[Rule]]) -> str:
-    """Cache-key component identifying which rule set produced the findings."""
-    if rules is None:
-        return "<all>"
-    return ",".join(sorted(rule.rule_id for rule in rules))
 
 
 def lint_source(
@@ -108,30 +88,19 @@ def lint_source(
 def lint_file(
     path: Union[str, Path],
     rules: Optional[Sequence[Rule]] = None,
-    cache: Optional[AnalysisCache] = None,
 ) -> List[Finding]:
-    """Lint one file on disk, memoized on its content hash."""
+    """Lint one file on disk."""
     file_path = Path(path)
     try:
         source = file_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ToolingError(f"cannot read {file_path}: {exc}") from exc
-    if cache is None:
-        cache = shared_cache()
-    digest = content_hash(source)
-    signature = _rules_signature(rules)
-    cached = cache.findings(str(file_path), digest, signature)
-    if cached is not None:
-        return list(cached)
-    findings = lint_source(source, path=file_path, rules=rules)
-    cache.store_findings(str(file_path), digest, findings, signature)
-    return findings
+    return lint_source(source, path=file_path, rules=rules)
 
 
 def lint_tree(
     roots: Union[str, Path, Sequence[Union[str, Path]]],
     rules: Optional[Sequence[Rule]] = None,
-    cache: Optional[AnalysisCache] = None,
 ) -> LintReport:
     """Lint every ``*.py`` file under ``roots`` (files, directories, or both)."""
     if isinstance(roots, (str, Path)):
@@ -139,7 +108,7 @@ def lint_tree(
     files = project_files(roots)
     findings: List[Finding] = []
     for file_path in files:
-        findings.extend(lint_file(file_path, rules=rules, cache=cache))
+        findings.extend(lint_file(file_path, rules=rules))
     return LintReport(findings=tuple(sorted(findings)), files_checked=len(files))
 
 
@@ -147,7 +116,6 @@ def run_analysis(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[LintRule]] = None,
     strict: bool = False,
-    cache: Optional[AnalysisCache] = None,
 ) -> LintReport:
     """Lint ``paths`` with per-file rules, plus contract rules when strict.
 
@@ -158,10 +126,10 @@ def run_analysis(
     if rules is not None:
         file_rules = [r for r in rules if r.scope == "file"]
         contract_rules = [r for r in rules if r.scope == "project"]
-    report = lint_tree(paths, rules=file_rules, cache=cache)
+    report = lint_tree(paths, rules=file_rules)
     if not strict:
         return report
-    project = build_project(paths, cache=cache)
+    project = build_project(paths)
     findings = report.findings + tuple(run_contract_rules(project, contract_rules))
     return LintReport(
         findings=tuple(sorted(findings)), files_checked=report.files_checked

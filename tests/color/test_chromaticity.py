@@ -8,7 +8,6 @@ from repro.color.chromaticity import (
     ChromaticityPoint,
     GamutTriangle,
     barycentric_coordinates,
-    point_in_triangle,
 )
 from repro.exceptions import ConfigurationError, GamutError
 
@@ -61,11 +60,6 @@ class TestContainment:
 
     def test_far_point_outside(self, triangle):
         assert not triangle.contains(ChromaticityPoint(0.9, 0.9))
-
-    def test_point_in_triangle_helper(self, triangle):
-        assert point_in_triangle(
-            triangle.centroid().as_array(), triangle.vertices
-        )
 
 
 class TestMixing:

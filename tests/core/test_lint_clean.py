@@ -13,7 +13,6 @@ from pathlib import Path
 
 import repro
 from repro.tooling import lint_tree, run_analysis
-from repro.tooling.project import AnalysisCache
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 
@@ -28,14 +27,3 @@ def test_package_tree_is_strict_clean():
     report = run_analysis([PACKAGE_ROOT], strict=True)
     assert report.clean, "\n" + report.format()
 
-
-def test_second_lint_run_is_cache_warm():
-    # The repo gate runs the linter repeatedly (pytest + CLI in the same
-    # process); the content-hash cache must make every rerun parse-free.
-    cache = AnalysisCache()
-    lint_tree(PACKAGE_ROOT, cache=cache)
-    misses_after_cold = cache.misses
-    assert misses_after_cold > 0
-    report = lint_tree(PACKAGE_ROOT, cache=cache)
-    assert cache.misses == misses_after_cold, "second lint run re-parsed files"
-    assert cache.hits >= report.files_checked

@@ -4,8 +4,9 @@ A function, method or class that only its own unit test calls is code with
 no job: it costs reading time and keeps its tests green while nothing else
 relies on it.  This guard walks ``src/repro`` and requires each non-dunder
 definition's name to appear, as a whole word, somewhere besides its own
-definition — in ``src/repro`` (package ``__init__`` exports count), or in
-``bench/``, ``benchmarks/`` or ``examples/``.  ``tests/`` does not count.
+definition — in ``src/repro``, or in ``bench/``, ``benchmarks/`` or
+``examples/``.  ``tests/`` does not count, and neither do package
+``__init__.py`` files: a re-export is not a use.
 
 The check is textual, so a name shared with any other identifier, comment
 or docstring passes; it catches the names nothing mentions at all.
@@ -28,6 +29,8 @@ def _word_counts():
     counts = Counter()
     for root in CONSUMERS:
         for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
             counts.update(_IDENTIFIER.findall(path.read_text(encoding="utf-8")))
     return counts
 

@@ -7,7 +7,6 @@ from repro.csk.modulator import CskModulator
 from repro.exceptions import ConfigurationError
 from repro.flicker.bloch import (
     BLOCH_CRITICAL_DURATION_S,
-    perceived_chromaticity,
     perceived_chromaticity_series,
     worst_case_excursion,
 )
@@ -37,16 +36,18 @@ def rgb_sequence_waveform(led):
 
 
 class TestPerceivedChromaticity:
+    """The first perception window of a series, ``[0, critical duration]``."""
+
     def test_rgb_sequence_perceived_white(self, rgb_sequence_waveform, led):
         """Fig 3(a): equal-proportion fast R/G/B looks white to the eye."""
-        xy = perceived_chromaticity(rgb_sequence_waveform, start=0.0)
+        xy = perceived_chromaticity_series(rgb_sequence_waveform)[0]
         white = led.white_point.as_array()
         # PWM duty quantization perturbs each primary's power slightly.
         assert np.allclose(xy, white, atol=2e-3)
 
     def test_constant_color_perceived_as_itself(self, modulator8, constellation8):
         wf = modulator8.waveform([data_symbol(2)] * 200, extend=EXTEND_CYCLE)
-        xy = perceived_chromaticity(wf, start=0.0)
+        xy = perceived_chromaticity_series(wf)[0]
         assert np.allclose(
             xy, constellation8.point(2).as_array(), atol=5e-3
         )
@@ -54,7 +55,7 @@ class TestPerceivedChromaticity:
     def test_invalid_duration(self, modulator8):
         wf = modulator8.waveform([white_symbol()] * 100)
         with pytest.raises(ConfigurationError):
-            perceived_chromaticity(wf, 0.0, critical_duration=0.0)
+            perceived_chromaticity_series(wf, critical_duration=0.0)
 
 
 class TestSeries:

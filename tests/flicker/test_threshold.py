@@ -7,7 +7,6 @@ from repro.flicker.threshold import (
     FlickerModel,
     constellation_chroma_spread,
     required_white_fraction,
-    white_fraction_table,
 )
 
 
@@ -57,11 +56,6 @@ class TestRequiredWhiteFraction:
             required_white_fraction(0, 0.2)
         with pytest.raises(Exception):
             required_white_fraction(1000, -0.1)
-
-    def test_table_helper(self):
-        table = white_fraction_table([1000, 2000], chroma_spread=0.2)
-        assert set(table) == {1000, 2000}
-        assert table[1000] > table[2000]
 
 
 class TestFlickerModel:

@@ -11,16 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.rx.test_assembler import pack_frame
+
 from repro.csk.constellation import design_constellation
-from repro.csk.demodulator import DecisionKind, SymbolDecision
 from repro.csk.mapping import SymbolMapper
 from repro.exceptions import UncorrectableBlockError
 from repro.fec.reed_solomon import ReedSolomonCodec
 from repro.packet.packetizer import PacketConfig, Packetizer
 from repro.phy.led import typical_tri_led
 from repro.rx.assembler import PacketAssembler
-from repro.rx.detector import ReceivedBand
-from repro.rx.segmentation import Band
 
 SYMBOL_RATE = 1000.0
 PERIOD = 1.0 / SYMBOL_RATE
@@ -35,27 +34,14 @@ def make_stack(order=8, eta=0.8):
 
 
 def bands_for(symbols, drop):
+    """Two frame records, split at the packet's middle, minus `drop`."""
     frames = {0: [], 1: []}
     for position, symbol in enumerate(symbols):
         if position in drop:
             continue
-        if symbol.is_off:
-            decision = SymbolDecision(DecisionKind.OFF, None, 0.0, True)
-        elif symbol.is_white:
-            decision = SymbolDecision(DecisionKind.WHITE, None, 0.5, True)
-        else:
-            decision = SymbolDecision(DecisionKind.DATA, symbol.index, 0.5, True)
         frame_index = 0 if position < (len(symbols) // 2) else 1
-        band = Band(0, 20, 5, 15, np.array([70.0, 0.0, 0.0]))
-        frames[frame_index].append(
-            ReceivedBand(
-                frame_index=frame_index,
-                band=band,
-                mid_time=position * PERIOD + PERIOD / 2,
-                decision=decision,
-            )
-        )
-    return [frames[0], frames[1]]
+        frames[frame_index].append((position * PERIOD + PERIOD / 2, symbol))
+    return [pack_frame(0, frames[0]), pack_frame(1, frames[1])]
 
 
 class TestBurstRecovery:
@@ -84,8 +70,8 @@ class TestBurstRecovery:
         else:
             drop = set()
 
-        items = assembler.stitch(bands_for(symbols, drop))
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_for(symbols, drop))
+        packets, _ = assembler.extract(stream)
         assert len(packets) == 1
         packet = packets[0]
         assert packet.header_bytes == 40
@@ -120,8 +106,8 @@ class TestBurstRecovery:
                 replace=False,
             )
         }
-        items = assembler.stitch(bands_for(symbols, drop))
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_for(symbols, drop))
+        packets, _ = assembler.extract(stream)
         assert len(packets) == 1
         packet = packets[0]
         for index, byte in enumerate(packet.codeword):

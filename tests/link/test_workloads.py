@@ -5,27 +5,7 @@ import zlib
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.link.workloads import (
-    beacon_payload,
-    image_like_payload,
-    random_payload,
-    text_payload,
-)
-
-
-class TestRandomPayload:
-    def test_size_and_determinism(self):
-        assert len(random_payload(100, seed=1)) == 100
-        assert random_payload(100, seed=1) == random_payload(100, seed=1)
-        assert random_payload(100, seed=1) != random_payload(100, seed=2)
-
-    def test_high_entropy(self):
-        data = random_payload(4096, seed=0)
-        assert len(zlib.compress(data)) > 0.95 * len(data)
-
-    def test_invalid_size(self):
-        with pytest.raises(ConfigurationError):
-            random_payload(0)
+from repro.link.workloads import beacon_payload, text_payload
 
 
 class TestTextPayload:
@@ -37,16 +17,6 @@ class TestTextPayload:
     def test_compressible(self):
         data = text_payload(4096, seed=0)
         assert len(zlib.compress(data)) < 0.5 * len(data)
-
-
-class TestImageLikePayload:
-    def test_size(self):
-        assert len(image_like_payload(333)) == 333
-
-    def test_moderate_entropy(self):
-        data = image_like_payload(2048, seed=1)
-        ratio = len(zlib.compress(data)) / len(data)
-        assert ratio > 0.3
 
 
 class TestBeaconPayload:

@@ -1,14 +1,12 @@
 """Edge-case tests for framing and assembly boundaries."""
 
-import numpy as np
 import pytest
 
-from repro.csk.demodulator import DecisionKind, SymbolDecision
+from tests.rx.test_assembler import pack_frame
+
 from repro.packet.framing import PacketKind, preamble_symbols
 from repro.packet.packetizer import PacketConfig, Packetizer
 from repro.rx.assembler import PacketAssembler
-from repro.rx.detector import ReceivedBand
-from repro.rx.segmentation import Band
 
 SYMBOL_RATE = 1000.0
 PERIOD = 1.0 / SYMBOL_RATE
@@ -25,24 +23,14 @@ def assembler(packetizer):
 
 
 def bands(symbols, start_position=0):
-    out = []
-    for offset, symbol in enumerate(symbols):
-        position = start_position + offset
-        if symbol.is_off:
-            decision = SymbolDecision(DecisionKind.OFF, None, 0.0, True)
-        elif symbol.is_white:
-            decision = SymbolDecision(DecisionKind.WHITE, None, 0.5, True)
-        else:
-            decision = SymbolDecision(DecisionKind.DATA, symbol.index, 0.5, True)
-        out.append(
-            ReceivedBand(
-                frame_index=0,
-                band=Band(0, 20, 5, 15, np.array([70.0, 0.0, 0.0])),
-                mid_time=position * PERIOD + PERIOD / 2,
-                decision=decision,
-            )
-        )
-    return out
+    """One frame's record: a band per symbol, decided as sent."""
+    return pack_frame(
+        0,
+        [
+            ((start_position + offset) * PERIOD + PERIOD / 2, symbol)
+            for offset, symbol in enumerate(symbols)
+        ],
+    )
 
 
 class TestPreambleEdges:
@@ -50,20 +38,20 @@ class TestPreambleEdges:
         """A preamble with no body after it (recording ended) must not
         crash: the header read fails and the packet is dropped."""
         symbols = preamble_symbols(PacketKind.DATA)
-        items = assembler.stitch([bands(symbols)])
-        packets, calibrations = assembler.extract(items)
+        stream = assembler.stitch([bands(symbols)])
+        packets, calibrations = assembler.extract(stream)
         assert packets == [] and calibrations == []
         assert assembler.stats.data_packets_dropped_header == 1
 
     def test_calibration_preamble_at_stream_end(self, assembler, packetizer):
         symbols = preamble_symbols(PacketKind.CALIBRATION)
-        items = assembler.stitch([bands(symbols)])
-        packets, calibrations = assembler.extract(items)
+        stream = assembler.stitch([bands(symbols)])
+        packets, calibrations = assembler.extract(stream)
         assert calibrations == []
         assert assembler.stats.calibration_packets_dropped == 1
 
     def test_empty_stream(self, assembler):
-        packets, calibrations = assembler.extract([])
+        packets, calibrations = assembler.extract(assembler.stitch([]))
         assert packets == [] and calibrations == []
 
     def test_back_to_back_preambles(self, assembler, packetizer):
@@ -71,8 +59,8 @@ class TestPreambleEdges:
         first packet's body entirely lost) is dropped cleanly."""
         first = preamble_symbols(PacketKind.DATA)
         second = packetizer.build_data_packet(b"\x11\x22")
-        items = assembler.stitch([bands(first + second)])
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch([bands(first + second)])
+        packets, _ = assembler.extract(stream)
         # Only the complete second packet survives.
         assert len(packets) == 1
         assert packets[0].codeword == b"\x11\x22"
@@ -91,8 +79,8 @@ class TestSizeFieldEdges:
         """A size field decoding to zero bytes is impossible: dropped."""
         symbols = preamble_symbols(PacketKind.DATA)
         symbols += mapper8.bits_to_symbols([0] * 9)  # three zero labels
-        items = assembler.stitch([bands(symbols)])
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch([bands(symbols)])
+        packets, _ = assembler.extract(stream)
         assert packets == []
         assert assembler.stats.data_packets_dropped_size == 1
 
@@ -100,7 +88,7 @@ class TestSizeFieldEdges:
         from repro.phy.symbols import white_symbol
 
         symbols = preamble_symbols(PacketKind.DATA) + [white_symbol()] * 3
-        items = assembler.stitch([bands(symbols)])
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch([bands(symbols)])
+        packets, _ = assembler.extract(stream)
         assert packets == []
         assert assembler.stats.data_packets_dropped_header == 1

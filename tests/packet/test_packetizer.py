@@ -9,6 +9,7 @@ from repro.exceptions import PacketError, PacketTooLargeError
 from repro.packet.framing import DATA_FLAG, DELIMITER, PacketKind, preamble_symbols
 from repro.packet.packetizer import PacketConfig, Packetizer, white_schedule
 from repro.phy.led import typical_tri_led
+from repro.phy.symbols import SymbolKind
 from repro.util.bitstream import bytes_to_bits, int_to_bits
 
 
@@ -95,7 +96,7 @@ class TestDataPackets:
         codeword = b"\xde\xad\xbe\xef"
         packet = packetizer.build_data_packet(codeword)
         body = packet[8 + 3 :]
-        data_symbols = [s for s in body if s.is_data]
+        data_symbols = [s for s in body if s.kind is SymbolKind.DATA]
         bits = label_bits(mapper8, data_symbols)
         assert bits[: len(bytes_to_bits(codeword))] == bytes_to_bits(codeword)
 
@@ -103,7 +104,7 @@ class TestDataPackets:
         packet = packetizer.build_data_packet(bytes(30))
         body = packet[11:]
         whites = sum(1 for s in body if s.is_white)
-        datas = sum(1 for s in body if s.is_data)
+        datas = sum(1 for s in body if s.kind is SymbolKind.DATA)
         assert datas / (datas + whites) == pytest.approx(0.8, abs=0.05)
 
     def test_empty_codeword_rejected(self, packetizer):

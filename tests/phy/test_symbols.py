@@ -6,7 +6,6 @@ from repro.exceptions import ModulationError
 from repro.phy.symbols import (
     LogicalSymbol,
     SymbolKind,
-    count_data_symbols,
     data_symbol,
     off_symbol,
     symbols_from_string,
@@ -17,7 +16,7 @@ from repro.phy.symbols import (
 class TestConstruction:
     def test_data_symbol(self):
         s = data_symbol(3)
-        assert s.is_data and s.index == 3
+        assert s.kind is SymbolKind.DATA and s.index == 3
 
     def test_white_symbol(self):
         s = white_symbol()
@@ -58,8 +57,3 @@ class TestNotation:
         with pytest.raises(ModulationError):
             symbols_from_string("ow3")
 
-
-class TestStreamHelpers:
-    def test_count_data_symbols(self):
-        stream = [data_symbol(0), white_symbol(), data_symbol(1), off_symbol()]
-        assert count_data_symbols(stream) == 2

@@ -1,6 +1,6 @@
 """Unit tests for cross-frame packet assembly.
 
-These tests fabricate ReceivedBand streams directly (no camera), so the
+These tests fabricate per-frame band records directly (no camera), so the
 assembler's slot-timing logic, gap handling and erasure accounting can be
 exercised deterministically.
 """
@@ -8,12 +8,11 @@ exercised deterministically.
 import numpy as np
 import pytest
 
-from repro.csk.demodulator import DecisionKind, SymbolDecision
+from repro.csk.demodulator import KIND_DATA, KIND_OFF, KIND_WHITE, NO_INDEX
 from repro.packet.framing import PacketKind, preamble_symbols
 from repro.packet.packetizer import PacketConfig, Packetizer
 from repro.rx.assembler import PacketAssembler
-from repro.rx.detector import ReceivedBand
-from repro.rx.segmentation import Band
+from repro.rx.detector import BAND_RECORD, FrameRecord
 
 SYMBOL_RATE = 1000.0
 PERIOD = 1.0 / SYMBOL_RATE
@@ -29,18 +28,36 @@ def assembler(packetizer):
     return PacketAssembler(packetizer, SYMBOL_RATE)
 
 
-def decision_for(symbol, chroma_of_index):
-    if symbol.is_off:
-        return SymbolDecision(DecisionKind.OFF, None, 0.0, True)
-    if symbol.is_white:
-        return SymbolDecision(DecisionKind.WHITE, None, 0.5, True)
-    return SymbolDecision(DecisionKind.DATA, symbol.index, 0.5, True)
+def pack_frame(frame_index, timed_symbols):
+    """One frame's :class:`FrameRecord` from ``(mid_time, symbol)`` pairs.
+
+    Each band is decided as the symbol that was sent: OFF dark, WHITE white,
+    DATA with its index.  A DATA band's color carries its index in ``a``,
+    so calibration chroma tells the symbols apart.
+    """
+    record = np.zeros(len(timed_symbols), dtype=BAND_RECORD)
+    record["row_stop"], record["core_start"], record["core_stop"] = 20, 5, 15
+    record["margin"] = np.nan
+    record["confident"] = True
+    for row, (mid_time, symbol) in enumerate(timed_symbols):
+        record["mid_time"][row] = mid_time
+        if symbol.is_off:
+            record["kind"][row], record["index"][row] = KIND_OFF, NO_INDEX
+            record["lab"][row] = (4.0, 0.0, 0.0)
+        elif symbol.is_white:
+            record["kind"][row], record["index"][row] = KIND_WHITE, NO_INDEX
+            record["lab"][row] = (80.0, 0.0, 0.0)
+            record["distance"][row] = 0.5
+        else:
+            record["kind"][row], record["index"][row] = KIND_DATA, symbol.index
+            record["lab"][row] = (70.0, float(symbol.index), 0.0)
+            record["distance"][row] = 0.5
+    return FrameRecord(frame_index, record)
 
 
 def bands_from_symbols(symbols, *, drop=(), frame_of=None, jitter=0.0, seed=0):
-    """Fabricate one ReceivedBand per transmitted symbol, minus `drop`."""
+    """One frame record per frame: a band per transmitted symbol, minus `drop`."""
     rng = np.random.default_rng(seed)
-    chroma_of_index = {}
     frames = {}
     for position, symbol in enumerate(symbols):
         if position in drop:
@@ -49,53 +66,37 @@ def bands_from_symbols(symbols, *, drop=(), frame_of=None, jitter=0.0, seed=0):
         if jitter:
             mid_time += rng.normal(0, jitter * PERIOD)
         frame_index = frame_of(position) if frame_of else 0
-        band = Band(
-            row_start=0,
-            row_stop=20,
-            core_start=5,
-            core_stop=15,
-            lab=np.array([70.0, float(symbol.index or 0), 0.0])
-            if symbol.is_data
-            else np.array([80.0 if symbol.is_white else 4.0, 0.0, 0.0]),
-        )
-        received = ReceivedBand(
-            frame_index=frame_index,
-            band=band,
-            mid_time=mid_time,
-            decision=decision_for(symbol, chroma_of_index),
-        )
-        frames.setdefault(frame_index, []).append(received)
-    return [frames[k] for k in sorted(frames)]
+        frames.setdefault(frame_index, []).append((mid_time, symbol))
+    return [pack_frame(k, frames[k]) for k in sorted(frames)]
 
 
 class TestStitch:
     def test_contiguous_stream_no_gaps(self, assembler, packetizer):
         symbols = packetizer.build_data_packet(b"\x01\x02")
-        items = assembler.stitch(bands_from_symbols(symbols))
-        assert all(not item.is_gap for item in items)
-        assert len(items) == len(symbols)
+        stream = assembler.stitch(bands_from_symbols(symbols))
+        assert "_" not in stream.chars
+        assert len(stream) == len(symbols)
 
     def test_drop_creates_gap_marker(self, assembler, packetizer):
         symbols = packetizer.build_data_packet(b"\x01\x02\x03\x04")
-        items = assembler.stitch(
+        stream = assembler.stitch(
             bands_from_symbols(symbols, drop=set(range(15, 20)))
         )
-        gaps = [item for item in items if item.is_gap]
-        assert len(gaps) == 1
-        assert gaps[0].lost == 5
+        assert stream.chars.count("_") == 1
+        assert assembler.stats.symbols_lost_in_gaps == 5
 
     def test_timing_jitter_tolerated(self, assembler, packetizer):
         symbols = packetizer.build_data_packet(b"\xaa\xbb")
-        items = assembler.stitch(bands_from_symbols(symbols, jitter=0.2))
-        assert all(not item.is_gap for item in items)
+        stream = assembler.stitch(bands_from_symbols(symbols, jitter=0.2))
+        assert "_" not in stream.chars
 
 
 class TestDataExtraction:
     def test_clean_packet_roundtrip(self, assembler, packetizer):
         codeword = b"\x11\x22\x33\x44\x55"
         symbols = packetizer.build_data_packet(codeword)
-        items = assembler.stitch(bands_from_symbols(symbols))
-        packets, calibrations = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols))
+        packets, calibrations = assembler.extract(stream)
         assert calibrations == []
         assert len(packets) == 1
         packet = packets[0]
@@ -108,8 +109,8 @@ class TestDataExtraction:
         codeword = bytes(range(10))
         symbols = packetizer.build_data_packet(codeword)
         drop = set(range(20, 26))  # six body symbols lost
-        items = assembler.stitch(bands_from_symbols(symbols, drop=drop))
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols, drop=drop))
+        packets, _ = assembler.extract(stream)
         assert len(packets) == 1
         packet = packets[0]
         assert not packet.complete
@@ -122,33 +123,33 @@ class TestDataExtraction:
     def test_header_loss_drops_packet(self, assembler, packetizer):
         symbols = packetizer.build_data_packet(bytes(6))
         # Drop one size-field symbol (positions 8-10 after the preamble).
-        items = assembler.stitch(bands_from_symbols(symbols, drop={9}))
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols, drop={9}))
+        packets, _ = assembler.extract(stream)
         assert packets == []
         assert assembler.stats.data_packets_dropped_header == 1
 
     def test_preamble_loss_drops_packet(self, assembler, packetizer):
         symbols = packetizer.build_data_packet(bytes(6))
-        items = assembler.stitch(bands_from_symbols(symbols, drop={0, 1, 2}))
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols, drop={0, 1, 2}))
+        packets, _ = assembler.extract(stream)
         assert packets == []
 
     def test_two_packets_in_stream(self, assembler, packetizer):
         first = packetizer.build_data_packet(b"\x01\x02")
         second = packetizer.build_data_packet(b"\x03\x04")
         symbols = first + second
-        items = assembler.stitch(bands_from_symbols(symbols))
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols))
+        packets, _ = assembler.extract(stream)
         assert [p.codeword for p in packets] == [b"\x01\x02", b"\x03\x04"]
 
     def test_trailing_truncation_padded_with_erasures(self, assembler, packetizer):
         codeword = bytes(range(8))
         symbols = packetizer.build_data_packet(codeword)
         keep = len(symbols) - 8
-        items = assembler.stitch(
+        stream = assembler.stitch(
             bands_from_symbols(symbols[:keep])
         )
-        packets, _ = assembler.extract(items)
+        packets, _ = assembler.extract(stream)
         assert len(packets) == 1
         assert packets[0].symbols_erased > 0
 
@@ -169,11 +170,10 @@ class TestErasurePositionEdges:
         last = packetizer.build_data_packet(b"\x03\x04")
         symbols = first + middle + last
         drop = set(range(len(first), len(first) + len(middle)))
-        items = assembler.stitch(bands_from_symbols(symbols, drop=drop))
-        gaps = [item for item in items if item.is_gap]
-        assert len(gaps) == 1
-        assert gaps[0].lost == len(middle)
-        packets, _ = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols, drop=drop))
+        assert stream.chars.count("_") == 1
+        assert assembler.stats.symbols_lost_in_gaps == len(middle)
+        packets, _ = assembler.extract(stream)
         # The swallowed packet is simply never seen; its neighbours survive
         # untouched (the gap burst belongs to neither codeword).
         assert [p.codeword for p in packets] == [b"\x01\x02", b"\x03\x04"]
@@ -189,10 +189,10 @@ class TestErasurePositionEdges:
         data_positions = [
             body_start + i for i, is_white in enumerate(layout) if not is_white
         ]
-        items = assembler.stitch(
+        stream = assembler.stitch(
             bands_from_symbols(symbols, drop=set(data_positions[:3]))
         )
-        packets, _ = assembler.extract(items)
+        packets, _ = assembler.extract(stream)
         assert len(packets) == 1
         packet = packets[0]
         assert packet.erasure_positions[0] == 0
@@ -215,13 +215,13 @@ class TestErasurePositionEdges:
             range(2 * third - 2, 2 * third + 2)
         )
         assert min(drop) > body_start  # bursts hit the body, not the header
-        items = assembler.stitch(
+        stream = assembler.stitch(
             bands_from_symbols(symbols, drop=drop, frame_of=frame_of)
         )
         assert assembler.stats.gaps_inserted == 2
         assert assembler.stats.symbols_lost_in_gaps == len(drop)
         assert assembler.stats.max_gap_symbols == 4
-        packets, _ = assembler.extract(items)
+        packets, _ = assembler.extract(stream)
         assert len(packets) == 1
         packet = packets[0]
         assert not packet.complete
@@ -241,8 +241,8 @@ class TestErasurePositionEdges:
 class TestCalibrationExtraction:
     def test_complete_calibration(self, assembler, packetizer):
         symbols = packetizer.build_calibration_packet()
-        items = assembler.stitch(bands_from_symbols(symbols))
-        _, calibrations = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols))
+        _, calibrations = assembler.extract(stream)
         assert len(calibrations) == 1
         event = calibrations[0]
         assert event.indices == list(range(8))
@@ -252,8 +252,8 @@ class TestCalibrationExtraction:
     def test_partial_calibration_indices(self, assembler, packetizer):
         symbols = packetizer.build_calibration_packet()
         # Preamble is 10 symbols; drop calibration symbols 3 and 4.
-        items = assembler.stitch(bands_from_symbols(symbols, drop={13, 14}))
-        _, calibrations = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols, drop={13, 14}))
+        _, calibrations = assembler.extract(stream)
         assert len(calibrations) == 1
         assert calibrations[0].indices == [0, 1, 2, 5, 6, 7]
 
@@ -262,6 +262,6 @@ class TestCalibrationExtraction:
             packetizer.build_calibration_packet()
             + packetizer.build_data_packet(b"\x0f\xf0")
         )
-        items = assembler.stitch(bands_from_symbols(symbols))
-        packets, calibrations = assembler.extract(items)
+        stream = assembler.stitch(bands_from_symbols(symbols))
+        packets, calibrations = assembler.extract(stream)
         assert len(packets) == 1 and len(calibrations) == 1

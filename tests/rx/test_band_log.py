@@ -3,7 +3,7 @@
 ``ReceiverReport.bands`` keeps each frame's classified bands as one packed
 record (:class:`repro.rx.detector.BandLog`), not as band objects.  Reading
 it must give :class:`ReceivedBand` objects equal, field for field, to the
-ones the detector handed the packet fold — on batch decode, on a
+ones the detector's records read back as — on batch decode, on a
 calibrated stream, and on a buffering session's ``finish()`` — and every
 consumer that scores a report must score a plain band list the same way.
 """
@@ -25,7 +25,7 @@ from repro.link.adapt import ReportWindowTracker
 from repro.link.simulator import LinkSimulator
 from repro.phy.waveform import EXTEND_CYCLE
 from repro.csk.demodulator import DECISION_KINDS, NO_INDEX
-from repro.rx.detector import BandLog, band_column
+from repro.rx.detector import BandLog, band_column, received_bands
 from repro.rx.receiver import ReceiverReport
 from repro.rx.streaming import StreamingReceiver
 
@@ -33,7 +33,8 @@ from repro.rx.streaming import StreamingReceiver
 class _CapturingDetector:
     """Wraps a receiver's detector and keeps every band it returns.
 
-    Also checks each result against its inputs: the bounds and colors of
+    Reads each returned record back through :func:`received_bands`, and
+    checks the bands against the detector's inputs: the bounds and colors of
     the segmented bands, the decisions of the list-form demodulator, and
     ``mid_time`` computed in Python floats the way a band's clock reads.
     """
@@ -43,9 +44,10 @@ class _CapturingDetector:
         self.calls = []
 
     def detect(self, clock, bands):
-        received = self.inner.detect(clock, bands)
+        result = self.inner.detect(clock, bands)
+        received = received_bands(result.frame_index, result.record)
         segmented = bands.bands()
-        assert len(received) == len(segmented)
+        assert len(result) == len(received) == len(segmented)
         if segmented and self.inner.calibrated:
             decisions = self.inner.demodulator.decide_stream(bands.lab)
             assert [r.decision for r in received] == decisions
@@ -60,8 +62,8 @@ class _CapturingDetector:
                 + half_exposure
             )
             assert band.mid_time.hex() == mid_time.hex()
-        self.calls.append(list(received))
-        return received
+        self.calls.append(received)
+        return result
 
 
 def _key(band):

@@ -9,9 +9,9 @@ replaced:
 * the integer-packing ``_slots_to_codeword`` against the bit-list packing,
   over random layouts, slot values, symbol widths and codeword lengths
   shorter and longer than the data slots;
-* the band records (``Band``, ``SymbolDecision``, ``ReceivedBand``,
-  ``StreamItem``): immutable, picklable, without a per-instance
-  ``__dict__``, and with unchanged properties and methods.
+* the band records (``Band``, ``SymbolDecision``, ``ReceivedBand``):
+  immutable, picklable, without a per-instance ``__dict__``, and with
+  unchanged properties and methods.
 """
 
 import pickle
@@ -23,7 +23,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.csk.demodulator import DecisionKind, SymbolDecision
 from repro.packet.framing import PacketKind
-from repro.rx.assembler import PacketAssembler, PreambleScanner, StreamItem
+from repro.rx.assembler import PacketAssembler, PreambleScanner
 from repro.rx.detector import ReceivedBand
 from repro.rx.segmentation import Band
 from repro.util.bitstream import bits_to_bytes, int_to_bits
@@ -204,13 +204,7 @@ def _records():
     received = ReceivedBand(
         frame_index=4, band=band, mid_time=0.125, decision=decision
     )
-    return {
-        "band": band,
-        "decision": decision,
-        "received": received,
-        "item": StreamItem(band=received),
-        "gap": StreamItem(band=None, lost=3),
-    }
+    return {"band": band, "decision": decision, "received": received}
 
 
 class TestRecordSemantics:
@@ -242,6 +236,3 @@ class TestRecordSemantics:
         assert SymbolDecision(DecisionKind.OFF, None, 0.0, True).to_char() == "o"
         assert SymbolDecision(DecisionKind.WHITE, None, 2.0, True).to_char() == "w"
         assert SymbolDecision(DecisionKind.OFF, None, 0.0, True).margin is None
-        assert not records["item"].is_gap
-        assert records["gap"].is_gap and records["gap"].lost == 3
-        assert StreamItem(band=received).lost == 0

@@ -8,7 +8,7 @@ from repro.camera.frame import CapturedFrame
 from repro.csk.calibration import CalibrationTable
 from repro.csk.demodulator import CskDemodulator, DecisionKind
 from repro.exceptions import DemodulationError
-from repro.rx.detector import SymbolDetector
+from repro.rx.detector import SymbolDetector, received_bands
 from repro.rx.segmentation import Band
 
 
@@ -33,6 +33,13 @@ def band(lab, start=0, stop=20):
     )
 
 
+def detected(detector, frame, bands):
+    """The bands ``detect`` returns, read back from its record as objects."""
+    result = detector.detect(frame, bands)
+    assert len(result) == len(bands)
+    return received_bands(result.frame_index, result.record)
+
+
 @pytest.fixture
 def uncalibrated_detector(constellation8):
     table = CalibrationTable(constellation8)
@@ -50,15 +57,15 @@ def calibrated_detector(constellation8):
 
 class TestBootstrap:
     def test_off_by_lightness(self, uncalibrated_detector, frame):
-        received = uncalibrated_detector.detect(frame, [band([4.0, 0.0, 0.0])])
+        received = detected(uncalibrated_detector, frame, [band([4.0, 0.0, 0.0])])
         assert received[0].decision.kind is DecisionKind.OFF
 
     def test_white_by_low_chroma(self, uncalibrated_detector, frame):
-        received = uncalibrated_detector.detect(frame, [band([80.0, 3.0, -2.0])])
+        received = detected(uncalibrated_detector, frame, [band([80.0, 3.0, -2.0])])
         assert received[0].decision.kind is DecisionKind.WHITE
 
     def test_color_is_unknown_data(self, uncalibrated_detector, frame):
-        received = uncalibrated_detector.detect(frame, [band([70.0, 50.0, 20.0])])
+        received = detected(uncalibrated_detector, frame, [band([70.0, 50.0, 20.0])])
         decision = received[0].decision
         assert decision.kind is DecisionKind.DATA
         assert decision.index is None
@@ -74,7 +81,7 @@ class TestCalibrated:
     def test_data_index_recovered(self, calibrated_detector, frame):
         detector, chroma = calibrated_detector
         bands = [band([70.0, chroma[5][0], chroma[5][1]])]
-        received = detector.detect(frame, bands)
+        received = detected(detector, frame, bands)
         assert received[0].decision.index == 5
 
     def test_mixed_stream(self, calibrated_detector, frame):
@@ -84,14 +91,16 @@ class TestCalibrated:
             band([80.0, 0.5, 0.5]),
             band([70.0, chroma[2][0], chroma[2][1]]),
         ]
-        kinds = [r.decision.kind for r in detector.detect(frame, bands)]
+        kinds = [r.decision.kind for r in detected(detector, frame, bands)]
         assert kinds == [DecisionKind.OFF, DecisionKind.WHITE, DecisionKind.DATA]
 
 
 class TestTiming:
     def test_mid_time_uses_core_and_exposure(self, uncalibrated_detector, frame):
-        received = uncalibrated_detector.detect(
-            frame, [band([80.0, 0.0, 0.0], start=100, stop=140)]
+        received = detected(
+            uncalibrated_detector,
+            frame,
+            [band([80.0, 0.0, 0.0], start=100, stop=140)],
         )
         expected = (
             frame.start_time
@@ -101,8 +110,10 @@ class TestTiming:
         assert received[0].mid_time == pytest.approx(expected)
 
     def test_frame_index_propagated(self, uncalibrated_detector, frame):
-        received = uncalibrated_detector.detect(frame, [band([80.0, 0, 0])])
+        received = detected(uncalibrated_detector, frame, [band([80.0, 0, 0])])
         assert received[0].frame_index == 3
 
     def test_empty_bands(self, uncalibrated_detector, frame):
-        assert uncalibrated_detector.detect(frame, []) == []
+        result = uncalibrated_detector.detect(frame, [])
+        assert len(result) == 0
+        assert result.frame_index == 3

@@ -1,4 +1,4 @@
-"""Tests for the whole-program graph builder and the content-hash cache."""
+"""Tests for the whole-program graph builder."""
 
 import textwrap
 import time
@@ -10,11 +10,9 @@ from pathlib import Path
 
 from repro.exceptions import ToolingError
 from repro.tooling.project import (
-    AnalysisCache,
     Project,
     build_project,
     collect_aliases,
-    content_hash,
     module_name_for,
     normalize_module,
     resolve_relative_base,
@@ -208,58 +206,6 @@ class TestProjectResolution:
         assert project.resolve(None) is None
 
     def test_real_tree_indexes_key_symbols(self):
-        project = build_project(PACKAGE_ROOT, cache=AnalysisCache())
+        project = build_project(PACKAGE_ROOT)
         assert "repro.perf.executor.run_specs" in project.functions
         assert project.resolve("repro.link.simulator.RunSpec") in project.classes
-
-
-class TestAnalysisCache:
-    def test_summary_hit_and_miss_counters(self):
-        cache = AnalysisCache()
-        src = '"""F."""\nX = 1\n'
-        cache.summary("pkg/repro/util/mod.py", src)
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.summary("pkg/repro/util/mod.py", src)
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_content_change_invalidates(self):
-        cache = AnalysisCache()
-        cache.summary("pkg/repro/util/mod.py", '"""F."""\nX = 1\n')
-        cache.summary("pkg/repro/util/mod.py", '"""F."""\nX = 2\n')
-        assert cache.misses == 2
-
-    def test_findings_keyed_by_rule_signature(self):
-        cache = AnalysisCache()
-        digest = content_hash("x")
-        cache.store_findings("p.py", digest, [], signature="a,b")
-        assert cache.findings("p.py", digest, signature="a,b") == ()
-        assert cache.findings("p.py", digest, signature="<all>") is None
-
-    def test_clear_resets_everything(self):
-        cache = AnalysisCache()
-        cache.summary("pkg/repro/util/mod.py", '"""F."""\n')
-        cache.clear()
-        assert (cache.hits, cache.misses) == (0, 0)
-        cache.summary("pkg/repro/util/mod.py", '"""F."""\n')
-        assert cache.misses == 1
-
-
-class TestCacheSpeedup:
-    def test_warm_build_is_at_least_3x_faster_than_cold(self):
-        # Mirrors the PR 5 overhead test style: a pinned, generous bound so
-        # the assertion survives noisy CI boxes while still proving the
-        # cache skips re-parsing.  Cold parses ~90 files; warm is pure
-        # dict lookups and must beat it by far more than 3x.
-        cache = AnalysisCache()
-        t0 = time.perf_counter()
-        build_project(PACKAGE_ROOT, cache=cache)
-        cold = time.perf_counter() - t0
-        misses_after_cold = cache.misses
-        t1 = time.perf_counter()
-        build_project(PACKAGE_ROOT, cache=cache)
-        warm = time.perf_counter() - t1
-        assert cache.misses == misses_after_cold, "warm build re-parsed files"
-        assert cache.hits >= misses_after_cold
-        assert warm * 3 <= cold, (
-            f"warm build not >=3x faster: cold={cold:.4f}s warm={warm:.4f}s"
-        )

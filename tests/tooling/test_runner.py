@@ -18,7 +18,6 @@ from repro.tooling import (
     lint_tree,
     run_analysis,
 )
-from repro.tooling.project import AnalysisCache
 
 #: rule id -> (relative path inside the fixture package, offending source)
 VIOLATIONS = {
@@ -163,7 +162,7 @@ def dirty_tree(tmp_path):
 
 
 def analyze(paths, strict=True):
-    return run_analysis(paths, strict=strict, cache=AnalysisCache())
+    return run_analysis(paths, strict=strict)
 
 
 class TestLintTree:
