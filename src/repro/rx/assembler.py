@@ -8,14 +8,14 @@ the packet the burst sits and *how many* symbols it swallowed — which turns
 the loss into byte erasures at known positions for the Reed-Solomon decoder
 (far stronger than treating them as unknown-position errors).
 
-The assembler consumes each frame's band record
-(:class:`~repro.rx.detector.FrameRecord`), stitches the records into one
-columnar :class:`SymbolStream`, and emits :class:`ReceivedPacket` objects
-carrying the reconstructed codeword bytes and their erasure positions, plus
+The assembler consumes band records a run of frames at a time
+(:class:`~repro.rx.detector.FrameRecord`), stitches them into one columnar
+:class:`SymbolStream`, and emits :class:`ReceivedPacket` objects carrying
+the reconstructed codeword bytes and their erasure positions, plus
 calibration events.  :class:`PacketFold` is the receiver's one back half:
-it takes a frame at a time and returns the packets whose windows closed,
-for a live stream and a whole recording alike.  No per-band object is
-built on the way.
+it takes a run at a time and returns the packets whose windows closed — a
+live stream pushes runs of one frame, a buffered recording one run per
+pass.  No per-band object is built on the way.
 """
 
 from __future__ import annotations
@@ -77,23 +77,51 @@ class SymbolStream:
     ``chars`` is the stream's o/x/_ skeleton and ``entries`` its
     :data:`STREAM_ENTRY` columns, position for position.  ``last_time`` is
     the ``mid_time`` of the last band stitched on; :meth:`drop` keeps it,
-    so the next frame's gap still counts from that band.
+    so the next run's gap still counts from that band.
+
+    The entries live in a buffer with spare capacity: :meth:`extend` writes
+    new positions in place and :meth:`drop` advances a head offset, so a
+    fold that stitches a run at a time copies its open window only when
+    the buffer fills, never on every push.
     """
 
-    __slots__ = ("chars", "entries", "last_time")
+    __slots__ = ("chars", "last_time", "_buffer", "_head", "_tail")
 
     def __init__(self) -> None:
         self.chars = ""
-        self.entries = np.empty(0, dtype=STREAM_ENTRY)
         self.last_time: Optional[float] = None
+        self._buffer = np.empty(0, dtype=STREAM_ENTRY)
+        self._head = 0
+        self._tail = 0
 
     def __len__(self) -> int:
         return len(self.chars)
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The stream's entries: a view of the buffer's live positions."""
+        return self._buffer[self._head : self._tail]
+
+    def extend(self, count: int) -> np.ndarray:
+        """Append ``count`` positions; return them, uninitialised, to fill.
+
+        When the buffer is full, the live positions move to the front of a
+        new one with room for as many again, so appending costs amortized
+        O(1) per position.
+        """
+        live = self._tail - self._head
+        if self._tail + count > len(self._buffer):
+            buffer = np.empty(2 * (live + count), dtype=STREAM_ENTRY)
+            buffer[:live] = self.entries
+            self._buffer, self._head, self._tail = buffer, 0, live
+        start = self._tail
+        self._tail += count
+        return self._buffer[start : self._tail]
+
     def drop(self, count: int) -> None:
         """Forget the first ``count`` positions."""
         self.chars = self.chars[count:]
-        self.entries = self.entries[count:]
+        self._head += count
 
 
 @dataclass
@@ -261,8 +289,8 @@ class PacketAssembler:
                 f"{self.symbol_rate:g} Hz symbol clock resolves"
             )
 
-    def stitch(self, frames: Iterable[FrameRecord]) -> SymbolStream:
-        """Merge per-frame band records, inserting gap markers between bands.
+    def stitch(self, runs: Iterable[FrameRecord]) -> SymbolStream:
+        """Merge runs of band records, inserting gap markers between bands.
 
         The number of symbols lost between two bands comes from band
         timing: consecutive received bands are one symbol period apart on
@@ -271,20 +299,21 @@ class PacketAssembler:
         vanished.
         """
         stream = SymbolStream()
-        for frame in frames:
-            self.stitch_into(stream, frame)
+        for run in runs:
+            self.stitch_into(stream, run)
         return stream
 
-    def stitch_into(self, stream: SymbolStream, frame: FrameRecord) -> None:
-        """Fold one frame's bands onto a stitched stream, in place.
+    def stitch_into(self, stream: SymbolStream, run: FrameRecord) -> None:
+        """Fold a run of frames' bands onto a stitched stream, in place.
 
         The incremental form of :meth:`stitch` that :class:`PacketFold`
-        pushes each frame through.  Gap counts come from the frame's
-        ``mid_time`` column in one vectorized pass; ``rint`` rounds half to
-        even on float64, as ``round`` does, so each is exactly
-        ``int(round(dt / period)) - 1``.
+        pushes each run through.  Gap counts come from one ``diff`` of the
+        run's ``mid_time`` column, prepended with the stream's last band
+        time; ``rint`` rounds half to even on float64, as ``round`` does,
+        so each is exactly ``int(round(dt / period)) - 1``.  Any split of a
+        recording into runs therefore stitches the same stream.
         """
-        record = frame.record
+        record = run.record
         stats = self.stats
         stats.symbols_consumed += len(record)
         if not len(record):
@@ -295,18 +324,23 @@ class PacketAssembler:
         missing = (
             np.rint(np.diff(times, prepend=previous) / period).astype(np.int64) - 1
         )
-        entries = np.empty(len(record), dtype=STREAM_ENTRY)
-        for name in ("lab", "mid_time", "index", "kind"):
-            entries[name] = record[name]
-        entries["frame_index"] = frame.frame_index
         gaps = np.flatnonzero(missing > 0)
+        entries = stream.extend(len(record) + gaps.size)
         if gaps.size:
             lost = missing[gaps]
             stats.symbols_lost_in_gaps += int(lost.sum())
             stats.gaps_inserted += int(gaps.size)
             stats.max_gap_symbols = max(stats.max_gap_symbols, int(lost.max()))
-            entries = np.insert(entries, gaps, _GAP_ENTRY)
-        stream.entries = np.concatenate((stream.entries, entries))
+            # The marker before band ``gaps[k]`` lands at ``gaps[k] + k``.
+            markers = gaps + np.arange(gaps.size)
+            entries[markers] = _GAP_ENTRY
+            bands = np.ones(len(entries), dtype=bool)
+            bands[markers] = False
+        else:
+            bands = slice(None)
+        for name in ("lab", "mid_time", "index", "kind"):
+            entries[name][bands] = record[name]
+        entries["frame_index"][bands] = np.repeat(run.frame_indices, run.counts)
         stream.chars += _SKELETON[entries["kind"]].tobytes().decode("ascii")
         stream.last_time = float(times[-1])
 
@@ -333,7 +367,7 @@ class PacketAssembler:
         header (size field) was damaged or whose advertised size is
         impossible are dropped, as the paper specifies.  The receiver
         decodes through :class:`PacketFold`, which closes the same windows
-        a frame at a time.
+        a run at a time.
         """
         matches = self.make_scanner().scan(stream.chars, final=True)
         self.stats.preambles_seen += len(matches)
@@ -598,9 +632,9 @@ class PacketAssembler:
 
 
 class PacketFold:
-    """The receive back half as a fold: one frame's bands in, packets out.
+    """The receive back half as a fold: a run of frames' bands in, packets out.
 
-    :meth:`push` stitches a frame's record onto a columnar
+    :meth:`push` stitches a run's record onto a columnar
     :class:`SymbolStream` (:meth:`PacketAssembler.stitch_into`), advances a
     :class:`PreambleScanner` over the stream's skeleton and closes every
     window the scan has decided through
@@ -626,9 +660,9 @@ class PacketFold:
         #: The last matched, not-yet-closed preamble: ``(start, kind)``.
         self._pending: Optional[tuple] = None
 
-    def push(self, frame: FrameRecord) -> List[ReceivedPacket]:
-        """Fold one frame's bands in; return the packets that closed."""
-        self.assembler.stitch_into(self._stream, frame)
+    def push(self, run: FrameRecord) -> List[ReceivedPacket]:
+        """Fold a run's bands in; return the packets that closed."""
+        self.assembler.stitch_into(self._stream, run)
         return self._drain(final=False)
 
     def close(self) -> List[ReceivedPacket]:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import repeat
-from typing import Iterator, List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.camera.frame import CapturedFrame
 from repro.csk.demodulator import (
     DECISION_KINDS,
     KIND_DATA,
@@ -106,19 +105,62 @@ NO_BANDS = np.empty(0, dtype=BAND_RECORD)
 
 
 class FrameRecord:
-    """One frame's classified bands: its index and :data:`BAND_RECORD` array.
+    """A run of frames' classified bands, packed as one record.
 
+    ``frame_indices`` and ``counts`` give each frame of the run, in order,
+    with its band count, and ``record`` holds all their bands as one
+    :data:`BAND_RECORD` array, frame after frame.
     :meth:`SymbolDetector.detect` returns this, and it is the only form a
     band takes from there to FEC: the packet fold reads its columns and the
-    report's :class:`BandLog` keeps ``record`` as it is.  ``len`` is the
+    report's :class:`BandLog` keeps a view of each frame's rows.
+    ``FrameRecord(index, record)`` is a run of one frame (an empty frame
+    is ``FrameRecord(index)`` over the shared zero-length
+    :data:`NO_BANDS`); :meth:`join` concatenates runs.  ``len`` is the
     band count.
     """
 
-    __slots__ = ("frame_index", "record")
+    __slots__ = ("frame_indices", "counts", "record")
 
     def __init__(self, frame_index: int, record: np.ndarray = NO_BANDS) -> None:
-        self.frame_index = frame_index
+        self.frame_indices = [frame_index]
+        self.counts = [len(record)]
         self.record = record
+
+    @classmethod
+    def run(
+        cls, frame_indices: List[int], counts: List[int], record: np.ndarray
+    ) -> "FrameRecord":
+        """The run of ``frame_indices`` with ``counts`` bands each."""
+        joined = cls.__new__(cls)
+        joined.frame_indices = frame_indices
+        joined.counts = counts
+        joined.record = record
+        return joined
+
+    @classmethod
+    def join(cls, runs: Sequence["FrameRecord"]) -> "FrameRecord":
+        """One run of ``runs``' frames, in order."""
+        return cls.run(
+            [index for run in runs for index in run.frame_indices],
+            [count for run in runs for count in run.counts],
+            np.concatenate([NO_BANDS] + [run.record for run in runs]),
+        )
+
+    @property
+    def frame_index(self) -> int:
+        """The index of the run's first frame (a one-frame run's frame)."""
+        return self.frame_indices[0]
+
+    def frames(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(frame index, its rows of record)`` per frame: a view of the
+        rows, or the record itself for a run of one frame."""
+        if len(self.counts) == 1:
+            yield self.frame_indices[0], self.record
+            return
+        start = 0
+        for frame_index, count in zip(self.frame_indices, self.counts):
+            yield frame_index, self.record[start : start + count]
+            start += count
 
     def __len__(self) -> int:
         return len(self.record)
@@ -141,13 +183,14 @@ class BandLog(Sequence):
         #: Band count up to and including each frame.
         self._ends: List[int] = []
 
-    def append_frame(self, frame: FrameRecord) -> None:
-        """Log one frame's bands (an empty frame logs nothing)."""
-        if not len(frame):
-            return
-        self._frame_indices.append(frame.frame_index)
-        self._records.append(frame.record)
-        self._ends.append(len(self) + len(frame))
+    def append_run(self, run: FrameRecord) -> None:
+        """Log a run's bands, a frame at a time (an empty frame logs
+        nothing); each frame's record is a view into the run's."""
+        for frame_index, record in run.frames():
+            if len(record):
+                self._frame_indices.append(frame_index)
+                self._records.append(record)
+                self._ends.append(len(self) + len(record))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -241,38 +284,65 @@ class SymbolDetector:
         columns.confident[:] = off | white
         return columns
 
-    def detect(
-        self,
-        frame: CapturedFrame,
-        bands: Sequence[Band],
-    ) -> FrameRecord:
-        """Attach timing and symbol decisions to a frame's bands.
+    def detect(self, clocks, bands) -> FrameRecord:
+        """Attach timing and symbol decisions to a run of frames' bands.
 
-        ``bands`` is the segmenter's :class:`BandColumns`, or any sequence
-        of :class:`Band` records.  The result's record is packed straight
-        from the band and decision columns; no band object is built.
+        ``clocks`` is a list of frame clocks (anything with a
+        :class:`~repro.camera.frame.CapturedFrame`'s ``index``,
+        ``start_time``, ``row_period`` and ``exposure``) and ``bands`` the
+        list of their bands, each the segmenter's :class:`BandColumns` or
+        any sequence of :class:`Band` records.  One frame and its bands,
+        passed as they are, make a run of one.  The run's bands are
+        classified in one decision call and packed straight from the band
+        and decision columns into one record; no band object is built.
         """
-        if not bands:
-            return FrameRecord(frame.index)
-        if not isinstance(bands, BandColumns):
-            bands = BandColumns.from_bands(bands)
-        if self.calibrated:
-            decisions = self.demodulator.decide_columns(bands.lab)
-        else:
-            decisions = self._bootstrap_columns(bands.lab)
-        record = np.empty(len(bands), dtype=BAND_RECORD)
+        if not isinstance(clocks, list):
+            clocks, bands = [clocks], [bands]
+        columns = [
+            frame if isinstance(frame, BandColumns) else BandColumns.from_bands(frame)
+            for frame in bands
+        ]
+        counts = [len(frame) for frame in columns]
+        record = np.empty(sum(counts), dtype=BAND_RECORD)
+        run = FrameRecord.run([clock.index for clock in clocks], counts, record)
+        if not len(record):
+            return run
+        live = [frame for frame in columns if len(frame)]
+        joined = live[0] if len(live) == 1 else BandColumns(
+            *(
+                np.concatenate([getattr(frame, name) for frame in live])
+                for name in Band._fields
+            )
+        )
         for name in Band._fields:
-            record[name] = getattr(bands, name)
+            record[name] = getattr(joined, name)
+        if self.calibrated:
+            decisions = self.demodulator.decide_columns(joined.lab)
+        else:
+            decisions = self._bootstrap_columns(joined.lab)
         for name, column in zip(DecisionColumns._fields, decisions):
             record[name] = column
-        # The band centre's timing as float64: the same operations in the
-        # same order as ``start_time + band.center_row * row_period +
-        # half_exposure`` in Python floats, so every ``mid_time`` is bitwise
-        # what a per-band loop would compute.
-        record["mid_time"] = (
-            float(frame.start_time)
-            + ((bands.core_start + bands.core_stop - 1) / 2.0)
-            * float(frame.row_period)
-            + float(frame.exposure.exposure_s / 2.0)
+        # The band centre's timing as float64, each frame's clock repeated
+        # over its bands: the same operations in the same order as
+        # ``start_time + band.center_row * row_period + half_exposure`` in
+        # Python floats, so every ``mid_time`` is bitwise what a per-band
+        # loop would compute.
+        clock_scalars = np.array(
+            [
+                (
+                    float(clock.start_time),
+                    float(clock.row_period),
+                    float(clock.exposure.exposure_s / 2.0),
+                )
+                for clock in clocks
+            ]
         )
-        return FrameRecord(frame.index, record)
+        start_time, row_period, half_exposure = np.repeat(
+            clock_scalars, counts, axis=0
+        ).T
+        record["mid_time"] = (
+            start_time
+            + ((joined.core_start + joined.core_stop - 1) / 2.0) * row_period
+            + half_exposure
+        )
+        return run

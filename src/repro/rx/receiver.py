@@ -6,15 +6,16 @@ preamble scan -> window close), calibration handling, and Reed-Solomon
 decoding, mirroring the paper's two-threaded phone app in a single
 deterministic object.  Feed it the frames of a recording and it returns a
 :class:`ReceiverReport` with the delivered payloads and every counter the
-evaluation section needs.  A recording is pushed through the fold a frame
-at a time, exactly as :class:`repro.rx.streaming.StreamingReceiver` pushes
-live frames, so batch and streaming decode share one back half.
+evaluation section needs.  A recording is detected and pushed through the
+fold as one run per pass; :class:`repro.rx.streaming.StreamingReceiver`
+pushes each live frame as a run of one through the same fold, so batch and
+streaming decode share one back half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -350,12 +351,14 @@ class ColorBarsReceiver:
     ) -> List[tuple]:
         """Everything after segmentation: bootstrap, classify, assemble, FEC.
 
-        An uncalibrated receiver first pushes the recording, classified
-        with the bootstrap table, through a fresh :class:`PacketFold` to
-        find calibration packets (the pass is non-causal: it reads the whole
-        recording before classifying frame 0).  Then every frame is
-        classified against the table and pushed through a second fresh
-        fold, and the data packets whose windows closed are FEC-decoded.
+        Each pass detects the whole recording as one run
+        (:meth:`_classify_run`) and pushes it through a fresh
+        :class:`PacketFold` in one push.  An uncalibrated receiver first
+        runs a pass classified with the bootstrap table, to find
+        calibration packets (the pass is non-causal: it reads the whole
+        recording before classifying frame 0).  Then the decode pass
+        classifies the run against the table, and the data packets whose
+        windows closed are FEC-decoded.
         Shared by :meth:`process_frames` and the buffering path of
         :class:`repro.rx.streaming.StreamingReceiver`, which runs it at
         ``finish()``.  Returns one ``(packet, outcome)`` tuple per seen
@@ -364,9 +367,7 @@ class ColorBarsReceiver:
         """
         if not self.calibration.is_calibrated:
             with self.tracer.span(SPAN_CALIBRATE) as span:
-                fold, _ = self._assemble(
-                    self._classify_frame(seg) for seg in segmented
-                )
+                fold, _ = self._assemble(self._classify_run(segmented))
                 self._absorb_calibrations(fold.calibrations, report)
                 span.set("calibrated", self.calibration.is_calibrated)
                 span.set("updates", report.calibration_updates)
@@ -377,21 +378,14 @@ class ColorBarsReceiver:
                 return []
 
         with self.tracer.span(SPAN_DEMOD) as span:
-            classified = [
-                self._classify_frame(seg, report.frame_failures)
-                for seg in segmented
-            ]
+            run = self._classify_run(segmented, report.frame_failures)
             report.frames_processed = len(segmented)
-            bands_histogram = self.metrics.histogram(M_FRAME_BANDS)
-            for frame in classified:
-                report.bands.append_frame(frame)
-                report.symbols_detected += len(frame)
-                bands_histogram.observe(len(frame))
+            self._log_run(run, len(segmented), report)
             span.set("symbols", report.symbols_detected)
             span.set("frames_failed", report.frames_failed)
 
         with self.tracer.span(SPAN_ASSEMBLE) as span:
-            fold, packets = self._assemble(classified)
+            fold, packets = self._assemble(run)
             report.symbols_lost_in_gaps = fold.stats.symbols_lost_in_gaps
             span.set("packets", len(packets))
             span.set("calibrations", len(fold.calibrations))
@@ -416,15 +410,27 @@ class ColorBarsReceiver:
         return fold
 
     def _assemble(
-        self, frames: Iterable[FrameRecord]
+        self, run: FrameRecord
     ) -> Tuple[PacketFold, List[ReceivedPacket]]:
-        """Push a whole recording through a fresh fold and close it."""
+        """Push a whole recording's run through a fresh fold and close it."""
         fold = self._new_fold()
-        packets: List[ReceivedPacket] = []
-        for frame in frames:
-            packets.extend(fold.push(frame))
+        packets = fold.push(run)
         packets.extend(fold.close())
         return fold, packets
+
+    def _log_run(
+        self, run: FrameRecord, frames: int, report: ReceiverReport
+    ) -> None:
+        """Log the run classified from ``frames`` frames into ``report``.
+
+        The band-count histogram observes every frame: each of the run's,
+        and no bands for each frame whose failure kept it out of the run.
+        """
+        report.bands.append_run(run)
+        report.symbols_detected += len(run)
+        bands_histogram = self.metrics.histogram(M_FRAME_BANDS)
+        for count in run.counts + [0] * (frames - len(run.counts)):
+            bands_histogram.observe(count)
 
     # -- internals -------------------------------------------------------
 
@@ -493,29 +499,42 @@ class ColorBarsReceiver:
                 ),
             )
 
-    def _classify_frame(
+    def _classify_run(
         self,
-        segmented: "_SegmentedFrame",
+        segmented: Sequence["_SegmentedFrame"],
         failures: Optional[List[FrameFailure]] = None,
     ) -> FrameRecord:
-        """The calibration-dependent back half: detect, with containment."""
-        if segmented.failure is not None:
-            if failures is not None:
-                failures.append(segmented.failure)
-            return FrameRecord(segmented.failure.frame_index)
+        """The calibration-dependent back half: detect a run, with containment.
+
+        The frames that segmented are detected as one run.  Containment
+        stays per frame: if the run's detect raises, each frame is detected
+        again as a run of its own, so the failing frame fails alone, with
+        its own error, and is left out of the run.  Every contained failure
+        is appended to ``failures`` (when given) in frame order.
+        """
+        detect = self.detector.detect
+        contained = [seg.failure for seg in segmented]
+        live = [seg for seg in segmented if seg.failure is None]
         try:
-            return self.detector.detect(segmented.clock, segmented.bands)
-        except ColorBarsError as exc:
-            if failures is not None:
-                failures.append(
-                    FrameFailure(
-                        frame_index=segmented.clock.index,
+            run = detect([seg.clock for seg in live], [seg.bands for seg in live])
+        except ColorBarsError:
+            runs = []
+            for position, seg in enumerate(segmented):
+                if seg.failure is not None:
+                    continue
+                try:
+                    runs.append(detect([seg.clock], [seg.bands]))
+                except ColorBarsError as exc:
+                    contained[position] = FrameFailure(
+                        frame_index=seg.clock.index,
                         stage="detect",
                         error_type=type(exc).__name__,
                         message=str(exc),
                     )
-                )
-            return FrameRecord(segmented.clock.index)
+            run = FrameRecord.join(runs)
+        if failures is not None:
+            failures.extend(failure for failure in contained if failure is not None)
+        return run
 
     def _absorb_calibrations(
         self, events: Sequence[CalibrationEvent], report: ReceiverReport

@@ -10,13 +10,13 @@ same sequence, with and without injected faults
 (``tests/rx/test_streaming_equivalence.py`` gates it).  That holds by
 construction, because there is one back half:
 
-* segmentation and classification are the receiver's own per-frame
-  methods, run in feed order; a frame's scanline Lab may arrive already
+* segmentation and classification are the receiver's own methods, run
+  on each frame in feed order (a fed frame is a run of one); a frame's scanline Lab may arrive already
   converted (``feed(frame, scanlines=...)``, from a batched
   :func:`repro.rx.receiver.preprocess_frames` such as the session
   manager's lookahead), which is bitwise what ``feed`` would compute;
 * each classified frame is pushed into a :class:`repro.rx.assembler.PacketFold`
-  — the same fold ``process_frames`` pushes a whole recording through —
+  — the same fold ``process_frames`` pushes a whole recording's run through —
   which stitches it, advances the preamble scan, and closes every window
   the scan has decided; ``finish()`` closes the fold;
 * calibration events stay on the fold and are absorbed at ``finish()`` —
@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.camera.frame import CapturedFrame
 from repro.exceptions import StreamingStateError
-from repro.obs.schema import M_FRAME_BANDS, SPAN_SEGMENT
+from repro.obs.schema import SPAN_SEGMENT
 from repro.rx.receiver import ColorBarsReceiver, FecFailure, ReceiverReport
 
 
@@ -180,14 +180,12 @@ class StreamingReceiver:
             return []
         report = self.report
         failures_before = len(report.frame_failures)
-        classified = receiver._classify_frame(seg, report.frame_failures)
+        run = receiver._classify_run([seg], report.frame_failures)
         if len(report.frame_failures) > failures_before:
             self.failures_contained += 1
         report.frames_processed += 1
-        report.bands.append_frame(classified)
-        report.symbols_detected += len(classified)
-        receiver.metrics.histogram(M_FRAME_BANDS).observe(len(classified))
-        return self._decode(self._fold.push(classified))
+        receiver._log_run(run, 1, report)
+        return self._decode(self._fold.push(run))
 
     def finish(self) -> List[PacketEvent]:
         """Flush the stream: close the last window, commit calibrations."""

@@ -33,21 +33,32 @@ from repro.rx.streaming import StreamingReceiver
 class _CapturingDetector:
     """Wraps a receiver's detector and keeps every band it returns.
 
-    Reads each returned record back through :func:`received_bands`, and
-    checks the bands against the detector's inputs: the bounds and colors of
-    the segmented bands, the decisions of the list-form demodulator, and
-    ``mid_time`` computed in Python floats the way a band's clock reads.
+    Reads each frame of a returned run back through :func:`received_bands`,
+    and checks the bands against the detector's inputs: the bounds and
+    colors of the segmented bands, the decisions of the list-form
+    demodulator on that frame alone, and ``mid_time`` computed in Python
+    floats the way the frame's clock reads.  ``calls`` holds one entry per
+    detected frame.
     """
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
 
-    def detect(self, clock, bands):
-        result = self.inner.detect(clock, bands)
-        received = received_bands(result.frame_index, result.record)
+    def detect(self, clocks, bands):
+        result = self.inner.detect(clocks, bands)
+        assert result.frame_indices == [clock.index for clock in clocks]
+        assert len(result) == sum(len(frame) for frame in bands)
+        for clock, frame, (frame_index, record) in zip(
+            clocks, bands, result.frames()
+        ):
+            self.calls.append(self._check_frame(clock, frame, frame_index, record))
+        return result
+
+    def _check_frame(self, clock, bands, frame_index, record):
+        received = received_bands(frame_index, record)
         segmented = bands.bands()
-        assert len(result) == len(received) == len(segmented)
+        assert len(received) == len(segmented)
         if segmented and self.inner.calibrated:
             decisions = self.inner.demodulator.decide_stream(bands.lab)
             assert [r.decision for r in received] == decisions
@@ -62,8 +73,7 @@ class _CapturingDetector:
                 + half_exposure
             )
             assert band.mid_time.hex() == mid_time.hex()
-        self.calls.append(received)
-        return result
+        return received
 
 
 def _key(band):

@@ -6,6 +6,7 @@ aborts the session.  Errors outside the ColorBarsError hierarchy are bugs,
 not channel conditions, and must still propagate.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.system import make_receiver, make_streaming_receiver
 from repro.csk.calibration import CalibrationTable
 from repro.exceptions import DemodulationError
 from repro.link.simulator import LinkSimulator
+from repro.rx.detector import BAND_RECORD, band_column
 from repro.rx.preprocess import frame_to_scanline_lab
 from repro.rx.streaming import StreamingReceiver
 
@@ -58,16 +60,17 @@ def receiver(tiny_device):
 
 
 class RaisingDetector:
-    """Wraps the real detector; raises for the poisoned frame indices."""
+    """Wraps the real detector; a run holding a poisoned frame raises."""
 
     def __init__(self, inner, poisoned):
         self.inner = inner
         self.poisoned = set(poisoned)
 
-    def detect(self, frame, bands):
-        if frame.index in self.poisoned:
-            raise DemodulationError(f"poisoned frame {frame.index}")
-        return self.inner.detect(frame, bands)
+    def detect(self, clocks, bands):
+        for clock in clocks:
+            if clock.index in self.poisoned:
+                raise DemodulationError(f"poisoned frame {clock.index}")
+        return self.inner.detect(clocks, bands)
 
 
 class TestContainment:
@@ -95,12 +98,51 @@ class TestContainment:
         frames = make_frames(2)
 
         class Bug:
-            def detect(self, frame, bands):
+            def detect(self, clocks, bands):
                 raise RuntimeError("programming bug, not a channel condition")
 
         receiver.detector = Bug()
         with pytest.raises(RuntimeError):
             receiver.process_frames(frames)
+
+    def test_poisoned_frame_mid_run_fails_alone(self, tiny_device):
+        """One poisoned frame inside a run fails by itself: every other
+        frame's bands log byte for byte as a clean run logs them."""
+        config = SystemConfig(
+            csk_order=4,
+            symbol_rate=1000,
+            design_loss_ratio=tiny_device.timing.gap_fraction,
+            frame_rate=tiny_device.timing.frame_rate,
+        )
+        simulator = LinkSimulator(
+            config, tiny_device, simulated_columns=32, seed=3
+        )
+        _, frames, _ = simulator.record_session(duration_s=0.6)
+        calibrated = make_receiver(config, tiny_device.timing)
+        calibrated.process_frames(frames)
+        assert calibrated.calibration.is_calibrated
+        clean, poisoned = copy.deepcopy(calibrated), copy.deepcopy(calibrated)
+        clean_report = clean.process_frames(frames)
+        clean_frames = band_column(clean_report.bands, "frame_index")
+        middle = int(clean_frames[len(clean_frames) // 2])
+        assert 0 < middle < frames[-1].index
+        poisoned.detector = RaisingDetector(poisoned.detector, {middle})
+        report = poisoned.process_frames(frames)
+
+        assert [
+            (f.frame_index, f.stage, f.error_type, f.message)
+            for f in report.frame_failures
+        ] == [(middle, "detect", "DemodulationError", f"poisoned frame {middle}")]
+        assert report.frames_processed == len(frames)
+        others = clean_frames != middle
+        assert band_column(report.bands, "frame_index").tolist() == (
+            clean_frames[others].tolist()
+        )
+        for name in BAND_RECORD.names:
+            column = band_column(report.bands, name)
+            expected = band_column(clean_report.bands, name)[others]
+            assert column.tobytes() == expected.tobytes(), name
+        assert report.symbols_detected == int(others.sum())
 
     def test_failed_frame_degrades_link_not_session(self, tiny_device):
         """End to end: poisoning one frame mid-run costs symbols, not the run."""
