@@ -101,7 +101,7 @@ def received_bands(frame_index: int, record: np.ndarray) -> List[ReceivedBand]:
 
 #: A zero-length record: each of its columns is an empty array of the
 #: column's dtype and shape.
-NO_BANDS = np.empty(0, dtype=BAND_RECORD)
+NO_BANDS = np.zeros(0, dtype=BAND_RECORD)
 
 
 class FrameRecord:
@@ -303,7 +303,8 @@ class SymbolDetector:
             for frame in bands
         ]
         counts = [len(frame) for frame in columns]
-        record = np.empty(sum(counts), dtype=BAND_RECORD)
+        # Zeroed, so the layout's padding bytes pickle the same every time.
+        record = np.zeros(sum(counts), dtype=BAND_RECORD)
         run = FrameRecord.run([clock.index for clock in clocks], counts, record)
         if not len(record):
             return run

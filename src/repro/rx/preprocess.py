@@ -15,12 +15,20 @@ the middle axis: one vectorized add of whole ``(3, rows)`` planes per
 column, in column order.  A batched call converts its frames on the lanes
 of :mod:`repro.util.lanes`, whole frames per lane, each lane writing only
 its own frames' rows, so neither the lane count nor the batching can move
-a byte; a single frame runs on the calling thread alone.
+a byte; a single frame runs on the calling thread alone.  Each lane works
+in its own scratch, made once per call on the calling thread: an index
+buffer whose bytes also hold the float32 ratios and the toe mask, and a
+float32 buffer for the linear values, so a block allocates no temporary
+of its size.  A batched
+call can also run a ``meanwhile`` callable on the calling thread while the
+other lanes convert (:func:`repro.util.lanes.run_lanes`); the session
+manager feeds a serving window that way.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import threading
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +80,20 @@ _LAB_TOE_OFFSET = 4.0 / 29.0
 _BLOCK_ELEMENTS = 150_000
 
 
-def _column_mean_lab_f(pixels: np.ndarray, inv_cols: np.float32) -> np.ndarray:
+def _lab_scratch(values: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Scratch for :func:`_column_mean_lab_f` blocks of up to ``values``
+    channel values: intp lookup indices and float32 linear values, 12
+    bytes per value, the peak a block's own temporaries would reach.
+    Both live in one allocation."""
+    raw = np.empty(12 * values, dtype=np.uint8)
+    return raw[: 8 * values].view(np.intp), raw[8 * values :].view(np.float32)
+
+
+def _column_mean_lab_f(
+    pixels: np.ndarray,
+    inv_cols: np.float32,
+    scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """sRGB bytes ``(rows, cols, 3)`` -> column-mean Lab ``f(X/Xn)``.
 
     Widens the pixels to planar ``(3, cols, rows)`` lookup indices, then
@@ -84,24 +105,37 @@ def _column_mean_lab_f(pixels: np.ndarray, inv_cols: np.float32) -> np.ndarray:
     in order in float32: the same sums as a column-wise weighted
     ``einsum``, byte for byte, where BLAS's blocked matmul reductions are
     not.
+
+    The block works in ``scratch`` (:func:`_lab_scratch`, at least the
+    block's size), or in scratch of its own when none is given.
     """
     rows, cols = pixels.shape[:2]
+    values = 3 * cols * rows
+    if scratch is None:
+        scratch = _lab_scratch(values)
+    index, linear = (buffer[:values] for buffer in scratch)
     # Indexing by intp skips np.take's per-call cast of uint8 indices.
-    codes = np.empty((3, cols, rows), dtype=np.intp)
-    np.copyto(codes, pixels.transpose(2, 1, 0))
-    linear = np.take(_SRGB_BYTE_TO_LINEAR_F32, codes.reshape(3, -1))
-    del codes
+    np.copyto(index.reshape(3, cols, rows), pixels.transpose(2, 1, 0))
+    linear = linear.reshape(3, -1)
+    # The codes are bytes, so "wrap" never wraps; unlike the default
+    # "raise", it writes straight into ``out``.
+    np.take(
+        _SRGB_BYTE_TO_LINEAR_F32, index.reshape(3, -1), mode="wrap", out=linear
+    )
+    # The codes are spent: their bytes now hold the ratios and the toe mask.
+    spare = index.view(np.uint8)
+    ratios = spare[: 4 * values].view(np.float32).reshape(3, -1)
+    toe = spare[4 * values : 5 * values].view(np.bool_).reshape(3, -1)
     # A lone scanline stays pixel-major: numpy would multiply a lone pixel
     # by gemv and add contiguous columns pairwise, both rounding unlike
     # the block kernel.
     lone = rows == 1
     if lone:
-        ratios = (linear.T @ _RGB_TO_XYZ_RATIOS_F32).T
+        np.copyto(ratios, (linear.T @ _RGB_TO_XYZ_RATIOS_F32).T)
     else:
-        ratios = _RGB_TO_XYZ_RATIOS_T_F32 @ linear
-    # Temporaries are reused in place: fewer live blocks, fewer page faults.
+        np.matmul(_RGB_TO_XYZ_RATIOS_T_F32, linear, out=ratios)
     f = np.cbrt(ratios, out=linear)
-    toe = ratios <= _LAB_TOE_THRESHOLD
+    np.less_equal(ratios, _LAB_TOE_THRESHOLD, out=toe)
     ratios *= _LAB_TOE_SCALE
     ratios += _LAB_TOE_OFFSET
     np.copyto(f, ratios, where=toe)
@@ -112,7 +146,9 @@ def _column_mean_lab_f(pixels: np.ndarray, inv_cols: np.float32) -> np.ndarray:
 
 
 def _scanlines_from_pixels(
-    frame_pixels: Sequence[np.ndarray], smooth_rows: int
+    frame_pixels: Sequence[np.ndarray],
+    smooth_rows: int,
+    meanwhile: Optional[Callable[[], object]] = None,
 ) -> np.ndarray:
     """Same-shape sRGB byte frames -> scanline Lab ``(frames, rows, 3)``.
 
@@ -124,11 +160,12 @@ def _scanlines_from_pixels(
     holding at most :data:`_BLOCK_ELEMENTS` channel values, read as views of
     the frame, so a batched decode never stacks frames or holds a
     recording-wide index copy or linear image: its transient footprint is
-    one block per lane, whatever the recording length.  The lanes
-    (:func:`repro.util.lanes.run_lanes`) take whole frames, and each
-    writes only its own frames' rows.  Every step is elementwise, a
-    per-row matmul, or a per-frame reduction/convolution, so batched and
-    per-frame calls are bitwise identical.  Frames with fewer scanlines
+    one block's scratch per lane, whatever the recording length.  The
+    lanes (:func:`repro.util.lanes.run_lanes`, which runs ``meanwhile``)
+    take whole frames, and each writes only its own frames' rows.  Every
+    step is elementwise, a per-row matmul, or a per-frame
+    reduction/convolution, so batched and per-frame calls are bitwise
+    identical.  Frames with fewer scanlines
     than ``smooth_rows`` raise :class:`DemodulationError`.
     """
     frames = len(frame_pixels)
@@ -139,20 +176,31 @@ def _scanlines_from_pixels(
             f"frame has {rows} scanline(s), fewer than the "
             f"smooth_rows={smooth_rows} box filter"
         )
+    # Every conversion step is row-local, so blocking cannot change a byte.
+    block = max(1, min(rows, _BLOCK_ELEMENTS // (cols * 3)))
+    # One block scratch per lane, all made here, before the output: made
+    # by each lane in its own thread's heap, or after ``f_rows``, it left
+    # a grid sweep's peak RSS 1.6-3 MB higher.
+    spares = [
+        _lab_scratch(block * cols * 3) for _ in range(lanes.lanes_for(frames))
+    ]
     f_rows = np.empty((frames, rows, 3))
     inv_cols = np.float32(1.0 / cols)
-    # Every conversion step is row-local, so blocking cannot change a byte;
-    # a block's temporaries die with the helper's frame, before the next
-    # block's exist.
-    block = max(1, _BLOCK_ELEMENTS // (cols * 3))
+    lane = threading.local()
 
     def convert(index: int) -> None:
+        scratch = getattr(lane, "scratch", None)
+        if scratch is None:
+            scratch = lane.scratch = spares.pop()
         pixels = frame_pixels[index]
         for lo in range(0, rows, block):
             hi = min(lo + block, rows)
-            f_rows[index, lo:hi] = _column_mean_lab_f(pixels[lo:hi], inv_cols)
+            f_rows[index, lo:hi] = _column_mean_lab_f(
+                pixels[lo:hi], inv_cols, scratch
+            )
 
-    lanes.run_lanes(convert, range(frames))
+    lanes.run_lanes(convert, range(frames), meanwhile)
+    del lane, spares  # the scratch goes before the mixing below
     # Lab's channel mixing is linear, so it commutes with the column mean:
     # mix the (rows, 3) means instead of every pixel.
     scanlines = f_rows @ _LAB_BASIS
@@ -185,7 +233,9 @@ def frame_to_scanline_lab(
 
 
 def frames_to_scanline_lab(
-    frames: Sequence[CapturedFrame], smooth_rows: int = 3
+    frames: Sequence[CapturedFrame],
+    smooth_rows: int = 3,
+    meanwhile: Optional[Callable[[], object]] = None,
 ) -> List[np.ndarray]:
     """Batched :func:`frame_to_scanline_lab` over a same-shape recording.
 
@@ -193,7 +243,10 @@ def frames_to_scanline_lab(
     Python loop of per-frame passes; returns one ``(rows, 3)`` array per
     frame, bitwise identical to the per-frame results.  All frames must
     share a pixel shape (recordings do — fault injectors preserve shapes and
-    only ever drop whole frames).
+    only ever drop whole frames).  ``meanwhile``, if given, runs once on the
+    calling thread while the lanes convert
+    (:func:`repro.util.lanes.run_lanes`); a call that converts nothing, or
+    rejects its frames, returns or raises without running it.
     """
     if not frames:
         return []
@@ -205,7 +258,7 @@ def frames_to_scanline_lab(
                 f"and {frame.pixels.shape}"
             )
     scanlines = _scanlines_from_pixels(
-        [frame.pixels for frame in frames], smooth_rows
+        [frame.pixels for frame in frames], smooth_rows, meanwhile
     )
     return [scanlines[i] for i in range(len(frames))]
 

@@ -15,7 +15,7 @@ streaming decode share one back half.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from repro.rx.detector import (
 )
 from repro.rx.preprocess import frame_to_scanline_lab, frames_to_scanline_lab
 from repro.rx.segmentation import Band, BandColumns, BandSegmenter
+from repro.util import lanes
 
 
 #: Reasons a packet can fail FEC, as recorded in :class:`FecFailure`.
@@ -202,7 +203,9 @@ class ReceiverReport:
         return counts
 
 
-def preprocess_frames(frames: Sequence) -> List[Optional[np.ndarray]]:
+def preprocess_frames(
+    frames: Sequence, meanwhile: Optional[Callable[[], object]] = None
+) -> List[Optional[np.ndarray]]:
     """Batched sRGB -> scanline-Lab over same-shape groups of frames.
 
     Each group converts as one pass on the lanes, bitwise identical to
@@ -212,10 +215,16 @@ def preprocess_frames(frames: Sequence) -> List[Optional[np.ndarray]]:
     conversion raises, and frames whose pixels cannot be read at all, fall
     back to ``None`` entries, which ``ColorBarsReceiver._segment_frame``
     preprocesses individually under its per-frame containment: a frame that
-    fails there fails with the error it would have raised alone.  Nothing
+    fails there fails with the error it would have raised alone.
+
+    ``meanwhile``, if given, runs exactly once on the calling thread: while
+    the lanes convert the first group that starts, or after the groups if
+    none does.  It is not the conversion's to contain: an exception it
+    raises re-raises here, after every lane has stopped.  Nothing else
     raises out of here.
     """
     results: List[Optional[np.ndarray]] = [None] * len(frames)
+    pending = lanes.Deferred(meanwhile)
     groups: dict = {}
     for position, frame in enumerate(frames):
         try:
@@ -224,11 +233,14 @@ def preprocess_frames(frames: Sequence) -> List[Optional[np.ndarray]]:
             continue
     for positions in groups.values():
         try:
-            labs = frames_to_scanline_lab([frames[p] for p in positions])
+            labs = frames_to_scanline_lab(
+                [frames[p] for p in positions], meanwhile=pending
+            )
         except Exception:
             continue
         for position, lab in zip(positions, labs):
             results[position] = lab
+    pending.result()
     return results
 
 

@@ -32,10 +32,12 @@ level up — what :class:`~repro.exceptions.CellFailure` is to a sweep cell,
 
 Every pump preprocesses its frames ahead of feeding them: it converts
 them to scanline Lab on the lanes (:mod:`repro.util.lanes`) a bounded
-window at a time, across sessions, then feeds each frame with its
-scanlines in the order frame-at-a-time feeding would.  The lookahead
-moves no byte of any output and changes no containment (see
-:meth:`SessionManager._feed_turns`).
+window at a time, across sessions, and feeds each frame with its
+scanlines in the order frame-at-a-time feeding would.  While the lanes
+convert the next window, the calling thread feeds the current one, the
+way the paper's phone app runs frame processing and decoding on two
+threads.  The lookahead moves no byte of any output and changes no
+containment (see :meth:`SessionManager._feed_turns`).
 
 Per-session spans and admitted/rejected/evicted/quarantined counters and
 queue-depth gauges thread through :mod:`repro.obs` (see
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import (
@@ -86,7 +89,8 @@ from repro.util import lanes
 #: On 2 CPUs (16-frame windows) the benchmark's 200-session soak ran 26%
 #: faster than frame-at-a-time feeding, at +1.6 MB peak RSS; one window
 #: per pump (up to 800 frames) ran 3-5% faster still but took peak RSS
-#: from ~125 to ~220 MB (EXPERIMENTS.md, "Serving lookahead").
+#: from ~125 to ~220 MB (EXPERIMENTS.md, "Serving lookahead").  Two
+#: windows are alive at once: one feeding while the next converts.
 WINDOW_FRAMES_PER_LANE = 8
 
 #: Backpressure policies for a full session queue.
@@ -349,56 +353,81 @@ class SessionManager:
         """Feed each turn's session its oldest queued frame, in turn order.
 
         The turns run in windows of :data:`WINDOW_FRAMES_PER_LANE` frames
-        per lane, across sessions.  Each window's frames are first
-        converted to scanline Lab together on the lanes
-        (:func:`repro.rx.receiver.preprocess_frames`), then fed one by one
-        with their scanlines.  A window holds its frames' scanlines only
-        until it is fed, which bounds the lookahead's memory whatever the
-        number of queued frames.  A turn whose session was quarantined
-        earlier in the pass is skipped: its queue is gone.
+        per lane, across sessions.  Every turn's frame is read from the
+        queues up front, and window 0 is converted to scanline Lab on the
+        lanes (:func:`repro.rx.receiver.preprocess_frames`).  Then, for
+        each window, the lanes convert the next window while the calling
+        thread feeds this one as that conversion's ``meanwhile``, so the
+        feed's segment, detect and fold overlap the next conversion.  At
+        most two windows of scanlines are alive, whatever the number of
+        queued frames.  A turn whose session was quarantined earlier in
+        the pass is skipped: its queue is gone, and so is any scanline
+        converted for it.
         """
-        fed = 0
+        frames = self._queued_frames(turns)
         window = WINDOW_FRAMES_PER_LANE * lanes.lane_count()
+        fed = 0
+        ahead = self._lookahead(frames[:window])
         for lo in range(0, len(turns), window):
-            part = turns[lo : lo + window]
-            for session, scanlines in zip(part, self._lookahead(part)):
-                if session.is_active:
-                    fed += self._feed_next(session, scanlines)
+            feed = lanes.Deferred(
+                partial(self._feed_window, turns[lo : lo + window], ahead)
+            )
+            # The feed runs exactly once: during the next window's
+            # conversion, or here if that conversion never started it.
+            ahead = self._lookahead(frames[lo + window : lo + 2 * window], feed)
+            fed += feed.result()
         return fed
 
     @staticmethod
-    def _lookahead(turns: List[ReceiverSession]) -> list:
-        """Each turn's frame as scanline Lab, or ``None`` to feed it as is.
+    def _queued_frames(turns: List[ReceiverSession]) -> list:
+        """Each turn's frame, or ``None`` where a turn's frame is fed as is.
 
-        The k-th turn of an active session in ``turns`` will feed the k-th
-        frame of its queue, so the frames are read in place, never
-        dequeued.  Only :class:`StreamingReceiver` sessions take
-        precomputed scanlines.  Fewer than two such frames convert nothing
+        The k-th turn of a session in ``turns`` will feed the k-th frame of
+        its queue, so the frames are read in place, never dequeued.  Only
+        :class:`StreamingReceiver` sessions take precomputed scanlines.
+        """
+        queues: Dict[ReceiverSession, object] = {}
+        frames: list = []
+        for session in turns:
+            queue = queues.get(session)
+            if queue is None:
+                queue = queues[session] = iter(session.queue)
+            frame = next(queue)[0]
+            streaming = isinstance(session.streaming, StreamingReceiver)
+            frames.append(frame if streaming else None)
+        return frames
+
+    @staticmethod
+    def _lookahead(frames: list, meanwhile=None) -> list:
+        """Each frame as scanline Lab, or ``None`` to feed it as is.
+
+        ``meanwhile`` runs on the calling thread while the lanes convert,
+        if they convert anything.  Fewer than two frames convert nothing
         here: a lone frame takes the plain ``feed(frame)`` path.  Nothing
         raises out of this: a frame the batch cannot convert is fed as is,
         and fails (or not) exactly as it would alone.
         """
-        scanlines: list = [None] * len(turns)
-        positions: List[int] = []
-        frames: list = []
-        taken: Dict[ReceiverSession, int] = {}
-        for position, session in enumerate(turns):
-            k = taken.get(session, 0)
-            taken[session] = k + 1
-            if session.is_active and isinstance(
-                session.streaming, StreamingReceiver
-            ):
-                positions.append(position)
-                frames.append(session.queue[k][0])
-        if len(frames) < 2:
+        scanlines: list = [None] * len(frames)
+        positions = [p for p, frame in enumerate(frames) if frame is not None]
+        if len(positions) < 2:
             return scanlines
         try:
-            labs = preprocess_frames(frames)
+            labs = preprocess_frames(
+                [frames[p] for p in positions], meanwhile=meanwhile
+            )
         except Exception:
             return scanlines
         for position, lab in zip(positions, labs):
             scanlines[position] = lab
         return scanlines
+
+    def _feed_window(self, turns: List[ReceiverSession], scanlines: list) -> int:
+        """Feed one window's turns in order; returns frames fed."""
+        fed = 0
+        for session, lab in zip(turns, scanlines):
+            if session.is_active:
+                fed += self._feed_next(session, lab)
+        return fed
 
     def _feed_next(self, session: ReceiverSession, scanlines) -> int:
         """Feed the session its oldest queued frame; returns frames fed.

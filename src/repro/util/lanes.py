@@ -10,13 +10,20 @@ so no lane thread is alive when a pool forks its workers (a forked child
 inherits an executor whose threads do not exist, and deadlocks on it).
 Each item must write only its own slice of the output, so the lane count
 cannot move a byte.
+
+A caller with other work can hand it to :func:`run_lanes` as
+``meanwhile``: the calling thread runs it while the other lanes take
+items, then joins them.  The session manager feeds one serving window
+this way while the lanes convert the next.  :class:`Deferred` wraps such
+a call so that its outcome, and whether it ran at all, stays apart from
+the lanes' own failures.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -43,31 +50,80 @@ def lane_count() -> int:
     return max(1, cpus // _CONCURRENT_CELLS)
 
 
+def lanes_for(items: int) -> int:
+    """How many lanes :func:`run_lanes` runs for ``items`` items."""
+    return max(1, min(lane_count(), items))
+
+
 def _lane(work: Callable[[T], None], shared: Iterator[T]) -> None:
     """One lane: ``work`` items from ``shared`` until it runs dry."""
     for item in shared:
         work(item)
 
 
-def run_lanes(work: Callable[[T], None], items: Sequence[T]) -> None:
+def run_lanes(
+    work: Callable[[T], None],
+    items: Sequence[T],
+    meanwhile: Optional[Callable[[], object]] = None,
+) -> None:
     """Call ``work(item)`` for every item, on up to :func:`lane_count` lanes.
 
     The lanes take items from one shared iterator until it runs dry.  One
-    item, or one lane, runs on the calling thread alone.  A lane's
-    exception reaches the caller once every lane has stopped, so no lane
-    thread is alive when this returns or raises.
+    item, or one lane, runs on the calling thread alone.  ``meanwhile``,
+    if given, runs once on the calling thread before it joins the lanes,
+    so it overlaps the other lanes' items; with one lane or no items it
+    runs first and the items follow.  An exception from ``meanwhile`` or
+    from a lane reaches the caller once every lane has stopped, so no lane
+    thread is alive when this returns or raises; one raised on the calling
+    thread wins over the other lanes' own.
     """
-    lanes = min(lane_count(), len(items))
+    lanes = lanes_for(len(items))
     shared = iter(items)
     if lanes <= 1:
+        if meanwhile is not None:
+            meanwhile()
         _lane(work, shared)
         return
     with ThreadPoolExecutor(
         max_workers=lanes - 1, thread_name_prefix=THREAD_PREFIX
     ) as executor:
         others = [executor.submit(_lane, work, shared) for _ in range(lanes - 1)]
+        # Leaving the block waits for every lane, also when this raises.
+        if meanwhile is not None:
+            meanwhile()
+        _lane(work, shared)
+        for other in others:
+            other.result()
+
+
+class Deferred:
+    """A call that runs at most once and keeps its outcome for later.
+
+    Calling the object runs the call the first time and never raises: an
+    exception is kept.  :meth:`result` runs the call if it has not run
+    yet, then returns its value or re-raises its exception.  As
+    :func:`run_lanes`' ``meanwhile`` it cannot be mistaken for a failure
+    of the lanes' work, and the caller still runs it if the lanes never
+    started.
+    """
+
+    def __init__(self, call: Optional[Callable[[], object]]) -> None:
+        self._call = call
+        self._outcome: Optional[tuple] = None
+
+    def __call__(self) -> None:
+        if self._outcome is not None:
+            return
         try:
-            _lane(work, shared)
-        finally:
-            for other in others:
-                other.result()
+            value = self._call() if self._call is not None else None
+        except BaseException as exc:  # re-raised by result()
+            self._outcome = (False, exc)
+        else:
+            self._outcome = (True, value)
+
+    def result(self):
+        self()
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value

@@ -11,6 +11,7 @@ consumer that scores a report must score a plain band list the same way.
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tests.rx.test_streaming_equivalence import _config, _recording
@@ -25,7 +26,7 @@ from repro.link.adapt import ReportWindowTracker
 from repro.link.simulator import LinkSimulator
 from repro.phy.waveform import EXTEND_CYCLE
 from repro.csk.demodulator import DECISION_KINDS, NO_INDEX
-from repro.rx.detector import BandLog, band_column, received_bands
+from repro.rx.detector import BAND_RECORD, BandLog, band_column, received_bands
 from repro.rx.receiver import ReceiverReport
 from repro.rx.streaming import StreamingReceiver
 
@@ -174,6 +175,36 @@ def test_log_survives_a_pickle_round_trip(setting):
     assert [_key(band) for band in restored.bands] == [
         _key(band) for band in report.bands
     ]
+
+
+def _streamed_log(device, config, frames):
+    streaming = StreamingReceiver(_calibrated_receiver(device, config))
+    for frame in frames:
+        streaming.feed(frame)
+    streaming.finish()
+    return streaming.report.bands
+
+
+def test_identical_decodes_pickle_to_identical_bytes(setting):
+    """A band record's layout has padding; the log must not carry
+    whatever bytes the allocator left there."""
+    device, config, frames = setting
+    batch = [
+        make_receiver(config, device.timing).process_frames(frames).bands
+        for _ in range(2)
+    ]
+    streamed = [_streamed_log(device, config, frames) for _ in range(2)]
+    for first, second in (batch, streamed):
+        assert len(first) > 0
+        assert pickle.dumps(first) == pickle.dumps(second)
+    named = np.zeros(BAND_RECORD.itemsize, dtype=bool)
+    for dtype, offset in (field[:2] for field in BAND_RECORD.fields.values()):
+        named[offset : offset + dtype.itemsize] = True
+    assert not named.all()
+    for log in (batch[0], streamed[0]):
+        for record in log._records:
+            raw = np.frombuffer(record.tobytes(), dtype=np.uint8)
+            assert not raw.reshape(len(record), -1)[:, ~named].any()
 
 
 def test_an_empty_log_reads_empty():

@@ -1,10 +1,12 @@
 """The pump's preprocess lookahead moves no byte and contains everything.
 
 ``SessionManager.pump`` converts the frames it is about to feed in
-windows that span sessions, then feeds each frame with its scanlines.
-These checks hold it to feeding each frame alone: the golden chaos soak
-under any lane count, a hostile window against a frame-at-a-time
-reference, and a lone frame that takes the plain ``feed(frame)`` path.
+windows that span sessions, and feeds each window while the lanes convert
+the next.  These checks hold it to feeding each frame alone: the golden
+chaos soak under any lane count, a hostile window against a
+frame-at-a-time reference, multi-window pumps whose overlap meets a
+quarantine or a failing lookahead, and a lone frame that takes the plain
+``feed(frame)`` path.
 """
 
 from dataclasses import replace
@@ -165,7 +167,7 @@ def test_lookahead_error_falls_back_to_per_frame_feeding(
     queues = _hostile_queues(frames)
     reference = _outcome(*_serve(tiny_device, queues))
 
-    def broken(frames):
+    def broken(frames, meanwhile=None):
         raise RuntimeError("lookahead bug")
 
     monkeypatch.setattr(manager_module, "preprocess_frames", broken)
@@ -199,3 +201,101 @@ def test_lone_frame_starts_no_lane_thread(
     else:
         # Control: two frames do convert together, on the lanes.
         assert executors == [lanes.THREAD_PREFIX] and batch_calls == [2]
+
+
+def _reference(tiny_device, queues, monkeypatch):
+    """The frame-at-a-time outcome: one lane, one-frame windows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lanes, "lane_count", lambda: 1)
+        patch.setattr(manager_module, "WINDOW_FRAMES_PER_LANE", 1)
+        return _outcome(*_serve(tiny_device, queues))
+
+
+@pytest.fixture
+def fed_frames(monkeypatch):
+    """Every frame the manager hands a receiver, in feed order."""
+    fed = []
+    feed_next = SessionManager._feed_next
+
+    def recording(self, session, scanlines):
+        fed.append((session.session_id, session.queue[0][0]))
+        return feed_next(self, session, scanlines)
+
+    monkeypatch.setattr(SessionManager, "_feed_next", recording)
+    return fed
+
+
+@pytest.mark.parametrize("per_lane", [1, 2])
+@pytest.mark.parametrize("lane_count", [2, 3])
+def test_overlapped_windows_match_frame_at_a_time(
+    lane_count, per_lane, tiny_device, frames, batch_calls, fed_frames,
+    monkeypatch,
+):
+    queues = _hostile_queues(frames)
+    reference = _reference(tiny_device, queues, monkeypatch)
+    reference_feeds = list(fed_frames)
+    del fed_frames[:]
+    monkeypatch.setattr(lanes, "lane_count", lambda: lane_count)
+    monkeypatch.setattr(manager_module, "WINDOW_FRAMES_PER_LANE", per_lane)
+    assert _outcome(*_serve(tiny_device, queues)) == reference
+    assert batch_calls and max(batch_calls) > 1
+    # Each frame was fed once, in the same order.
+    assert [(s, id(f)) for s, f in fed_frames] == [
+        (s, id(f)) for s, f in reference_feeds
+    ]
+
+
+def test_quarantine_skips_turns_already_converted_ahead(
+    tiny_device, frames, fed_frames, monkeypatch
+):
+    """The bomb session's third frame sits in the window after the one
+    that quarantines it: the lanes convert it while that window feeds,
+    and it is never fed."""
+    monkeypatch.setattr(lanes, "lane_count", lambda: 2)
+    monkeypatch.setattr(manager_module, "WINDOW_FRAMES_PER_LANE", 1)
+    converted = []
+    convert = manager_module.preprocess_frames
+
+    def recording(batch, meanwhile=None):
+        converted.append(list(batch))
+        return convert(batch, meanwhile=meanwhile)
+
+    monkeypatch.setattr(manager_module, "preprocess_frames", recording)
+    bomb = [frames[0], _NoPixels(1), frames[2], frames[3]]
+    queues = {"bomb": bomb, "good": [replace(f) for f in frames[:4]]}
+    outcome = _outcome(*_serve(tiny_device, queues))
+    assert [f.session_id for f in outcome[1]] == ["bomb"]
+    assert any(frame is bomb[2] for batch in converted for frame in batch)
+    assert [id(f) for s, f in fed_frames if s == "bomb"] == [
+        id(f) for f in bomb[:2]
+    ]
+    assert outcome == _reference(tiny_device, queues, monkeypatch)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_failing_lookahead_feeds_every_frame_once(
+    when, tiny_device, frames, fed_frames, monkeypatch
+):
+    """One lookahead raises before it ran its window's feed, or after; the
+    window is fed exactly once either way, and the next frame by frame."""
+    queues = _hostile_queues(frames)
+    reference = _reference(tiny_device, queues, monkeypatch)
+    reference_feeds = [(s, id(f)) for s, f in fed_frames]
+    del fed_frames[:]
+    monkeypatch.setattr(lanes, "lane_count", lambda: 2)
+    monkeypatch.setattr(manager_module, "WINDOW_FRAMES_PER_LANE", 2)
+    convert = manager_module.preprocess_frames
+    calls = []
+
+    def flaky(batch, meanwhile=None):
+        calls.append(meanwhile)
+        if len(calls) == 3:
+            if when == "after" and meanwhile is not None:
+                meanwhile()
+            raise RuntimeError(f"lookahead bug {when} its feed")
+        return convert(batch, meanwhile=meanwhile)
+
+    monkeypatch.setattr(manager_module, "preprocess_frames", flaky)
+    assert _outcome(*_serve(tiny_device, queues)) == reference
+    assert len(calls) > 3 and calls[2] is not None
+    assert [(s, id(f)) for s, f in fed_frames] == reference_feeds
