@@ -51,14 +51,14 @@ def run_with_coring(coring: str, seed: int = 17):
     }
 
 
-def test_ablation_coring(benchmark):
+def test_ablation_coring():
     def run():
         return {
             "central": run_with_coring("central"),
             "min_variance": run_with_coring("min_variance"),
         }
 
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = run()
 
     print("\nAblation — band color estimator (32-CSK @ 4 kHz, Nexus 5)")
     print("  estimator     | SER     | packets decoded/seen")

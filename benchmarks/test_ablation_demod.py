@@ -111,7 +111,7 @@ def _two_segment_matches(seed: int = 13):
     return segments[0], segments[1]
 
 
-def test_ablation_lab_vs_rgb_matching(recording, benchmark):
+def test_ablation_lab_vs_rgb_matching(recording):
     """Learn references at one brightness, classify at another.
 
     The §6.1 argument for CIELab's ab-plane is robustness: dropping the
@@ -121,9 +121,7 @@ def test_ablation_lab_vs_rgb_matching(recording, benchmark):
     close-range segment and classifies a dimmer, farther segment — raw RGB
     references go stale with brightness, ab references do not.
     """
-    train, test = benchmark.pedantic(
-        _two_segment_matches, rounds=1, iterations=1
-    )
+    train, test = _two_segment_matches()
 
     from repro.color.cielab import lab_to_xyz
     from repro.color.srgb import xyz_to_srgb
@@ -160,8 +158,7 @@ def test_ablation_lab_vs_rgb_matching(recording, benchmark):
     assert results["ab"] <= results["rgb"] + 1e-9
 
 
-def test_ablation_calibration_off(recording, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_ablation_calibration_off(recording):
     config, transmitter, plan, waveform, receiver, report = recording
 
     matches = align_ground_truth(report.bands, plan.symbols, waveform)

@@ -40,7 +40,7 @@ def burst_channel_trial(codec, rng, burst_bytes, as_erasures=True):
     return decoded == data
 
 
-def test_ablation_parity_sweep(benchmark):
+def test_ablation_parity_sweep():
     def run():
         params = rs_params_for_loss(
             SYMBOL_RATE, FRAME_RATE, LOSS_RATIO, BITS_PER_SYMBOL, ETA
@@ -61,7 +61,7 @@ def test_ablation_parity_sweep(benchmark):
             outcomes[parity_scale] = (parity, successes / 120, rate)
         return params, burst_bytes, outcomes
 
-    params, burst_bytes, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    params, burst_bytes, outcomes = run()
 
     print("\nAblation — RS parity sizing (16-CSK @ 3 kHz, Nexus 5 loss ratio)")
     print(f"  paper rule: RS({params.n},{params.k}), gap burst = {burst_bytes} bytes")
@@ -86,7 +86,7 @@ def test_ablation_parity_sweep(benchmark):
     assert best[0] <= outcomes[1.0][0]
 
 
-def test_ablation_erasures_vs_errors(benchmark):
+def test_ablation_erasures_vs_errors():
     def run():
         params = rs_params_for_loss(
             SYMBOL_RATE, FRAME_RATE, LOSS_RATIO, BITS_PER_SYMBOL, ETA
@@ -107,7 +107,7 @@ def test_ablation_erasures_vs_errors(benchmark):
             outcomes[burst_scale] = (burst, with_erasures / 60, without / 60)
         return outcomes
 
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = run()
 
     print("\nAblation — erasure decoding vs errors-only decoding")
     print("  burst (bytes) | erasure decode | errors-only decode")

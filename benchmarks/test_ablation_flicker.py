@@ -49,7 +49,7 @@ def measure_excursion(white_fraction, trials=4):
     return float(np.mean(excursions))
 
 
-def test_ablation_white_ratio(benchmark):
+def test_ablation_white_ratio():
     def run():
         led = typical_tri_led()
         constellation = design_constellation(16, led.gamut)
@@ -58,9 +58,7 @@ def test_ablation_white_ratio(benchmark):
         model_fraction = model.required_white_fraction(RATE)
         return curve, model_fraction, measure_excursion(model_fraction)
 
-    curve, model_fraction, model_excursion = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    curve, model_fraction, model_excursion = run()
 
     print("\nAblation — white-symbol fraction vs flicker margin (16-CSK @ 2 kHz)")
     print("  white fraction | worst xy excursion | data airtime share")

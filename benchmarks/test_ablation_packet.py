@@ -66,7 +66,7 @@ def delivery_efficiency(packet_symbols, header_symbols, parity_symbol_budget):
     return delivered / total
 
 
-def test_ablation_packet_size(benchmark):
+def test_ablation_packet_size():
     def run():
         config = SystemConfig(
             csk_order=16, symbol_rate=RATE, design_loss_ratio=LOSS,
@@ -101,7 +101,7 @@ def test_ablation_packet_size(benchmark):
             )
         return natural, outcomes
 
-    natural, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    natural, outcomes = run()
 
     symbols_per_period = RATE / FRAME_RATE
     print("\nAblation — packet size (16-CSK @ 3 kHz, Nexus 5 loss geometry)")

@@ -55,7 +55,7 @@ def run_fsk():
     return result.throughput_bps
 
 
-def test_baseline_comparison(benchmark):
+def test_baseline_comparison():
     def run():
         colorbars_tput, colorbars_goodput = run_colorbars()
         return {
@@ -65,7 +65,7 @@ def test_baseline_comparison(benchmark):
             "fsk": run_fsk(),
         }
 
-    rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    rates = run()
 
     print("\nBaseline comparison (same camera substrate, Nexus 5)")
     print(f"  ColorBars 16-CSK@4kHz throughput: {rates['colorbars_throughput']:8.0f} bps")

@@ -48,7 +48,7 @@ def run_link(constellation, seed=29):
     return result.metrics
 
 
-def test_extension_constellation_optimization(benchmark):
+def test_extension_constellation_optimization():
     def run():
         led = typical_tri_led()
         device = nexus_5()
@@ -68,7 +68,7 @@ def test_extension_constellation_optimization(benchmark):
             "optimized_metrics": run_link(optimized),
         }
 
-    outcome = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcome = run()
 
     print("\nExtension — camera-aware constellation design (32-CSK @ 4 kHz)")
     print(

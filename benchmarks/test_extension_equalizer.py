@@ -69,10 +69,8 @@ def run_pair(order: int, seed: int = 5):
     return outcomes
 
 
-def test_extension_isi_equalizer(benchmark):
-    outcomes = benchmark.pedantic(
-        lambda: run_pair(order=4), rounds=1, iterations=1
-    )
+def test_extension_isi_equalizer():
+    outcomes = run_pair(order=4)
 
     print(
         "\nExtension — ISI equalization at exposure = 0.92 x symbol period "

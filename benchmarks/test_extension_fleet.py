@@ -17,18 +17,14 @@ from repro.camera.devices import iphone_5s, nexus_5
 from repro.link.multi import broadcast_to_fleet
 
 
-def test_extension_fleet_provisioning(benchmark):
-    report = benchmark.pedantic(
-        lambda: broadcast_to_fleet(
-            [nexus_5(), iphone_5s()],
-            csk_order=16,
-            symbol_rate=3000,
-            duration_s=2.5,
-            compare_dedicated=True,
-            seed=23,
-        ),
-        rounds=1,
-        iterations=1,
+def test_extension_fleet_provisioning():
+    report = broadcast_to_fleet(
+        [nexus_5(), iphone_5s()],
+        csk_order=16,
+        symbol_rate=3000,
+        duration_s=2.5,
+        compare_dedicated=True,
+        seed=23,
     )
 
     print("\nExtension — fleet broadcast (16-CSK @ 3 kHz)")

@@ -37,12 +37,8 @@ def run_at_distance(distance_m: float, seed: int = 19):
     return result.metrics
 
 
-def test_extension_range_sweep(benchmark):
-    metrics = benchmark.pedantic(
-        lambda: {d: run_at_distance(d) for d in DISTANCES_M},
-        rounds=1,
-        iterations=1,
-    )
+def test_extension_range_sweep():
+    metrics = {d: run_at_distance(d) for d in DISTANCES_M}
 
     print("\nExtension — range sweep (8-CSK @ 2 kHz, Nexus 5, ambient on)")
     print("  distance (cm) | SER     | goodput (bps) | packets")

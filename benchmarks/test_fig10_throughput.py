@@ -26,9 +26,7 @@ def throughput_tables(full_sweep):
     }
 
 
-def test_fig10_throughput(throughput_tables, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
+def test_fig10_throughput(throughput_tables):
     for device, table in throughput_tables.items():
         print(
             "\n"

@@ -27,9 +27,7 @@ def goodput_tables(full_sweep):
     }
 
 
-def test_fig11_goodput(goodput_tables, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
+def test_fig11_goodput(goodput_tables):
     for device, table in goodput_tables.items():
         print(
             "\n"

@@ -34,9 +34,7 @@ def white_curve():
     return {f: model.required_white_fraction(f) for f in FREQUENCIES}
 
 
-def test_fig3b_white_fraction_curve(white_curve, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
+def test_fig3b_white_fraction_curve(white_curve):
     print("\nFig 3(b) — minimum white-light fraction vs symbol frequency")
     print("  freq (Hz) | white fraction")
     for freq, fraction in white_curve.items():
@@ -51,7 +49,7 @@ def test_fig3b_white_fraction_curve(white_curve, benchmark):
     assert white_curve[5000] < white_curve[1000]
 
 
-def test_fig3b_model_validates_against_waveform(benchmark):
+def test_fig3b_model_validates_against_waveform():
     """Streams mixed at the model's white fraction stay flicker-free."""
 
     def run():
@@ -76,7 +74,7 @@ def test_fig3b_model_validates_against_waveform(benchmark):
             outcomes[freq] = excursion
         return outcomes
 
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = run()
     print("\n  worst-case perceived xy excursion with model's white fraction:")
     for freq, excursion in outcomes.items():
         print(f"  {freq:>5} Hz: {excursion:.4f} (threshold {XY_FLICKER_THRESHOLD})")

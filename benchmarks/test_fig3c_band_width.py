@@ -55,11 +55,11 @@ def measure_band_widths(rate: float, seed: int = 0):
     return np.array(widths), device.timing.rows_per_symbol(rate)
 
 
-def test_fig3c_band_width(benchmark):
+def test_fig3c_band_width():
     def run():
         return {rate: measure_band_widths(rate) for rate in (1000.0, 3000.0)}
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     print("\nFig 3(c) — band width vs symbol rate (Nexus 5 geometry)")
     print("  rate (Hz) | expected rows/symbol | median detected width")

@@ -44,14 +44,14 @@ def received_references(device, seed=0):
     return receiver.calibration.references
 
 
-def test_fig6a_receiver_diversity(benchmark):
+def test_fig6a_receiver_diversity():
     def run():
         return {
             "Nexus 5": received_references(nexus_5()),
             "iPhone 5S": received_references(iphone_5s()),
         }
 
-    refs = benchmark.pedantic(run, rounds=1, iterations=1)
+    refs = run()
 
     print("\nFig 6(a) — received chroma of the 8-CSK symbols per device")
     print("  symbol |    Nexus 5 (a, b)   |   iPhone 5S (a, b)")

@@ -62,14 +62,10 @@ EXPOSURES = (1 / 8000, 1 / 4000, 1 / 2000, 1 / 1000, 1 / 500)
 ISOS = (100, 200, 400, 800, 1600)
 
 
-def test_fig6b_exposure_sweep(benchmark):
-    chromas = benchmark.pedantic(
-        lambda: {
-            e: capture_mean_chroma(ExposureSettings(e, 100)) for e in EXPOSURES
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6b_exposure_sweep():
+    chromas = {
+        e: capture_mean_chroma(ExposureSettings(e, 100)) for e in EXPOSURES
+    }
     print("\nFig 6(b) — received chroma of a blue symbol vs exposure time")
     print("  exposure (s) |    a    |    b")
     for exposure, ab in chromas.items():
@@ -85,15 +81,11 @@ def test_fig6b_exposure_sweep(benchmark):
     assert chroma_magnitude[-1] < chroma_magnitude[0]
 
 
-def test_fig6c_iso_sweep(benchmark):
-    chromas = benchmark.pedantic(
-        lambda: {
-            iso: capture_mean_chroma(ExposureSettings(1 / 4000, iso))
-            for iso in ISOS
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6c_iso_sweep():
+    chromas = {
+        iso: capture_mean_chroma(ExposureSettings(1 / 4000, iso))
+        for iso in ISOS
+    }
     print("\nFig 6(c) — received chroma of a blue symbol vs ISO")
     print("  ISO  |    a    |    b")
     for iso, ab in chromas.items():

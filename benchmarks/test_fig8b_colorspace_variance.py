@@ -57,7 +57,7 @@ def capture_band_frame(seed=0):
     return camera.capture_frame(waveform, 0.0)
 
 
-def test_fig8b_colorspace_variance(benchmark):
+def test_fig8b_colorspace_variance():
     def run():
         frame = capture_band_frame()
         # A wide row range spanning the vignetting gradient.
@@ -67,7 +67,7 @@ def test_fig8b_colorspace_variance(benchmark):
             "lab": column_color_variance(frame.pixels, band, space="lab"),
         }
 
-    variances = benchmark.pedantic(run, rounds=1, iterations=1)
+    variances = run()
 
     print("\nFig 8(b) — variance of pixel distance from the band mean color")
     print(f"  RGB color space    : {variances['rgb']:10.2f}")

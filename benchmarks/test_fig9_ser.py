@@ -27,9 +27,7 @@ def ser_tables(full_sweep):
     }
 
 
-def test_fig9_ser(ser_tables, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
+def test_fig9_ser(ser_tables):
     for device, table in ser_tables.items():
         print("\n" + format_series_table(f"Fig 9 — SER vs frequency ({device})", table))
 

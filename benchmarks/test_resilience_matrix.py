@@ -92,8 +92,7 @@ def matrix() -> Tuple[LinkResult, MatrixResults]:
     return baseline, cells
 
 
-def test_resilience_matrix(matrix, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+def test_resilience_matrix(matrix):
     baseline, cells = matrix
 
     print("\nResilience matrix — goodput (bps) by injector x intensity")

@@ -40,9 +40,7 @@ def table1(full_sweep):
     return rows
 
 
-def test_table1_interframe_loss(table1, benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
+def test_table1_interframe_loss(table1):
     print("\nTable 1 — symbols received per second / avg inter-frame loss ratio")
     print(f"{'device':>10} | " + " | ".join(f"{int(r)} Hz" for r in RATES) + " | avg loss (paper)")
     for device_name, (per_rate, avg_loss) in table1.items():

@@ -100,10 +100,6 @@ class FskModem:
     def bits_per_burst(self) -> int:
         return len(self.tones_hz).bit_length() - 1
 
-    @property
-    def bits_per_second_on_air(self) -> float:
-        return self.bits_per_burst / (self.burst_s + self.guard_s)
-
     # -- TX ------------------------------------------------------------------
 
     def modulate(self, payload: bytes, extend: str = EXTEND_CYCLE) -> OpticalWaveform:

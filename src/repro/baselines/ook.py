@@ -24,7 +24,7 @@ from repro.phy.led import TriLedEmitter
 from repro.phy.waveform import EXTEND_CYCLE, OpticalWaveform
 from repro.rx.preprocess import frame_to_scanline_lab
 from repro.util.bitstream import bits_to_bytes, bytes_to_bits
-from repro.util.validation import require, require_positive
+from repro.util.validation import require_positive
 
 
 @dataclass
@@ -62,11 +62,6 @@ class OokModem:
         self.off_lightness = off_lightness
         self._on_xyz = emitter.emit_chromaticity(emitter.white_point)
         self._off_xyz = emitter.off_xyz()
-
-    @property
-    def bits_per_second_on_air(self) -> float:
-        """Data bits per second of airtime (half the symbol rate)."""
-        return self.symbol_rate / 2.0
 
     # -- TX ------------------------------------------------------------------
 

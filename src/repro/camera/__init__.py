@@ -13,7 +13,6 @@ per device to the loss ratios of Table 1.
 """
 
 from repro.camera.auto_exposure import AutoExposure, ExposureSettings
-from repro.camera.bayer import bayer_mosaic, demosaic_bilinear
 from repro.camera.color_filter import ColorResponse
 from repro.camera.devices import (
     DeviceProfile,
@@ -29,8 +28,6 @@ from repro.camera.sensor import RollingShutterCamera, SensorTiming
 __all__ = [
     "AutoExposure",
     "ExposureSettings",
-    "bayer_mosaic",
-    "demosaic_bilinear",
     "ColorResponse",
     "DeviceProfile",
     "generic_device",

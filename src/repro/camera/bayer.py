@@ -41,46 +41,6 @@ def bayer_mosaic(image: np.ndarray) -> np.ndarray:
     return np.take_along_axis(image, mask[..., np.newaxis], axis=2)[..., 0]
 
 
-def _neighbor_average(plane: np.ndarray, presence: np.ndarray) -> np.ndarray:
-    """Bilinear fill: average of present neighbours within a 3x3 window."""
-    padded_value = np.pad(plane * presence, 1, mode="edge")
-    padded_count = np.pad(presence.astype(float), 1, mode="edge")
-    value_sum = np.zeros_like(plane, dtype=float)
-    count_sum = np.zeros_like(plane, dtype=float)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            value_sum += padded_value[
-                1 + dr : 1 + dr + plane.shape[0], 1 + dc : 1 + dc + plane.shape[1]
-            ]
-            count_sum += padded_count[
-                1 + dr : 1 + dr + plane.shape[0], 1 + dc : 1 + dc + plane.shape[1]
-            ]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        filled = value_sum / count_sum
-    return np.where(count_sum > 0, filled, 0.0)
-
-
-def demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
-    """Reconstruct a full-color image from an RGGB mosaic by bilinear fill.
-
-    Simple bilinear interpolation is what low-latency phone pipelines of the
-    paper's era effectively approximate; its channel mixing at band edges is
-    the ISI behaviour we want to exercise, not an artifact to avoid.
-    """
-    mosaic = np.asarray(mosaic, dtype=float)
-    if mosaic.ndim != 2:
-        raise CameraError(f"expected (rows, cols) mosaic, got {mosaic.shape}")
-    rows, cols = mosaic.shape
-    mask = bayer_mask(rows, cols)
-    out = np.empty((rows, cols, 3), dtype=float)
-    for channel in range(3):
-        presence = mask == channel
-        plane = np.where(presence, mosaic, 0.0)
-        averaged = _neighbor_average(mosaic, presence)
-        out[..., channel] = np.where(presence, plane, averaged)
-    return out
-
-
 # -- batched (leading-axes) variants --------------------------------------
 #
 # The vectorized capture engine (camera.capture) runs the CFA stage over a
@@ -342,8 +302,12 @@ def _parity_fill_nd(
 def demosaic_bilinear_nd(mosaic: np.ndarray) -> np.ndarray:
     """Bilinear demosaic over ``(..., rows, cols)``, preserving dtype.
 
-    Same 3x3 neighbour-average fill as :func:`demosaic_bilinear`, batched
-    over any leading axes: every operation is elementwise or a fixed spatial
+    Each missing channel of the RGGB mosaic is the average of that
+    channel's samples in the 3x3 window around the pixel.  Simple bilinear
+    interpolation is what low-latency phone pipelines of the paper's era
+    effectively approximate; its channel mixing at band edges is the ISI
+    behaviour we want to exercise, not an artifact to avoid.  Batched over
+    any leading axes: every operation is elementwise or a fixed spatial
     shift, so a batched call is bitwise identical to per-frame calls.  Even
     sensor dimensions (every real device) take the parity-class fast path;
     odd or degenerate shapes fall back to the count-based generic kernel.

@@ -45,39 +45,6 @@ class SensorNoise:
         if not 0 <= self.row_noise < 0.5:
             raise CameraError(f"row_noise must be in [0, 0.5), got {self.row_noise}")
 
-    def apply(
-        self,
-        linear_signal: np.ndarray,
-        iso: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Add shot + read noise to a linear image at the given ISO.
-
-        ``linear_signal`` is the pre-saturation linear image in full-well
-        units (1.0 = saturation at the reference ISO).  Higher ISO means the
-        same output level was produced by fewer photons, so relative noise
-        grows with the ISO gain.  The result is clipped to [0, 1]
-        (saturation).
-        """
-        if iso <= 0:
-            raise CameraError(f"iso must be positive, got {iso}")
-        signal = np.clip(np.asarray(linear_signal, dtype=float), 0.0, None)
-        iso_gain = iso / self.reference_iso
-
-        # Photons collected: signal/iso_gain of a full well.
-        electrons = signal * self.full_well_electrons / iso_gain
-        shot_std = np.sqrt(np.maximum(electrons, 0.0))
-        total_std = np.sqrt(shot_std**2 + self.read_noise_electrons**2)
-        noisy_electrons = electrons + rng.normal(0.0, 1.0, signal.shape) * total_std
-
-        if self.prnu > 0:
-            noisy_electrons = noisy_electrons * (
-                1.0 + rng.normal(0.0, self.prnu, signal.shape)
-            )
-
-        out = noisy_electrons * iso_gain / self.full_well_electrons
-        return np.clip(out, 0.0, 1.0)
-
 
 def dequantize_8bit(pixels: np.ndarray) -> np.ndarray:
     """uint8 image back to floats in [0, 1] (receiver side)."""

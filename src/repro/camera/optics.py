@@ -97,11 +97,6 @@ class Optics:
             np.array(ILLUMINANT_A.xy), Y=self.ambient_luminance
         )
 
-    def apply_to_scene(self, xyz: np.ndarray) -> np.ndarray:
-        """Distance attenuation plus ambient, before the sensor sees light."""
-        xyz = np.asarray(xyz, dtype=float)
-        return xyz * self.distance_gain() + self.ambient_xyz()
-
 
 #: Vignette maps are pure geometry — (optics, rows, cols, column strip) —
 #: and cameras read only the centre strip they simulate, so the memo holds

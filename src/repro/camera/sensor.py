@@ -252,8 +252,9 @@ class RollingShutterCamera:
 
         # 1. Scanline exposure integration of the transmitted waveform.
         scene_xyz = waveform.mean_xyz(row_starts, row_stops)
-        # 2. Optics and device color response (hoisted invariants; identical
-        # arithmetic to Optics.apply_to_scene / scene_xyz_to_camera_linear).
+        # 2. Optics (distance attenuation plus ambient) and device color
+        # response, from the hoisted invariants; the same arithmetic as
+        # ColorResponse.scene_xyz_to_camera_linear.
         scene_xyz = scene_xyz * self._scene_gain + self._scene_ambient
         camera_linear = xyz_to_linear_rgb(scene_xyz) @ self._response_matrix_t
 
@@ -452,17 +453,3 @@ class RollingShutterCamera:
             self.optics, rows, self.timing.cols, left, left + cols
         )
 
-    def reset(self, seed=None) -> None:
-        """Restart frame numbering and RNG (fresh recording session).
-
-        Reseeding also discards the PRNU fixed pattern (the pattern is the
-        first thing a fresh RNG draws) and the adapted AWB gains, so a
-        reseeded camera reproduces a same-seeded new camera exactly.  The
-        AE controller is caller-owned and keeps its state; lock it if the
-        session must be bit-reproducible end to end.
-        """
-        self._frame_index = 0
-        if seed is not None:
-            self.rng = make_rng(seed)
-            self._prnu_gain = None
-            self._awb_gains = np.ones(3)

@@ -110,14 +110,6 @@ class Constellation:
         """Smallest pairwise xy distance — the constellation's noise margin."""
         return self.gamut.min_pairwise_distance(self.points)
 
-    def nearest(self, xy: np.ndarray) -> Tuple[int, float]:
-        """Nearest symbol index and its distance for a chromaticity sample."""
-        xy = np.asarray(xy, dtype=float)
-        deltas = self.as_array() - xy
-        distances = np.hypot(deltas[:, 0], deltas[:, 1])
-        index = int(np.argmin(distances))
-        return index, float(distances[index])
-
     def __len__(self) -> int:
         return self.order
 

@@ -161,10 +161,6 @@ class CskDemodulator:
         self.off_lightness = off_lightness
         self.acceptance_delta_e = acceptance_delta_e
 
-    def decide(self, lab: np.ndarray) -> SymbolDecision:
-        """Classify a single band measurement ``(L, a, b)``."""
-        return self.decide_stream(np.asarray(lab, dtype=float)[np.newaxis, :])[0]
-
     def decide_stream(self, lab: np.ndarray) -> List[SymbolDecision]:
         """Classify ``(N, 3)`` Lab band measurements in order.
 

@@ -8,8 +8,6 @@ once keeps symbol-rate encoding fast without any third-party dependency.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 from repro.exceptions import GaloisFieldError
 
 #: The primitive polynomial for table generation (x^8+x^4+x^3+x^2+1).
@@ -79,14 +77,6 @@ class GF256:
         return _EXP[_LOG[a] + _LOG[b]]
 
     @staticmethod
-    def inverse(a: int) -> int:
-        """Multiplicative inverse; raises for zero."""
-        GF256._check(a)
-        if a == 0:
-            raise GaloisFieldError("zero has no multiplicative inverse")
-        return _EXP[GROUP_ORDER - _LOG[a]]
-
-    @staticmethod
     def exp(power: int) -> int:
         """alpha^power for the generator alpha = 2."""
         return _EXP[power % GROUP_ORDER]
@@ -98,20 +88,3 @@ class GF256:
         if value == 0:
             raise GaloisFieldError("log(0) is undefined in GF(2^8)")
         return _LOG[value]
-
-    @staticmethod
-    def dot(a: Sequence[int], b: Sequence[int]) -> int:
-        """Inner product of two equal-length vectors over the field."""
-        if len(a) != len(b):
-            raise GaloisFieldError(
-                f"dot product needs equal lengths, got {len(a)} and {len(b)}"
-            )
-        acc = 0
-        for x, y in zip(a, b):
-            acc ^= GF256.mul(x, y)
-        return acc
-
-    @staticmethod
-    def elements() -> List[int]:
-        """All 256 field elements, mainly for exhaustive tests."""
-        return list(range(FIELD_SIZE))

@@ -24,9 +24,6 @@ point that works at 30 cm fails at 2 m.  This module closes the loop:
   reachable operating point can violate the perceptual-flicker budget —
   :meth:`ModulationLadder.validate` proves it and raises
   :class:`~repro.exceptions.AdaptationError` otherwise.
-  :func:`optimized_rung_config` additionally reuses
-  :mod:`repro.csk.optimizer` to re-separate a rung's constellation in a
-  device's received space.
 * **Trajectory replay** — :func:`simulate_adaptive` replays a
   :class:`~repro.link.channel.ChannelTrajectory` segment by segment,
   re-planning the transmitter at the controller's rung between segments
@@ -44,7 +41,7 @@ derive from the run seed and segment index, and the controller is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.camera.devices import DeviceProfile
@@ -131,39 +128,6 @@ class ModulationRung:
             f"{self.csk_order}-CSK/w+{self.white_margin:.2f}"
             f"/l={self.loss_ratio:.2f}"
         )
-
-
-def optimized_rung_config(
-    rung: ModulationRung,
-    symbol_rate: float,
-    frame_rate: float,
-    device: Optional[DeviceProfile] = None,
-    iterations: int = 600,
-    seed=0,
-) -> SystemConfig:
-    """A rung config whose constellation is re-separated by the optimizer.
-
-    Reuses :mod:`repro.csk.optimizer`: the standard design for the rung's
-    order is hill-climbed to maximize worst-case separation — in the
-    device's *received* chroma space when a profile is given (the space the
-    demodulator actually decides in), in transmit space otherwise.  The
-    optimizer's pair moves preserve the white-balanced mixture, so the
-    flicker budget the rung already satisfies is untouched.
-    """
-    from repro.csk.optimizer import optimize_constellation, received_space_map
-
-    base = rung.make_config(symbol_rate, frame_rate)
-    space_map = None
-    if device is not None:
-        space_map = received_space_map(device.response, base.emitter)
-    constellation = optimize_constellation(
-        rung.csk_order,
-        base.emitter.gamut,
-        space_map=space_map,
-        iterations=iterations,
-        seed=seed,
-    )
-    return replace(base, custom_constellation=constellation)
 
 
 @dataclass(frozen=True)
@@ -679,9 +643,6 @@ class TrajectoryRunResult:
     @property
     def goodput_bps(self) -> float:
         return self.payload_bytes * 8.0 / self.duration_s
-
-    def actions(self) -> List[str]:
-        return [decision.action for decision in self.decisions]
 
     def trace(self) -> Tuple[str, ...]:
         return tuple(decision.describe() for decision in self.decisions)

@@ -34,7 +34,6 @@ from repro.obs.trace import (
     format_span_tree,
     read_trace,
     summarize_spans,
-    tree_signature,
     write_trace,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "format_span_tree",
     "read_trace",
     "summarize_spans",
-    "tree_signature",
     "write_trace",
 ]

@@ -12,8 +12,7 @@ into its own local :class:`Tracer` and ships the finished span tuple back
 on the result (``LinkResult.trace``); :func:`assemble_trace` then adopts
 every cell's spans under one synthetic root *in spec order*, renumbering
 ids, so serial, parallel, degraded, and resumed sweeps of the same specs
-produce identical span trees (:func:`tree_signature` is the equality the
-tests assert).
+produce identical span trees.
 
 Traces serialize as JSON Lines, one span per line, parents before
 children (:func:`write_trace` / :func:`read_trace`).
@@ -298,26 +297,6 @@ def _children_map(spans: Sequence[Span]) -> Dict[Optional[int], List[Span]]:
         parent = span.parent_id if span.parent_id in ids else None
         children.setdefault(parent, []).append(span)
     return children
-
-
-def tree_signature(spans: Sequence[Span]):
-    """The structure of a trace — names and parentage, nothing else.
-
-    A nested tuple ``(name, (child signatures...))`` per root, children in
-    appearance order.  Durations, ids, and attributes are excluded, so two
-    traces compare equal exactly when their span trees (names, parentage,
-    counts) match — the serial-vs-parallel identity the acceptance
-    criteria assert.
-    """
-    children = _children_map(spans)
-
-    def signature(span: Span):
-        return (
-            span.name,
-            tuple(signature(child) for child in children.get(span.span_id, [])),
-        )
-
-    return tuple(signature(root) for root in children.get(None, []))
 
 
 def summarize_spans(spans: Sequence[Span]) -> List[str]:

@@ -290,25 +290,21 @@ class SymbolDetector:
         ``clocks`` is a list of frame clocks (anything with a
         :class:`~repro.camera.frame.CapturedFrame`'s ``index``,
         ``start_time``, ``row_period`` and ``exposure``) and ``bands`` the
-        list of their bands, each the segmenter's :class:`BandColumns` or
-        any sequence of :class:`Band` records.  One frame and its bands,
-        passed as they are, make a run of one.  The run's bands are
-        classified in one decision call and packed straight from the band
-        and decision columns into one record; no band object is built.
+        list of their bands, each the segmenter's :class:`BandColumns`.
+        One frame and its bands, passed as they are, make a run of one.
+        The run's bands are classified in one decision call and packed
+        straight from the band and decision columns into one record; no
+        band object is built.
         """
         if not isinstance(clocks, list):
             clocks, bands = [clocks], [bands]
-        columns = [
-            frame if isinstance(frame, BandColumns) else BandColumns.from_bands(frame)
-            for frame in bands
-        ]
-        counts = [len(frame) for frame in columns]
+        counts = [len(frame) for frame in bands]
         # Zeroed, so the layout's padding bytes pickle the same every time.
         record = np.zeros(sum(counts), dtype=BAND_RECORD)
         run = FrameRecord.run([clock.index for clock in clocks], counts, record)
         if not len(record):
             return run
-        live = [frame for frame in columns if len(frame)]
+        live = [frame for frame in bands if len(frame)]
         joined = live[0] if len(live) == 1 else BandColumns(
             *(
                 np.concatenate([getattr(frame, name) for frame in live])
@@ -325,9 +321,9 @@ class SymbolDetector:
             record[name] = column
         # The band centre's timing as float64, each frame's clock repeated
         # over its bands: the same operations in the same order as
-        # ``start_time + band.center_row * row_period + half_exposure`` in
-        # Python floats, so every ``mid_time`` is bitwise what a per-band
-        # loop would compute.
+        # ``start_time + (core_start + core_stop - 1) / 2.0 * row_period +
+        # half_exposure`` in Python floats, so every ``mid_time`` is bitwise
+        # what a per-band loop would compute.
         clock_scalars = np.array(
             [
                 (

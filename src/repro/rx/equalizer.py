@@ -23,7 +23,7 @@ symbol rate after pure plateaus vanish.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.camera.noise import dequantize_8bit
 from repro.color.cielab import xyz_to_lab
 from repro.color.srgb import linear_rgb_to_xyz, srgb_to_linear
 from repro.exceptions import DemodulationError
-from repro.rx.segmentation import Band
+from repro.rx.segmentation import BandColumns
 
 
 def frame_to_scanline_linear(frame: CapturedFrame) -> np.ndarray:
@@ -65,16 +65,16 @@ def _window_weights(
 
 def deconvolve_frame(
     frame: CapturedFrame,
-    bands: List[Band],
+    bands: BandColumns,
     smear_rows: float,
     ridge: float = 1e-3,
     preserve_dark_below: Optional[float] = None,
-) -> List[Band]:
+) -> BandColumns:
     """Re-estimate every band's color by exposure deconvolution.
 
     ``bands`` must come from the grid segmenter (their ``row_start`` values
-    define the cell grid).  Returns new :class:`Band` objects with the
-    deconvolved colors in CIELab; geometry and timing anchors are preserved.
+    define the cell grid).  Returns the same bounds with the deconvolved
+    colors in CIELab; geometry and timing anchors are preserved.
 
     ``ridge`` regularizes the normal equations (scanline noise would
     otherwise leak between neighbouring symbols through the near-singular
@@ -87,8 +87,8 @@ def deconvolve_frame(
     to push a dark band across the off-lightness decision boundary and
     corrupt the white/off anchors the packet assembler keys on.
     """
-    if not bands:
-        return []
+    if not len(bands):
+        return bands
     if smear_rows < 0:
         raise DemodulationError(f"smear_rows must be >= 0, got {smear_rows}")
 
@@ -98,12 +98,12 @@ def deconvolve_frame(
 
     # Grid cell starts in window-start coordinates: the band's first pure
     # row IS the cell start used by the segmenter.
-    cell_starts = np.array([band.row_start for band in bands], dtype=float)
+    cell_starts = bands.row_start.astype(float)
     # Append the implied end of the final cell for boundary bookkeeping.
     pitch = (
         (cell_starts[-1] - cell_starts[0]) / (count - 1)
         if count > 1
-        else float(bands[0].row_stop - bands[0].row_start)
+        else float(bands.row_stop[0] - bands.row_start[0])
     )
     grid = np.append(cell_starts, cell_starts[-1] + pitch)
 
@@ -131,21 +131,12 @@ def deconvolve_frame(
     colors = np.clip(colors, 0.0, 1.0)
     lab = xyz_to_lab(linear_rgb_to_xyz(colors))
 
-    return [
-        Band(
-            row_start=band.row_start,
-            row_stop=band.row_stop,
-            core_start=band.core_start,
-            core_stop=band.core_stop,
-            lab=(
-                band.lab
-                if preserve_dark_below is not None
-                and band.lab[0] < preserve_dark_below
-                else lab[index]
-            ),
-        )
-        for index, band in enumerate(bands)
-    ]
+    if preserve_dark_below is not None:
+        dark = bands.lab[:, 0] < preserve_dark_below
+        lab = np.where(dark[:, np.newaxis], bands.lab, lab)
+    return BandColumns(
+        bands.row_start, bands.row_stop, bands.core_start, bands.core_stop, lab
+    )
 
 
 def _solve_tridiagonal(

@@ -60,7 +60,7 @@ from repro.rx.detector import (
     band_column,
 )
 from repro.rx.preprocess import frame_to_scanline_lab, frames_to_scanline_lab
-from repro.rx.segmentation import Band, BandColumns, BandSegmenter
+from repro.rx.segmentation import Band, BandSegmenter
 from repro.util import lanes
 
 
@@ -489,13 +489,11 @@ class ColorBarsReceiver:
                 from repro.rx.equalizer import deconvolve_frame
 
                 stage = "equalize"
-                bands = BandColumns.from_bands(
-                    deconvolve_frame(
-                        frame,
-                        bands.bands(),
-                        smear_rows,
-                        preserve_dark_below=self.demodulator.off_lightness,
-                    )
+                bands = deconvolve_frame(
+                    frame,
+                    bands,
+                    smear_rows,
+                    preserve_dark_below=self.demodulator.off_lightness,
                 )
             clock = _FrameClock(
                 frame.index, frame.start_time, frame.row_period, frame.exposure

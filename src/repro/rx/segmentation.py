@@ -25,7 +25,7 @@ outnumber pure rows), and it splits runs of identical adjacent symbols for
 free — the grid does not care that no edge is visible between them.
 
 Band timing comes from the core rows: their exposure midpoints lie inside
-the symbol period, so ``Band.center_row`` anchors slot indexing across
+the symbol period, so the core's centre row anchors slot indexing across
 frames to a fraction of a symbol.
 
 The 10-pixel minimum band width of paper §4 is enforced here: configurations
@@ -67,11 +67,6 @@ class Band(NamedTuple):
     @property
     def width(self) -> int:
         return self.row_stop - self.row_start
-
-    @property
-    def center_row(self) -> float:
-        """Center of the pure core — the band's timing anchor."""
-        return (self.core_start + self.core_stop - 1) / 2.0
 
 
 class BandColumns(Sequence):
@@ -130,27 +125,6 @@ class BandColumns(Sequence):
                 self.core_stop.tolist(),
                 self.lab,
             )
-        )
-
-    @classmethod
-    def from_bands(cls, bands: Sequence[Band]) -> "BandColumns":
-        """Columns of explicit :class:`Band` records, such as the
-        equalizer's re-estimated bands."""
-        if not bands:
-            return NO_BANDS
-        bounds = np.array(
-            [
-                (band.row_start, band.row_stop, band.core_start, band.core_stop)
-                for band in bands
-            ],
-            dtype=int,
-        )
-        return cls(
-            bounds[:, 0],
-            bounds[:, 1],
-            bounds[:, 2],
-            bounds[:, 3],
-            np.array([band.lab for band in bands], dtype=float),
         )
 
 

@@ -124,19 +124,14 @@ class StreamingReceiver:
         #: An uncalibrated receiver cannot classify causally (the bootstrap
         #: scans the whole recording first): buffer each frame's bands and
         #: clock and run the receiver's recording pass at ``finish()``.
-        self._buffering = not receiver.calibration.is_calibrated
-        self._fold = None if self._buffering else receiver._new_fold()
+        self.buffering = not receiver.calibration.is_calibrated
+        self._fold = None if self.buffering else receiver._new_fold()
         self._segmented: List = []
         self._finished = False
 
     @property
     def finished(self) -> bool:
         return self._finished
-
-    @property
-    def buffering(self) -> bool:
-        """True while frames are buffered for a bootstrap ``finish()``."""
-        return self._buffering
 
     @property
     def last_contained_failure(self):
@@ -173,7 +168,7 @@ class StreamingReceiver:
         receiver = self.receiver
         with receiver.tracer.span(SPAN_SEGMENT, frame=frame.index):
             seg = receiver._segment_frame(frame, scanlines=scanlines)
-        if self._buffering:
+        if self.buffering:
             if seg.failure is not None:
                 self.failures_contained += 1
             self._segmented.append(seg)
@@ -195,7 +190,7 @@ class StreamingReceiver:
             )
         self._finished = True
         receiver = self.receiver
-        if self._buffering:
+        if self.buffering:
             collected = (
                 receiver._process_segmented(self._segmented, self.report)
                 if self._segmented

@@ -6,7 +6,6 @@ from repro.util.bitstream import (
     bytes_to_bits,
     chunk_bits,
     int_to_bits,
-    pad_bits,
 )
 from repro.util.rng import derive_rng, make_rng
 from repro.util.validation import (
@@ -22,7 +21,6 @@ __all__ = [
     "bytes_to_bits",
     "chunk_bits",
     "int_to_bits",
-    "pad_bits",
     "derive_rng",
     "make_rng",
     "require",

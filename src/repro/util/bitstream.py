@@ -81,8 +81,7 @@ def bits_to_int(bits: Sequence[int]) -> int:
 def chunk_bits(bits: Sequence[int], width: int) -> Iterator[List[int]]:
     """Yield consecutive groups of ``width`` bits.
 
-    The final group is zero-padded to ``width``; callers that need exact
-    framing should pad with :func:`pad_bits` first.
+    The final group is zero-padded to ``width``.
     """
     require(width > 0, f"width must be positive, got {width}")
     _check_bits(bits)
@@ -91,17 +90,6 @@ def chunk_bits(bits: Sequence[int], width: int) -> Iterator[List[int]]:
         if len(group) < width:
             group.extend([0] * (width - len(group)))
         yield group
-
-
-def pad_bits(bits: Sequence[int], multiple: int) -> List[int]:
-    """Zero-pad ``bits`` on the right to a multiple of ``multiple``."""
-    require(multiple > 0, f"multiple must be positive, got {multiple}")
-    _check_bits(bits)
-    padded = list(bits)
-    remainder = len(padded) % multiple
-    if remainder:
-        padded.extend([0] * (multiple - remainder))
-    return padded
 
 
 def _check_bits(bits: Iterable[int]) -> None:

@@ -76,4 +76,6 @@ class TestDemodulate:
         assert result.throughput_bps > 0
 
     def test_bits_per_second_on_air(self, modem):
-        assert modem.bits_per_second_on_air == 500.0
+        # Manchester coding: two symbols per bit, half the symbol rate.
+        waveform = modem.modulate(b"test")
+        assert 32 / waveform.duration == pytest.approx(500.0)

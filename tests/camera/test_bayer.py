@@ -6,7 +6,7 @@ import pytest
 from repro.camera.bayer import (
     bayer_mask,
     bayer_mosaic,
-    demosaic_bilinear,
+    demosaic_bilinear_nd,
     mosaic_from_rows,
 )
 from repro.exceptions import CameraError
@@ -84,9 +84,11 @@ class TestMosaicFromRows:
 
 
 class TestDemosaic:
+    """The capture engine's demosaic, on one frame."""
+
     def test_uniform_image_exact(self):
         image = np.full((16, 16, 3), 0.5)
-        out = demosaic_bilinear(bayer_mosaic(image))
+        out = demosaic_bilinear_nd(bayer_mosaic(image))
         assert np.allclose(out, 0.5, atol=1e-12)
 
     def test_gray_image_preserved(self):
@@ -94,7 +96,7 @@ class TestDemosaic:
         image = np.repeat(
             np.repeat(gradient[np.newaxis, :, np.newaxis], 16, axis=0), 3, axis=2
         )
-        out = demosaic_bilinear(bayer_mosaic(image))
+        out = demosaic_bilinear_nd(bayer_mosaic(image))
         assert np.allclose(out, image, atol=0.1)
 
     def test_horizontal_band_edge_fringing(self):
@@ -103,7 +105,7 @@ class TestDemosaic:
         image = np.zeros((20, 8, 3))
         image[:10, :, 0] = 1.0  # red band
         image[10:, :, 2] = 1.0  # blue band
-        out = demosaic_bilinear(bayer_mosaic(image))
+        out = demosaic_bilinear_nd(bayer_mosaic(image))
         # Rows near the boundary carry both channels.
         boundary = out[9:11]
         assert boundary[..., 0].max() > 0.05
@@ -113,11 +115,11 @@ class TestDemosaic:
         image = np.zeros((30, 8, 3))
         image[:15, :, 0] = 1.0
         image[15:, :, 2] = 1.0
-        out = demosaic_bilinear(bayer_mosaic(image))
+        out = demosaic_bilinear_nd(bayer_mosaic(image))
         # Away from the edge the band colors survive.
         assert out[5, 4, 0] == pytest.approx(1.0, abs=0.05)
         assert out[25, 4, 2] == pytest.approx(1.0, abs=0.05)
 
     def test_bad_input(self):
         with pytest.raises(CameraError):
-            demosaic_bilinear(np.zeros((4, 4, 3)))
+            demosaic_bilinear_nd(np.zeros(4))

@@ -186,24 +186,3 @@ class TestPrnuLifecycle:
         assert first is not None
         camera.record(waveform, duration=0.1)
         assert camera._prnu_gain is first
-
-    def test_reset_redraws_prnu(self, modulator8):
-        device = make_tiny_device()
-        waveform = _bench_waveform(modulator8)
-        # AE is locked so controller drift (which reset() deliberately
-        # keeps — it models the same physical camera) cannot mask the
-        # RNG/PRNU reproducibility this test pins.
-        ae = AutoExposure()
-        ae.lock()
-        camera = device.make_camera(
-            simulated_columns=16, seed=1, auto_exposure=ae
-        )
-        camera.record(waveform, duration=0.1)
-        assert camera._prnu_gain is not None
-        camera.reset(seed=1)
-        assert camera._prnu_gain is None
-        # Same seed -> same draws -> identical recording after reset.
-        first = camera.record(waveform, duration=0.1)
-        camera.reset(seed=1)
-        second = camera.record(waveform, duration=0.1)
-        _assert_frames_identical(first, second)

@@ -62,9 +62,3 @@ class TestAmbient:
     def test_ambient_luminance_carried(self):
         xyz = Optics(ambient_luminance=2.0).ambient_xyz()
         assert xyz[1] == pytest.approx(2.0)
-
-    def test_apply_to_scene_combines(self):
-        optics = Optics(distance_m=0.06, ambient_luminance=1.0)
-        scene = np.array([4.0, 4.0, 4.0])
-        out = optics.apply_to_scene(scene)
-        assert out[1] == pytest.approx(4.0 * optics.distance_gain() + 1.0)

@@ -71,11 +71,6 @@ class TestCapture:
         second = camera.capture_frame(waveform, 1 / 30)
         assert (first.index, second.index) == (0, 1)
 
-    def test_reset(self, camera, waveform):
-        camera.capture_frame(waveform, 0.0)
-        camera.reset(seed=1)
-        assert camera.capture_frame(waveform, 0.0).index == 0
-
     def test_dark_waveform_dark_frame(self, camera, modulator8):
         wf = modulator8.waveform([off_symbol()] * 100, extend=EXTEND_CYCLE)
         frame = camera.capture_frame(wf, 0.0)

@@ -1,6 +1,5 @@
 """Unit tests for the CSK constellation designs."""
 
-import numpy as np
 import pytest
 
 from repro.csk.constellation import (
@@ -69,17 +68,6 @@ class TestConstellationClass:
 
     def test_as_array_shape(self, constellation8):
         assert constellation8.as_array().shape == (8, 2)
-
-    def test_nearest_exact_point(self, constellation8):
-        target = constellation8.point(5)
-        index, distance = constellation8.nearest(target.as_array())
-        assert index == 5
-        assert distance < 1e-12
-
-    def test_nearest_perturbed(self, constellation8):
-        target = constellation8.point(2).as_array() + np.array([0.005, -0.005])
-        index, _ = constellation8.nearest(target)
-        assert index == 2
 
     def test_wrong_point_count(self, gamut):
         points = [gamut.red, gamut.green, gamut.blue]

@@ -31,27 +31,32 @@ def lab_row(lightness, chroma):
     return np.array([lightness, chroma[0], chroma[1]])
 
 
+def decide(demodulator, lab):
+    """The decision for one band, from the columns detect classifies by."""
+    return demodulator.decide_columns(np.asarray(lab)[np.newaxis]).decisions()[0]
+
+
 class TestDecisions:
     def test_data_symbols_recovered(self, demodulator, calibrated_table):
         _, chroma = calibrated_table
         for index in range(8):
-            decision = demodulator.decide(lab_row(70.0, chroma[index]))
+            decision = decide(demodulator, lab_row(70.0, chroma[index]))
             assert decision.kind is DecisionKind.DATA
             assert decision.index == index
             assert decision.confident
 
     def test_off_detected_by_lightness(self, demodulator):
-        decision = demodulator.decide(np.array([5.0, 40.0, -20.0]))
+        decision = decide(demodulator, np.array([5.0, 40.0, -20.0]))
         assert decision.kind is DecisionKind.OFF
 
     def test_white_detected_by_chroma(self, demodulator):
-        decision = demodulator.decide(np.array([80.0, 0.5, -0.5]))
+        decision = decide(demodulator, np.array([80.0, 0.5, -0.5]))
         assert decision.kind is DecisionKind.WHITE
 
     def test_far_sample_unconfident(self, demodulator, calibrated_table):
         _, chroma = calibrated_table
         midpoint = (chroma[0] + chroma[1]) / 2 + 30.0
-        decision = demodulator.decide(lab_row(70.0, midpoint))
+        decision = decide(demodulator, lab_row(70.0, midpoint))
         if decision.kind is DecisionKind.DATA:
             assert decision.distance > 0
 

@@ -33,7 +33,6 @@ from repro.link.adapt import (
     _segment_seed,
     adaptive_vs_fixed,
     advance,
-    optimized_rung_config,
     simulate_adaptive,
 )
 from repro.link.channel import ChannelTrajectory, TrajectorySegment
@@ -132,32 +131,6 @@ class TestModulationLadder:
     def test_config_uses_the_indexed_rung(self):
         ladder = ModulationLadder.default()
         assert ladder.config(2, 1500.0, 30.0).csk_order == 8
-
-
-class TestOptimizedRungConfig:
-    def test_optimizer_reuse_preserves_rung_contract(self, tiny_device):
-        rung = ModulationRung(csk_order=8, white_margin=0.02, loss_ratio=0.3)
-        config = optimized_rung_config(
-            rung, 1000.0, 30.0, device=tiny_device, iterations=40, seed=1
-        )
-        assert config.custom_constellation is not None
-        assert len(config.custom_constellation.points) == 8
-        # The optimizer reshapes the constellation only: order, parity and
-        # the flicker-derived white budget are untouched.
-        base = rung.make_config(1000.0, 30.0)
-        assert config.csk_order == base.csk_order
-        assert config.illumination_ratio == base.illumination_ratio
-        assert config.design_loss_ratio == base.design_loss_ratio
-
-    def test_deterministic_for_a_seed(self, tiny_device):
-        rung = ModulationRung(csk_order=8)
-        one = optimized_rung_config(
-            rung, 1000.0, 30.0, device=tiny_device, iterations=40, seed=3
-        )
-        two = optimized_rung_config(
-            rung, 1000.0, 30.0, device=tiny_device, iterations=40, seed=3
-        )
-        assert one.custom_constellation.points == two.custom_constellation.points
 
 
 class TestWindowStats:

@@ -16,7 +16,6 @@ from repro.obs import (
     MetricsRegistry,
     assemble_trace,
     read_trace,
-    tree_signature,
 )
 from repro.obs.schema import (
     M_CELLS_COMPLETED,
@@ -28,6 +27,8 @@ from repro.obs.schema import (
     SPAN_SWEEP,
 )
 from repro.perf.runtime import run_specs_resilient
+
+from tests.obs.test_trace import tree_signature
 
 
 def _specs(tiny_device, count=2, duration_s=0.4):

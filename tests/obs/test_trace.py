@@ -11,9 +11,28 @@ from repro.obs import (
     format_span_tree,
     read_trace,
     summarize_spans,
-    tree_signature,
     write_trace,
 )
+from repro.obs.trace import _children_map
+
+
+def tree_signature(spans):
+    """The structure of a trace — names and parentage, nothing else.
+
+    A nested tuple ``(name, (child signatures...))`` per root, children in
+    appearance order.  Durations, ids, and attributes are excluded, so two
+    traces compare equal exactly when their span trees (names, parentage,
+    counts) match: the serial-vs-parallel identity these tests assert.
+    """
+    children = _children_map(spans)
+
+    def signature(span):
+        return (
+            span.name,
+            tuple(signature(child) for child in children.get(span.span_id, [])),
+        )
+
+    return tuple(signature(root) for root in children.get(None, []))
 
 
 def _sample_trace():

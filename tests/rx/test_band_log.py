@@ -70,7 +70,8 @@ class _CapturingDetector:
             assert band.lab.tobytes() == source.lab.tobytes()
             mid_time = (
                 float(clock.start_time)
-                + source.center_row * float(clock.row_period)
+                + (source.core_start + source.core_stop - 1) / 2.0
+                * float(clock.row_period)
                 + half_exposure
             )
             assert band.mid_time.hex() == mid_time.hex()

@@ -229,7 +229,6 @@ class TestRecordSemantics:
         records = _records()
         band, received = records["band"], records["received"]
         assert band.width == 18
-        assert band.center_row == 11.0
         assert np.array_equal(received.lab, band.lab)
         assert np.array_equal(received.chroma, [-12.25, 40.0])
         assert received.to_char() == "5"

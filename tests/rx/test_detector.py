@@ -9,7 +9,7 @@ from repro.csk.calibration import CalibrationTable
 from repro.csk.demodulator import CskDemodulator, DecisionKind
 from repro.exceptions import DemodulationError
 from repro.rx.detector import SymbolDetector, received_bands
-from repro.rx.segmentation import Band
+from repro.rx.segmentation import BandColumns
 
 
 @pytest.fixture
@@ -23,20 +23,23 @@ def frame():
     )
 
 
-def band(lab, start=0, stop=20):
-    return Band(
-        row_start=start,
-        row_stop=stop,
-        core_start=start + 4,
-        core_stop=stop - 4,
-        lab=np.asarray(lab, dtype=float),
+def bands(*labs, start=0, stop=20):
+    """One frame's bands, one per Lab triple, each over rows
+    ``[start, stop)`` with a core trimmed by 4 rows on each side."""
+    count = len(labs)
+    return BandColumns(
+        np.full(count, start),
+        np.full(count, stop),
+        np.full(count, start + 4),
+        np.full(count, stop - 4),
+        np.array(labs, dtype=float).reshape(count, 3),
     )
 
 
-def detected(detector, frame, bands):
+def detected(detector, frame, frame_bands):
     """The bands ``detect`` returns, read back from its record as objects."""
-    result = detector.detect(frame, bands)
-    assert len(result) == len(bands)
+    result = detector.detect(frame, frame_bands)
+    assert len(result) == len(frame_bands)
     return received_bands(result.frame_index, result.record)
 
 
@@ -57,15 +60,15 @@ def calibrated_detector(constellation8):
 
 class TestBootstrap:
     def test_off_by_lightness(self, uncalibrated_detector, frame):
-        received = detected(uncalibrated_detector, frame, [band([4.0, 0.0, 0.0])])
+        received = detected(uncalibrated_detector, frame, bands([4.0, 0.0, 0.0]))
         assert received[0].decision.kind is DecisionKind.OFF
 
     def test_white_by_low_chroma(self, uncalibrated_detector, frame):
-        received = detected(uncalibrated_detector, frame, [band([80.0, 3.0, -2.0])])
+        received = detected(uncalibrated_detector, frame, bands([80.0, 3.0, -2.0]))
         assert received[0].decision.kind is DecisionKind.WHITE
 
     def test_color_is_unknown_data(self, uncalibrated_detector, frame):
-        received = detected(uncalibrated_detector, frame, [band([70.0, 50.0, 20.0])])
+        received = detected(uncalibrated_detector, frame, bands([70.0, 50.0, 20.0]))
         decision = received[0].decision
         assert decision.kind is DecisionKind.DATA
         assert decision.index is None
@@ -80,18 +83,15 @@ class TestBootstrap:
 class TestCalibrated:
     def test_data_index_recovered(self, calibrated_detector, frame):
         detector, chroma = calibrated_detector
-        bands = [band([70.0, chroma[5][0], chroma[5][1]])]
-        received = detected(detector, frame, bands)
+        received = detected(detector, frame, bands([70.0, *chroma[5]]))
         assert received[0].decision.index == 5
 
     def test_mixed_stream(self, calibrated_detector, frame):
         detector, chroma = calibrated_detector
-        bands = [
-            band([4.0, 0.0, 0.0]),
-            band([80.0, 0.5, 0.5]),
-            band([70.0, chroma[2][0], chroma[2][1]]),
-        ]
-        kinds = [r.decision.kind for r in detected(detector, frame, bands)]
+        frame_bands = bands(
+            [4.0, 0.0, 0.0], [80.0, 0.5, 0.5], [70.0, *chroma[2]]
+        )
+        kinds = [r.decision.kind for r in detected(detector, frame, frame_bands)]
         assert kinds == [DecisionKind.OFF, DecisionKind.WHITE, DecisionKind.DATA]
 
 
@@ -100,7 +100,7 @@ class TestTiming:
         received = detected(
             uncalibrated_detector,
             frame,
-            [band([80.0, 0.0, 0.0], start=100, stop=140)],
+            bands([80.0, 0.0, 0.0], start=100, stop=140),
         )
         expected = (
             frame.start_time
@@ -110,10 +110,10 @@ class TestTiming:
         assert received[0].mid_time == pytest.approx(expected)
 
     def test_frame_index_propagated(self, uncalibrated_detector, frame):
-        received = detected(uncalibrated_detector, frame, [band([80.0, 0, 0])])
+        received = detected(uncalibrated_detector, frame, bands([80.0, 0, 0]))
         assert received[0].frame_index == 3
 
     def test_empty_bands(self, uncalibrated_detector, frame):
-        result = uncalibrated_detector.detect(frame, [])
+        result = uncalibrated_detector.detect(frame, bands())
         assert len(result) == 0
         assert result.frame_index == 3

@@ -5,14 +5,15 @@ import pytest
 
 from repro.camera.auto_exposure import ExposureSettings
 from repro.camera.frame import CapturedFrame
-from repro.color.srgb import linear_to_srgb
+from repro.color.cielab import xyz_to_lab
+from repro.color.srgb import linear_rgb_to_xyz, linear_to_srgb
 from repro.exceptions import DemodulationError
 from repro.rx.equalizer import (
     _solve_tridiagonal,
     deconvolve_frame,
     frame_to_scanline_linear,
 )
-from repro.rx.segmentation import Band
+from repro.rx.segmentation import NO_BANDS, BandColumns
 
 
 def synthetic_frame(symbol_colors, pitch=20, exposure_rows=14, cols=8):
@@ -50,16 +51,10 @@ def synthetic_frame(symbol_colors, pitch=20, exposure_rows=14, cols=8):
 
 
 def grid_bands(count, pitch=20):
-    return [
-        Band(
-            row_start=k * pitch,
-            row_stop=(k + 1) * pitch,
-            core_start=k * pitch + 2,
-            core_stop=k * pitch + 5,
-            lab=np.zeros(3),
-        )
-        for k in range(count)
-    ]
+    starts = np.arange(count) * pitch
+    return BandColumns(
+        starts, starts + pitch, starts + 2, starts + 5, np.zeros((count, 3))
+    )
 
 
 COLORS = np.array(
@@ -78,11 +73,8 @@ class TestDeconvolution:
     def test_recovers_exact_colors_under_heavy_mixing(self):
         frame = synthetic_frame(COLORS, exposure_rows=14)
         bands = deconvolve_frame(frame, grid_bands(len(COLORS)), smear_rows=14.0)
-        from repro.color.cielab import xyz_to_lab
-        from repro.color.srgb import linear_rgb_to_xyz
-
         expected = xyz_to_lab(linear_rgb_to_xyz(COLORS))
-        recovered = np.stack([band.lab for band in bands])
+        recovered = bands.lab
         # Interior symbols recover near-exactly; frame-edge symbols carry
         # boundary effects.
         assert np.allclose(recovered[1:-1], expected[1:-1], atol=2.0)
@@ -90,34 +82,39 @@ class TestDeconvolution:
     def test_near_full_exposure_still_recovers(self):
         frame = synthetic_frame(COLORS, exposure_rows=19)
         bands = deconvolve_frame(frame, grid_bands(len(COLORS)), smear_rows=19.0)
-        from repro.color.cielab import xyz_to_lab
-        from repro.color.srgb import linear_rgb_to_xyz
-
         expected = xyz_to_lab(linear_rgb_to_xyz(COLORS))
-        recovered = np.stack([band.lab for band in bands])
+        recovered = bands.lab
         assert np.allclose(recovered[1:-1], expected[1:-1], atol=4.0)
 
     def test_zero_smear_reduces_to_plateau(self):
         frame = synthetic_frame(COLORS, exposure_rows=1)
         bands = deconvolve_frame(frame, grid_bands(len(COLORS)), smear_rows=1.0)
-        from repro.color.cielab import xyz_to_lab
-        from repro.color.srgb import linear_rgb_to_xyz
-
         expected = xyz_to_lab(linear_rgb_to_xyz(COLORS))
-        recovered = np.stack([band.lab for band in bands])
+        recovered = bands.lab
         assert np.allclose(recovered[1:-1], expected[1:-1], atol=2.0)
 
     def test_geometry_preserved(self):
         frame = synthetic_frame(COLORS)
         original = grid_bands(len(COLORS))
         bands = deconvolve_frame(frame, original, smear_rows=14.0)
-        for before, after in zip(original, bands):
-            assert after.row_start == before.row_start
-            assert after.core_start == before.core_start
+        for name in ("row_start", "row_stop", "core_start", "core_stop"):
+            assert np.array_equal(getattr(bands, name), getattr(original, name))
+
+    def test_dark_bands_keep_their_segmented_color(self):
+        frame = synthetic_frame(COLORS, exposure_rows=14)
+        given = grid_bands(len(COLORS))
+        given.lab[:] = [60.0, 0.0, 0.0]
+        given.lab[2] = [4.0, 1.0, -1.0]
+        bands = deconvolve_frame(
+            frame, given, smear_rows=14.0, preserve_dark_below=10.0
+        )
+        expected = xyz_to_lab(linear_rgb_to_xyz(COLORS))
+        assert np.array_equal(bands.lab[2], [4.0, 1.0, -1.0])
+        assert np.allclose(bands.lab[[1, 3, 4]], expected[[1, 3, 4]], atol=2.0)
 
     def test_empty_bands(self):
         frame = synthetic_frame(COLORS)
-        assert deconvolve_frame(frame, [], smear_rows=10.0) == []
+        assert len(deconvolve_frame(frame, NO_BANDS, smear_rows=10.0)) == 0
 
     def test_negative_smear_rejected(self):
         frame = synthetic_frame(COLORS)

@@ -35,7 +35,7 @@ class TestRoundTrips:
         # equalizer must hand back the plateau colors it was given.
         frame = synthetic_frame(COLORS, exposure_rows=1)
         bands = deconvolve_frame(frame, grid_bands(len(COLORS)), smear_rows=1.0)
-        recovered = np.stack([band.lab for band in bands])
+        recovered = bands.lab
         assert np.allclose(recovered[1:-1], _expected_lab(COLORS)[1:-1], atol=2.0)
 
     def test_affine_channel_commutes_with_equalization(self):
@@ -47,7 +47,7 @@ class TestRoundTrips:
         transformed = np.clip(COLORS * gain + offset, 0.0, 1.0)
         frame = synthetic_frame(transformed, exposure_rows=14)
         bands = deconvolve_frame(frame, grid_bands(len(COLORS)), smear_rows=14.0)
-        recovered = np.stack([band.lab for band in bands])
+        recovered = bands.lab
         assert np.allclose(
             recovered[1:-1], _expected_lab(transformed)[1:-1], atol=2.0
         )

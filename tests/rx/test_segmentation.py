@@ -1,9 +1,15 @@
 """Unit tests for band segmentation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.camera.auto_exposure import ExposureSettings
+from repro.csk.calibration import CalibrationTable
+from repro.csk.demodulator import CskDemodulator
 from repro.exceptions import DemodulationError
+from repro.rx.detector import SymbolDetector
 from repro.rx.segmentation import MIN_BAND_ROWS, Band, BandSegmenter
 
 
@@ -157,7 +163,7 @@ class TestSmearedTransitions:
         colors = [RED, GREEN] * 6
         scanlines = ramped_scanlines(colors, pitch=20, smear=6)
         bands = segmenter.segment(scanlines, smear_rows=6.0)
-        centers = [b.center_row for b in bands]
+        centers = (bands.core_start + bands.core_stop - 1) / 2.0
         gaps = np.diff(centers)
         assert np.allclose(gaps, 20.0, atol=4.0)
 
@@ -189,7 +195,14 @@ class TestCoreExtraction:
         assert red_bands
         assert np.allclose(red_bands[-1].lab, RED, atol=3.0)
 
-    def test_center_row_uses_core(self, segmenter):
-        scanlines = synth_scanlines([RED])
-        band = segmenter.segment(scanlines)[0]
-        assert band.core_start <= band.center_row <= band.core_stop
+    def test_center_row_uses_core(self, segmenter, constellation8):
+        """The detector times a band at the centre row of its core."""
+        bands = segmenter.segment(synth_scanlines([RED]))
+        # One row per second and a 2 s exposure: mid_time - 1 is the row.
+        clock = SimpleNamespace(
+            index=0, start_time=0.0, row_period=1.0,
+            exposure=ExposureSettings(2.0, 100),
+        )
+        detector = SymbolDetector(CskDemodulator(CalibrationTable(constellation8)))
+        center = detector.detect(clock, bands).record["mid_time"][0] - 1.0
+        assert bands.core_start[0] <= center <= bands.core_stop[0] - 1

@@ -10,7 +10,6 @@ from repro.util.bitstream import (
     bytes_to_bits,
     chunk_bits,
     int_to_bits,
-    pad_bits,
 )
 
 
@@ -74,9 +73,3 @@ class TestChunkAndPad:
     def test_chunk_pads_final_group(self):
         groups = list(chunk_bits([1, 1], 3))
         assert groups == [[1, 1, 0]]
-
-    def test_pad_bits(self):
-        assert pad_bits([1, 0, 1], 4) == [1, 0, 1, 0]
-
-    def test_pad_noop_when_aligned(self):
-        assert pad_bits([1, 0, 1, 1], 4) == [1, 0, 1, 1]
